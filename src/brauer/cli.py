@@ -153,7 +153,7 @@ def cmd_cohomology(args) -> int:
     elif args.subcommand == "rank":
         factors = ([int(x) for x in args.factors.split(",")]
                    if args.factors else [n])
-        m = args.m if args.m else n
+        m = n if args.m is None else args.m
         ranks = cohomology_rank(FiniteAbelianGroup(factors), m, args.degree)
         results["invariant_factors"] = ranks
         lines.append(f"H^{args.degree}({' x '.join(f'Z/{f}' for f in factors)},"

@@ -1,10 +1,11 @@
 """Explicit cohomology of finite abelian groups with Z/m coefficients.
 
-Everything is inhomogeneous-cochain linear algebra over the integers:
-cochains are total tables G^k -> Z/m, the differential is the standard one
-for the trivial action, and ranks / cohomologous-ness are decided by Smith
-normal form.  The multiplicative group mu_n is written additively as Z/n
-throughout, via the canonical primitive root of the ambient field.
+Everything is inhomogeneous-cochain linear algebra: cochains are total
+tables G^k -> Z/m, the differential is the standard integer one for the
+trivial action, and ranks / cohomologous-ness are decided by row elimination
+over Z/p^e for each prime power p^e of m.  The multiplicative group mu_n is
+written additively as Z/n throughout, via the canonical primitive root of
+the ambient field.
 
 Also here: the formal-unit calculus for the Cech coboundary identity on the
 n-th root cover of a DVR, and the factor set of the monomial-matrix central
@@ -15,14 +16,14 @@ of successive root-of-unity powers).
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .finitefield import FiniteField
-from .snf import (TableSizeError, kernel_mod, quotient_invariants, solve_mod,
-                  smith_normal_form)
+from .snf import TableSizeError, _eliminate, _prime_powers, solve_mod
 
 TABLE_GUARD = 10 ** 6
 
@@ -185,23 +186,30 @@ def coboundary_matrix(group: FiniteAbelianGroup, k: int):
 def cohomology_rank(group: FiniteAbelianGroup, modulus: int, degree: int):
     """Invariant factors of H^degree(group, Z/modulus), trivial action.
 
-    Computed as ker(d_k)/im(d_{k-1}) over Z/modulus via integer Smith
-    normal form; factors equal to 1 are omitted.
+    The integer cochain complex splits into pieces Z and Z --(x d)--> Z, so
+    it is tensored with Z/p^e piece by piece: each pivot p^a of d_k or
+    d_{k-1} under elimination mod p^e adds Z/p^a, every other coordinate of
+    C^k adds Z/p^e.  Returned ascending, factors equal to 1 omitted.
     """
+    if degree < 0:
+        raise ValueError(f"cohomology degree must be >= 0, got {degree}")
+    if modulus < 1:
+        raise ValueError(f"coefficient modulus must be >= 1, got {modulus}")
     _check_size(group, degree + 1)
-    m = modulus
-    B = coboundary_matrix(group, degree)
-    N = group.size ** degree
-    gens = kernel_mod(B, m)  # N x N basis of {x : Bx = 0 mod m}
-    rel_cols = []
+    mats = [coboundary_matrix(group, degree)]
     if degree > 0:
-        A = coboundary_matrix(group, degree - 1)
-        for j in range(len(A[0])):
-            rel_cols.append([A[i][j] for i in range(N)])
-    for i in range(N):
-        rel_cols.append([m if r == i else 0 for r in range(N)])
-    rels = [[col[i] for col in rel_cols] for i in range(N)]
-    return sorted(quotient_invariants(gens, rels))
+        mats.append(coboundary_matrix(group, degree - 1))
+    N = group.size ** degree
+    primary = []  # per prime p, the exponents a of its factors Z/p^a
+    for p, e in _prime_powers(modulus):
+        vals = [a for M in mats
+                for _, _, a in _eliminate(M, p, e, [0] * len(M))[1]]
+        exps = [a for a in vals if a] + [e] * (N - len(vals))
+        primary.append((p, sorted(exps, reverse=True)))
+    # the i-th largest invariant factor gathers the i-th largest p-parts
+    size = max((len(exps) for _, exps in primary), default=0)
+    return [math.prod(p ** exps[i] for p, exps in primary if i < len(exps))
+            for i in reversed(range(size))]
 
 
 def cocycles_cohomologous(c1: Cochain, c2: Cochain) -> bool:

@@ -1,7 +1,13 @@
-"""Integer Smith normal form and modular linear solving.
+"""Integer Smith normal form and linear algebra modulo m.
 
-All matrices are lists of lists of Python ints.  Sizes here stay in the
-hundreds, so a straightforward exact pivoting algorithm is adequate.
+All matrices are lists of lists of Python ints.  Linear algebra modulo m
+never leaves Z/m: it runs once per prime power p^e of m, where Z/p^e is a
+local ring and every entry is a unit times a power of p, and the results
+are combined by the Chinese remainder theorem.  Over Z/p^e, row elimination
+that always pivots on an entry of least p-adic valuation reaches the Smith
+form up to column operations, so the pivot valuations are the elementary
+divisors (Storjohann and Mulders, "Fast algorithms for linear algebra
+modulo N", ESA 1998).
 """
 
 from __future__ import annotations
@@ -127,104 +133,86 @@ def smith_normal_form(A):
     return D, U, V
 
 
-def _mat_vec(M, v):
-    return [sum(Mi[j] * v[j] for j in range(len(v))) for Mi in M]
+def _prime_powers(m):
+    """[(p, e)] with m the product of the p^e, by trial division."""
+    out, p = [], 2
+    while p * p <= m:
+        e = 0
+        while m % p == 0:
+            m, e = m // p, e + 1
+        if e:
+            out.append((p, e))
+        p += 1
+    return out + [(m, 1)] * (m > 1)
 
 
-def solve_integer(A, b):
-    """One integer solution x of A x = b, or None."""
-    D, U, V = smith_normal_form(A)
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    c = _mat_vec(U, b)
-    y = [0] * cols
-    for i in range(rows):
-        d = D[i][i] if i < cols else 0
-        if i < cols and d:
-            if c[i] % d:
-                return None
-            y[i] = c[i] // d
-        elif c[i]:
-            return None
-    return _mat_vec(V, y)
+def _eliminate(A, p, e, rhs):
+    """Row-reduce A modulo q = p^e, pivoting on entries of least valuation.
+
+    Pass a = 0, 1, ... goes column by column and pivots on an entry u * p^a
+    (u a unit) of the shortest row having one; no entry left has a smaller
+    valuation, so every entry stays divisible by p^a.  Rows are sparse
+    ({column: value}) and reduced mod q, pivot rows are scaled to pivot
+    p^a, and ``rhs`` is carried along in place.  Returns (rows, pivots),
+    pivots as (row, column, a) in order: a pivot row is zero in earlier
+    pivot columns and every other row ends zero.
+    """
+    q = p ** e
+    rows = [{j: v % q for j, v in enumerate(r) if v % q} for r in A]
+    free = list(range(len(rows)))
+    cols = sorted({j for r in rows for j in r})
+    pivots = []
+    for a in range(e):
+        d = p ** a
+        rest = []
+        for j in cols:
+            hits = [i for i in free if j in rows[i]]
+            piv = min((i for i in hits if rows[i][j] // d % p),
+                      key=lambda i: len(rows[i]), default=None)
+            if piv is None:
+                rest.append(j)
+                continue
+            u = pow(rows[piv][j] // d, -1, q)
+            row = rows[piv] = {c: v * u % q for c, v in rows[piv].items()}
+            rhs[piv] = rhs[piv] * u % q
+            for i in hits:
+                if i == piv:
+                    continue
+                ri = rows[i]
+                k = ri[j] // d
+                for c, v in row.items():
+                    w = (ri.get(c, 0) - k * v) % q
+                    if w:
+                        ri[c] = w
+                    else:
+                        ri.pop(c, None)
+                rhs[i] = (rhs[i] - k * rhs[piv]) % q
+            free.remove(piv)
+            pivots.append((piv, j, a))
+        cols = rest
+    return rows, pivots
 
 
 def solve_mod(A, b, m):
-    """One solution x of A x = b (mod m), or None.
-
-    Solved exactly as A x + m y = b over the integers.
-    """
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    aug = [list(A[i]) + [m if j == i else 0 for j in range(rows)]
-           for i in range(rows)]
-    sol = solve_integer(aug, b)
-    if sol is None:
-        return None
-    return [v % m for v in sol[:cols]]
-
-
-def kernel_basis(A):
-    """Columns spanning the integer kernel lattice of A."""
-    D, U, V = smith_normal_form(A)
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    rank = 0
-    for i in range(min(rows, cols)):
-        if D[i][i]:
-            rank += 1
-    return [[V[i][j] for j in range(rank, cols)] for i in range(cols)]
-
-
-def kernel_mod(A, m):
-    """Basis (as columns) of the lattice {x in Z^cols : A x = 0 mod m}."""
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    if rows == 0:
-        return _identity(cols)
-    aug = [list(A[i]) + [m if j == i else 0 for j in range(rows)]
-           for i in range(rows)]
-    K = kernel_basis(aug)
-    # project away the auxiliary y coordinates; (0, y) in the kernel forces
-    # m*y = 0, so the projection is injective and the columns stay a basis
-    return [K[i] for i in range(cols)]
-
-
-def quotient_invariants(gens, rels, size_hint=None):
-    """Invariant factors (> 1) of the quotient lattice(gens)/lattice(rels).
-
-    ``gens`` is an N x r matrix whose columns generate a lattice L;
-    ``rels`` is an N x s matrix whose columns lie in L.  The quotient must
-    be finite.
-    """
-    r = len(gens[0]) if gens else 0
-    if r == 0:
-        return []
-    n = len(gens)
-    D, U, V = smith_normal_form(gens)
-    s = len(rels[0]) if rels else 0
-    Y = [[0] * s for _ in range(r)]
-    for j in range(s):
-        col = [rels[i][j] for i in range(n)]
-        c = _mat_vec(U, col)
-        y = [0] * r
-        for i in range(n):
-            d = D[i][i] if i < r else 0
-            if i < r and d:
-                if c[i] % d:
-                    raise ValueError("relation outside the generated lattice")
-                y[i] = c[i] // d
-            elif c[i]:
-                raise ValueError("relation outside the generated lattice")
-        y = _mat_vec(V, y)
-        for i in range(r):
-            Y[i][j] = y[i]
-    Dy, _, _ = smith_normal_form(Y)
-    out = []
-    for i in range(r):
-        d = Dy[i][i] if i < s else 0
-        if d == 0:
-            raise ValueError("quotient is infinite")
-        if d != 1:
-            out.append(d)
-    return out
+    """One solution x of A x = b (mod m) with entries in [0, m), or None."""
+    if m < 1:
+        raise ValueError(f"modulus must be >= 1, got {m}")
+    x, M = [0] * (len(A[0]) if A else 0), 1
+    for p, e in _prime_powers(m):
+        q = p ** e
+        rhs = [v % q for v in b]
+        rows, pivots = _eliminate(A, p, e, rhs)
+        pivot_rows = {i for i, _, _ in pivots}
+        if any(v for i, v in enumerate(rhs) if i not in pivot_rows):
+            return None
+        # back-substitute, free coordinates 0; row i reads p^a x_j + ... = rhs
+        y = [0] * len(x)
+        for i, j, a in reversed(pivots):
+            s = rhs[i] - sum(v * y[c] for c, v in rows[i].items() if c != j)
+            if s % p ** a:
+                return None
+            y[j] = s % q // p ** a
+        t = pow(M, -1, q)
+        x = [xi + M * ((yi - xi) * t % q) for xi, yi in zip(x, y)]
+        M *= q
+    return x

@@ -67,6 +67,19 @@ def test_cohomology_rank(capsys):
     assert json.loads(out)["results"]["invariant_factors"] == [2, 2, 2]
 
 
+def test_cohomology_rank_rejects_bad_modulus_and_degree(capsys):
+    for m in ("0", "-2"):
+        code, out, err = run(capsys, "cohomology", "rank", "--n", "2",
+                             "--m", m)
+        assert code == 3
+        assert out == ""
+        assert f"got {m}" in err
+    code, _, err = run(capsys, "cohomology", "rank", "--n", "2",
+                       "--degree", "-1")
+    assert code == 3
+    assert "degree must be >= 0, got -1" in err
+
+
 def test_conic(capsys):
     code, out, _ = run(capsys, "conic", "--q", "5", "--a", "t", "--b", "2",
                        "--format", "json")

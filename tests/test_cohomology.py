@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from brauer.cohomology import (
@@ -5,6 +7,7 @@ from brauer.cohomology import (
     FiniteAbelianGroup,
     FormalUnit,
     coboundary,
+    coboundary_matrix,
     cocycles_cohomologous,
     cohomology_rank,
     cup_product_boxtimes,
@@ -16,6 +19,7 @@ from brauer.cohomology import (
     lhs_edge_map,
     verify_coboundary_identity,
 )
+from brauer.snf import smith_normal_form
 
 
 def test_group_structure():
@@ -55,6 +59,84 @@ def test_cohomology_ranks_cyclic():
 def test_cohomology_rank_degree_zero():
     G = FiniteAbelianGroup((4,))
     assert cohomology_rank(G, 6, 0) == [6]
+
+
+def test_cohomology_rank_rejects_bad_input():
+    G = FiniteAbelianGroup((2,))
+    with pytest.raises(ValueError, match="degree must be >= 0, got -1"):
+        cohomology_rank(G, 2, -1)
+    for m in (0, -2):
+        with pytest.raises(ValueError, match="modulus"):
+            cohomology_rank(G, m, 2)
+
+
+def _invariant_factors(orders):
+    """Ascending invariant factors (> 1) of the product of the Z/d."""
+    parts = {}  # prime -> its prime-power parts
+    for d in orders:
+        p = 2
+        while d > 1:
+            q = 1
+            while d % p == 0:
+                d //= p
+                q *= p
+            if q > 1:
+                parts.setdefault(p, []).append(q)
+            p += 1
+    for qs in parts.values():
+        qs.sort(reverse=True)
+    size = max(map(len, parts.values()), default=0)
+    return sorted(math.prod(qs[i] for qs in parts.values() if i < len(qs))
+                  for i in range(size))
+
+
+# the benchmark's rank grid: |G|^(k+1) <= 256, k >= 1
+def _grid(groups):
+    for factors in groups:
+        size = math.prod(factors)
+        for k in range(1, 8):
+            if size ** (k + 1) <= 256:
+                yield factors, k
+
+
+def test_cohomology_rank_closed_form_cyclic():
+    # H^k(Z/n, Z/m) = Z/gcd(n, m) for k >= 1
+    for (n,), k in _grid([(2,), (3,), (4,), (5,), (6,)]):
+        for m in (2, 3, 4, 5, 6):
+            want = _invariant_factors([math.gcd(n, m)])
+            assert cohomology_rank(FiniteAbelianGroup((n,)), m, k) == want
+
+
+def test_cohomology_rank_closed_form_products_squarefree_m():
+    # F_p-Kuenneth: dim H^k(G, F_p) = C(k+s-1, s-1) with s the number of
+    # factors divisible by p; Z/m for squarefree m is the sum over p | m
+    for factors, k in _grid([(2, 2), (2, 3), (3, 3)]):
+        for m in (2, 3, 5, 6, 10, 30):
+            orders = []
+            for p in (2, 3, 5):
+                s = sum(f % p == 0 for f in factors)
+                if m % p == 0 and s:
+                    orders += [p] * math.comb(k + s - 1, s - 1)
+            got = cohomology_rank(FiniteAbelianGroup(factors), m, k)
+            assert got == _invariant_factors(orders), (factors, m, k)
+
+
+def test_cohomology_rank_matches_integer_elementary_divisors():
+    # the complex splits into Z and Z --(x d)--> Z; a piece Z -> Z gives
+    # Z/gcd(d, m) at both ends, a piece Z gives Z/m.  Z/4 x Z/4 stops at
+    # k = 1: integer SNF with U/V tracking of its 4096 x 256 d_2 is too slow
+    for factors, ms, top in (((2, 4), (4, 8), 2), ((4, 4), (4,), 1)):
+        G = FiniteAbelianGroup(factors)
+        for k in range(top + 1):
+            divisors = []
+            for A in [coboundary_matrix(G, j) for j in (k, k - 1) if j >= 0]:
+                D, _, _ = smith_normal_form(A)
+                divisors += [D[i][i] for i in range(min(len(D), len(D[0])))
+                             if D[i][i]]
+            for m in ms:
+                orders = ([math.gcd(d, m) for d in divisors]
+                          + [m] * (G.size ** k - len(divisors)))
+                assert cohomology_rank(G, m, k) == _invariant_factors(orders)
 
 
 def test_boxtimes_is_cocycle():

@@ -1,12 +1,9 @@
+import itertools
 import random
 
-from brauer.snf import (
-    kernel_mod,
-    quotient_invariants,
-    smith_normal_form,
-    solve_integer,
-    solve_mod,
-)
+import pytest
+
+from brauer.snf import smith_normal_form, solve_mod
 
 
 def _mat_vec(A, x):
@@ -38,12 +35,6 @@ def test_smith_normal_form_properties():
                 assert b % a == 0
 
 
-def test_solve_integer():
-    A = [[2, 0], [0, 3]]
-    assert solve_integer(A, [4, 9]) == [2, 3]
-    assert solve_integer(A, [1, 0]) is None
-
-
 def test_solve_mod():
     A = [[2], [4]]
     x = solve_mod(A, [2, 4], 6)
@@ -53,22 +44,28 @@ def test_solve_mod():
     assert solve_mod([[2]], [1], 4) is None
 
 
-def test_kernel_mod():
-    # kernel of (x, y) -> 2x + 2y mod 4 is generated by (1,1) and (2,0)
-    basis = kernel_mod([[2, 2]], 4)
-    for col in range(len(basis[0])):
-        v = [basis[r][col] for r in range(len(basis))]
-        assert sum(2 * c for c in v) % 4 == 0
-    gens = [[basis[r][c] for r in range(len(basis))]
-            for c in range(len(basis[0]))]
-    assert any(all(c % 2 for c in g) for g in gens)
+def test_solve_mod_brute_force():
+    rng = random.Random(7)
+    for m in (4, 6, 8, 9, 12, 25):
+        for _ in range(25):
+            rows, cols = rng.randrange(1, 5), rng.randrange(1, 4)
+            # entries weighted towards zero divisors of m
+            A = [[rng.choice((0, 1, 2, 3, 5, m // 2, m - 1)) * rng.randrange(m)
+                  % m for _ in range(cols)] for _ in range(rows)]
+            image = {tuple(v % m for v in _mat_vec(A, x))
+                     for x in itertools.product(range(m), repeat=cols)}
+            if rng.random() < 0.5:
+                b = list(rng.choice(sorted(image)))
+            else:
+                b = [rng.randrange(m) for _ in range(rows)]
+            x = solve_mod(A, b, m)
+            assert (x is not None) == (tuple(b) in image), (A, b, m)
+            if x is not None:
+                assert len(x) == cols and all(0 <= v < m for v in x)
+                assert [v % m for v in _mat_vec(A, x)] == b
 
 
-def test_quotient_invariants():
-    # Z^2 / <(2,0),(0,3)> = Z/2 x Z/3 = Z/6
-    gens = [[1, 0], [0, 1]]
-    rels = [[2, 0], [0, 3]]
-    assert quotient_invariants(gens, rels) == [6]
-    # Z^2 / <(2,0),(0,2)> = Z/2 x Z/2
-    rels = [[2, 0], [0, 2]]
-    assert quotient_invariants(gens, rels) == [2, 2]
+def test_solve_mod_rejects_bad_modulus():
+    for m in (0, -2):
+        with pytest.raises(ValueError, match="modulus"):
+            solve_mod([[1]], [0], m)
