@@ -100,14 +100,13 @@ def cmd_ramification(args) -> int:
 def cmd_reciprocity(args) -> int:
     F = _field_for(args.q, args.n)
     alpha = parse_symbol_sum(args.symbol, F, args.n)
-    div = ramification_divisor(alpha) if alpha.terms else None
     total = (reciprocity_sum(alpha) if alpha.terms
              else ResidueClass(args.n, 0, F.zeta(args.n)))
     ok = total.is_zero()
     lines = []
-    if div is not None:
-        for P, r in div.items():
-            lines.append(f"  {P}: {r.value}")
+    if args.format == "text" and alpha.terms:  # only text lists the places
+        lines = [f"  {P}: {r.value}"
+                 for P, r in ramification_divisor(alpha).items()]
     lines.append(f"sum={total.value}")
     payload = {
         "command": "reciprocity",
@@ -123,6 +122,7 @@ def cmd_cohomology(args) -> int:
     if n < 2:
         raise ConstraintError("n must be >= 2")
     results: dict = {}
+    params = {"n": n, "q": args.gamma_q}
     lines = []
     ok = True
     if args.subcommand == "edge":
@@ -154,13 +154,14 @@ def cmd_cohomology(args) -> int:
         factors = ([int(x) for x in args.factors.split(",")]
                    if args.factors else [n])
         m = n if args.m is None else args.m
+        params.update(factors=factors, m=m, degree=args.degree)
         ranks = cohomology_rank(FiniteAbelianGroup(factors), m, args.degree)
         results["invariant_factors"] = ranks
         lines.append(f"H^{args.degree}({' x '.join(f'Z/{f}' for f in factors)},"
                      f" Z/{m}) = {ranks}")
     payload = {
         "command": f"cohomology {args.subcommand}",
-        "params": {"n": n, "q": args.gamma_q},
+        "params": params,
         "results": results,
         "pass": ok,
     }

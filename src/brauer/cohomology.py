@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .finitefield import FiniteField
+from .finitefield import FiniteField, zeta_log
 from .snf import TableSizeError, _eliminate, _prime_powers, solve_mod
 
 TABLE_GUARD = 10 ** 6
@@ -397,15 +397,6 @@ def _gamma_group(n: int, q_field: FiniteField):
     return sorted(seen)
 
 
-def _dlog(F: FiniteField, zeta, x, n: int) -> int:
-    w = F.one()
-    for m in range(n):
-        if w.coeffs == x:
-            return m
-        w = w * zeta
-    raise ValueError("element is not a power of zeta")
-
-
 def extension_factor_set(n: int, q: int) -> Cochain:
     """Factor set of the scalar extension of mu_n x Z/n inside GL_n(F_q).
 
@@ -428,7 +419,7 @@ def extension_factor_set(n: int, q: int) -> Cochain:
             col = next(j for j in range(n) if any(A[i][j]))
             cols.append(col)
         ratio = F._mul(A[1][cols[1]], F._inv(A[0][cols[0]])) if n > 1 else F.one().coeffs
-        beta = _dlog(F, zeta, ratio, n)
+        beta = zeta_log(ratio, zeta, n)
         return (beta, cols[0])
 
     section = {}
@@ -451,7 +442,7 @@ def extension_factor_set(n: int, q: int) -> Cochain:
         A = _mat_mul(F, section[g], section[h])
         B = _mat_mul(F, A, inv_matrix(section[G.add(g, h)]))
         # B is a scalar matrix in mu_n
-        return _dlog(F, zeta, B[0][0], n)
+        return zeta_log(B[0][0], zeta, n)
 
     return Cochain(G, 2, n, value)
 

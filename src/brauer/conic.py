@@ -15,9 +15,10 @@ from dataclasses import dataclass
 from .finitefield import FieldElement, FiniteField, ResidueClass, \
     power_residue_character
 from .poly import Poly
-from .ratfunc import Place, RatFunc, reduce_at, support, valuation
+from .ratfunc import Place, RatFunc, reduce_at, valuation
 from .snf import TableSizeError
-from .residues import SymbolClass, ramification_divisor, tame_residue
+from .residues import (SymbolClass, _candidate_places, ramification_divisor,
+                       tame_residue)
 
 
 class ConicModelError(ValueError):
@@ -101,13 +102,7 @@ def degenerate_places(C: ConicBundle):
     """Places with a degenerate fiber (discriminant places and the split
     degenerations with trivial torsor)."""
     out = []
-    candidates = {}
-    for f in (C.a, C.b):
-        for P in support(f):
-            candidates[P] = True
-    places = sorted(candidates, key=lambda P: P.key())
-    places.append(Place.infinity(C.field))
-    for P in places:
+    for P in _candidate_places(C.symbol()):
         abar, bbar = _reduced_fiber(C, P)
         if abar.is_zero() or bbar.is_zero():
             out.append(P)
@@ -138,7 +133,8 @@ def _sqrt_count_table(F: FiniteField):
     if table is None:
         table = {}
         for k in range(F.order):
-            w = F._mul(F.from_key(k).coeffs, F.from_key(k).coeffs)
+            z = F.from_key(k).coeffs
+            w = F._mul(z, z)
             table[w] = table.get(w, 0) + 1
         _SQRT_COUNTS[key] = table
     return table

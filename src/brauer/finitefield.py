@@ -1,15 +1,15 @@
 """Exact arithmetic in finite fields F_{p^d} and power residue characters.
 
 Elements of F_{p^d} = F_p[x]/(modulus) are coefficient tuples of length d
-with entries in [0, p).  Each field caches its n-th roots of unity; the
-canonical primitive n-th root is the smallest element of exact order n in
-the enumeration order (constants first), which makes every character value
-reproducible.
+with entries in [0, p).  Fields are cached by (p, d, modulus); a modulus is
+checked, and the default one found, with Poly.is_irreducible, so F_p[x] has
+one implementation.  Inverses in F_{p^d} are a^(p^d - 2).  Each field caches
+its n-th roots of unity; the canonical primitive n-th root is the smallest
+element of exact order n in the enumeration order (constants first), which
+makes every character value reproducible.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from dataclasses import dataclass
 
@@ -43,87 +43,12 @@ def prime_factors(n: int):
     return out
 
 
-# ---------------------------------------------------------------------------
-# int-coefficient polynomial helpers mod p (used only to pick field moduli)
-
-def _ip_trim(f):
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _ip_mulmod(f, g, mod, p):
-    res = [0] * (len(f) + len(g) - 1) if f and g else []
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                res[i + j] = (res[i + j] + a * b) % p
-    # reduce modulo the monic polynomial mod
-    d = len(mod) - 1
-    for i in range(len(res) - 1, d - 1, -1):
-        c = res[i]
-        if c:
-            res[i] = 0
-            for j in range(d):
-                res[i - d + j] = (res[i - d + j] - c * mod[j]) % p
-    return _ip_trim(res[:d])
-
-
-def _ip_powmod(f, e, mod, p):
-    result = [1]
-    base = list(f)
-    while e:
-        if e & 1:
-            result = _ip_mulmod(result, base, mod, p)
-        base = _ip_mulmod(base, base, mod, p)
-        e >>= 1
-    return result
-
-
-def _ip_gcd(f, g, p):
-    f, g = list(f), list(g)
-    while g:
-        # f mod g with g made monic
-        inv = pow(g[-1], p - 2, p)
-        g = [(c * inv) % p for c in g]
-        while len(f) >= len(g):
-            c = f[-1]
-            if c:
-                off = len(f) - len(g)
-                for j in range(len(g)):
-                    f[off + j] = (f[off + j] - c * g[j]) % p
-            f.pop()
-            _ip_trim(f)
-            if not f:
-                break
-        f, g = g, f
-    return f
-
-
-def _ip_is_irreducible(f, p):
-    """Irreducibility over F_p via x^{p^k} tests (f monic, deg >= 1)."""
-    d = len(f) - 1
-    if d == 1:
-        return True
-    x = [0, 1]
-    xp = _ip_powmod(x, p ** d, f, p)
-    if _ip_trim([(a - b) % p for a, b in
-                 itertools.zip_longest(xp, x, fillvalue=0)]):
-        return False
-    for ell in prime_factors(d):
-        xq = _ip_powmod(x, p ** (d // ell), f, p)
-        diff = [(a - b) % p for a, b in
-                itertools.zip_longest(xq, x, fillvalue=0)]
-        g = _ip_gcd(list(f), _ip_trim(diff), p)
-        if len(g) - 1 != 0:
-            return False
-    return True
-
-
 def _default_modulus(p: int, d: int):
     """Smallest (in enumeration order) monic irreducible of degree d."""
     if d == 1:
         return (0, 1)
+    from .poly import Poly  # poly imports this module
+    Fp = FiniteField(p)
     k = 0
     while True:
         coeffs = []
@@ -132,7 +57,7 @@ def _default_modulus(p: int, d: int):
             coeffs.append(kk % p)
             kk //= p
         f = coeffs + [1]
-        if _ip_is_irreducible(f, p):
+        if Poly(Fp, f).is_irreducible():
             return tuple(f)
         k += 1
 
@@ -146,22 +71,29 @@ class FiniteField:
     """The field F_{p^d} = F_p[x]/(modulus)."""
 
     def __new__(cls, p: int, d: int = 1, modulus=None):
+        if modulus is not None:
+            # p = 0 cannot reduce; it misses the cache and is rejected below
+            modulus = tuple(c % p for c in modulus) if p else tuple(modulus)
+        key = (p, d, modulus)
+        cached = _FIELD_CACHE.get(key)
+        if cached is not None:
+            return cached
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if d < 1:
             raise ValueError("extension degree must be >= 1")
         if modulus is None:
             modulus = _default_modulus(p, d)
+            cached = _FIELD_CACHE.get((p, d, modulus))
+            if cached is not None:
+                _FIELD_CACHE[key] = cached
+                return cached
         else:
-            modulus = tuple(c % p for c in modulus)
             if len(modulus) != d + 1 or modulus[-1] != 1:
                 raise ValueError("modulus must be monic of degree d")
-            if d > 1 and not _ip_is_irreducible(list(modulus), p):
+            from .poly import Poly  # poly imports this module
+            if d > 1 and not Poly(FiniteField(p), modulus).is_irreducible():
                 raise ValueError("modulus is not irreducible")
-        key = (p, d, modulus)
-        cached = _FIELD_CACHE.get(key)
-        if cached is not None:
-            return cached
         self = super().__new__(cls)
         self.p = p
         self.d = d
@@ -178,7 +110,8 @@ class FiniteField:
             if carry:
                 row = [(row[j] + carry * red[0][j]) % p for j in range(d)]
         self._red = red
-        _FIELD_CACHE[key] = self
+        # a default-modulus field is also found under its explicit modulus
+        _FIELD_CACHE[key] = _FIELD_CACHE[(p, d, modulus)] = self
         return self
 
     # -- low-level ops on coefficient tuples -------------------------------
@@ -216,41 +149,9 @@ class FiniteField:
     def _inv(self, a):
         if not any(a):
             raise ZeroDivisionError("inverse of zero field element")
-        p, d = self.p, self.d
-        if d == 1:
-            return (pow(a[0], p - 2, p),)
-        # extended Euclid in F_p[x] against the modulus
-        r0, r1 = list(self.modulus), _ip_trim(list(a))
-        t0, t1 = [], [1]
-        while r1:
-            inv = pow(r1[-1], p - 2, p)
-            q = []
-            r = list(r0)
-            while len(r) >= len(r1) and r:
-                c = (r[-1] * inv) % p
-                off = len(r) - len(r1)
-                if c:
-                    while len(q) < off + 1:
-                        q.append(0)
-                    q[off] = c
-                    for j in range(len(r1)):
-                        r[off + j] = (r[off + j] - c * r1[j]) % p
-                r.pop()
-                _ip_trim(r)
-            # t = t0 - q*t1
-            qt1 = [0] * (len(q) + len(t1) - 1) if q and t1 else []
-            for i, x in enumerate(q):
-                if x:
-                    for j, y in enumerate(t1):
-                        qt1[i + j] = (qt1[i + j] + x * y) % p
-            t = [(x - y) % p for x, y in
-                 itertools.zip_longest(t0, qt1, fillvalue=0)]
-            r0, r1, t0, t1 = r1, _ip_trim(r), t1, _ip_trim(t)
-        # r0 is the gcd, a nonzero constant
-        c = pow(r0[0], p - 2, p)
-        out = [(x * c) % p for x in t0]
-        out += [0] * (d - len(out))
-        return tuple(out[:d])
+        if self.d == 1:
+            return (pow(a[0], self.p - 2, self.p),)
+        return self._pow(a, self.order - 2)
 
     def _pow(self, a, e):
         if e < 0:
@@ -483,12 +384,19 @@ def power_residue_character(u: FieldElement, n: int,
         if zeta.multiplicative_order() != n:
             raise ValueError("zeta does not have exact order n")
     t = u ** ((F.order - 1) // n)
-    w = F.one()
+    return ResidueClass(n, zeta_log(t.coeffs, zeta, n), zeta)
+
+
+def zeta_log(x: tuple, zeta: FieldElement, n: int) -> int:
+    """The m in [0, n) with zeta^m = x, for x a coefficient tuple of zeta's
+    field and zeta of order n; ValueError if x is not a power of zeta."""
+    F = zeta.field
+    w = F.one().coeffs
     for m in range(n):
-        if w == t:
-            return ResidueClass(n, m, zeta)
-        w = w * zeta
-    raise RuntimeError("character value not found")  # unreachable
+        if w == x:
+            return m
+        w = F._mul(w, zeta.coeffs)
+    raise ValueError("element is not a power of zeta")
 
 
 def norm_to_prime_field(u: FieldElement) -> FieldElement:

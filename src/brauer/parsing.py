@@ -124,12 +124,13 @@ def parse_place(s: str, field: FiniteField) -> Place:
     if f.degree < 1:
         raise ParseError("a finite place needs a nonconstant polynomial")
     f = f.monic()
-    if not f.is_irreducible():
-        raise ParseError(f"{f} is not irreducible")
-    return Place(field, f)
+    try:
+        return Place(field, f)
+    except ValueError:
+        raise ParseError(f"{f} is not irreducible") from None
 
 
-_SYMBOL = re.compile(r"^\s*(?:(\d+)\s*\*\s*)?\(([^()]*)\)\s*_\s*(\d+)\s*$")
+_SYMBOL = re.compile(r"^\s*(?:(\d+)\s*\*\s*)?\((.*)\)\s*_\s*(\d+)\s*$")
 
 
 def _split_top_level(s: str, seps: str):
@@ -184,7 +185,7 @@ def parse_symbol_sum(s: str, field: FiniteField, n: int | None = None
         if int(m.group(3)) != n:
             raise ParseError(
                 f"symbol modulus {m.group(3)} does not match n={n}")
-        inner = m.group(2).split(",")
+        inner = _split_top_level(m.group(2), ",")
         if len(inner) != 2:
             raise ParseError("a symbol needs exactly two arguments")
         a = parse_ratfunc(inner[0], field)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from .finitefield import FieldElement, FiniteField
+from .finitefield import FieldElement, FiniteField, prime_factors
 
 
 class Poly:
@@ -236,7 +236,6 @@ class Poly:
         t = Poly.gen(self.field)
         if t.pow_mod(q ** f.degree, f) != t % f:
             return False
-        from .finitefield import prime_factors
         for ell in prime_factors(f.degree):
             h = t.pow_mod(q ** (f.degree // ell), f) - t
             if f.gcd(h).degree != 0:

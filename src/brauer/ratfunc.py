@@ -3,7 +3,10 @@
 Places of the projective line over F_q are monic irreducible polynomials
 plus the place at infinity, whose uniformizer is fixed as 1/t.  The base
 field is required to be a prime field so residue fields F_q[t]/(pi) can be
-constructed directly as extensions of F_p.
+constructed directly as extensions of F_p.  A place is validated by building
+its residue field: FiniteField rejects a reducible pi, and its cache means
+each pi is tested once per process.  Over a non-prime base field a place is
+checked with Poly.is_irreducible and has no residue field.
 """
 
 from __future__ import annotations
@@ -143,14 +146,27 @@ class Place:
     __slots__ = ("field", "poly", "_residue")
 
     def __init__(self, field: FiniteField, poly: Poly | None = None):
+        residue = field
         if poly is not None:
             if poly.field is not field:
                 raise ValueError("polynomial over a different field")
-            if not poly.is_monic() or not poly.is_irreducible():
+            valid = poly.is_monic() and poly.degree >= 1
+            if valid and field.d != 1:
+                # FiniteField cannot represent F_{p^d}[t]/(pi)
+                valid, residue = poly.is_irreducible(), None
+            elif valid and poly.degree > 1:
+                # kappa(P) exists exactly when pi is irreducible, and the
+                # field cache tests each pi once per process
+                try:
+                    residue = FiniteField(field.p, poly.degree,
+                                          [c[0] for c in poly.coeffs])
+                except ValueError:
+                    valid = False
+            if not valid:
                 raise ValueError("a finite place needs a monic irreducible")
         self.field = field
         self.poly = poly
-        self._residue = None
+        self._residue = residue
 
     @classmethod
     def infinity(cls, field: FiniteField) -> "Place":
@@ -177,23 +193,9 @@ class Place:
 
     def residue_field(self) -> FiniteField:
         """F_q[t]/(pi) for a finite place; F_q itself at infinity."""
-        if self._residue is not None:
-            return self._residue
-        F = self.field
-        if self.is_infinity or self.degree == 1:
-            if F.d != 1 and not self.is_infinity:
-                raise NotImplementedError(
-                    "places are supported over prime base fields only")
-            if self.is_infinity:
-                self._residue = F
-            else:
-                self._residue = F
-        else:
-            if F.d != 1:
-                raise NotImplementedError(
-                    "places are supported over prime base fields only")
-            modulus = tuple(c[0] for c in self.poly.coeffs)
-            self._residue = FiniteField(F.p, self.degree, modulus)
+        if self._residue is None:
+            raise NotImplementedError(
+                "places are supported over prime base fields only")
         return self._residue
 
     def __eq__(self, other):

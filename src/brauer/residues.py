@@ -95,22 +95,25 @@ class RamificationDivisor:
         return "{" + inner + "}"
 
 
+def _tame_unit(a: RatFunc, b: RatFunc, P: Place):
+    """(-1)^(v(a)v(b)) * a^v(b) * b^(-v(a)) reduced into kappa(P)."""
+    va, vb = valuation(a, P), valuation(b, P)
+    unit = (a ** vb) * (b ** (-va))
+    if (va * vb) % 2:
+        unit = -unit
+    return reduce_at(unit, P)
+
+
 def tame_residue(alpha: SymbolClass, P: Place) -> ResidueClass:
     """Residue of a symbol sum at P via the tame-symbol formula."""
     n = alpha.n
     kappa = P.residue_field()
     if (kappa.order - 1) % n != 0:
         raise ValueError(f"n={n} must divide |kappa(P)|-1={kappa.order - 1}")
-    zeta = kappa.zeta(n)
     total = 0
     for a, b, m in alpha.terms:
-        va, vb = valuation(a, P), valuation(b, P)
-        unit = (a ** vb) * (b ** (-va))
-        if (va * vb) % 2:
-            unit = -unit
-        u = reduce_at(unit, P)
-        total += m * power_residue_character(u, n, zeta).value
-    return ResidueClass(n, total, zeta)
+        total += m * power_residue_character(_tame_unit(a, b, P), n).value
+    return ResidueClass(n, total, kappa.zeta(n))
 
 
 def residue_cocycle_route(j: int, u: RatFunc, P: Place, n: int) -> ResidueClass:
@@ -133,9 +136,8 @@ def residue_cocycle_route(j: int, u: RatFunc, P: Place, n: int) -> ResidueClass:
     # the epsilon class sits in H^2(Z/n, Z) after taking valuations; its
     # value under the standard identification with Z/n is sum_b v(eps_{b,1})
     edge = sum(int(eps[(b, 1 % n)].pi_exponent) for b in range(n))
-    zeta = kappa.zeta(n)
-    chi = power_residue_character(reduce_at(u, P), n, zeta)
-    return ResidueClass(n, edge * chi.value, zeta)
+    chi = power_residue_character(reduce_at(u, P), n)
+    return ResidueClass(n, edge * chi.value, chi.zeta)
 
 
 def _candidate_places(alpha: SymbolClass):
@@ -180,9 +182,5 @@ def reciprocity_sum(alpha: SymbolClass) -> ResidueClass:
     total = 0
     for P in _candidate_places(alpha):
         for a, b, m in alpha.terms:
-            va, vb = valuation(a, P), valuation(b, P)
-            unit = (a ** vb) * (b ** (-va))
-            if (va * vb) % 2:
-                unit = -unit
-            total += m * corestrict(reduce_at(unit, P), n).value
+            total += m * corestrict(_tame_unit(a, b, P), n).value
     return ResidueClass(n, total, zeta)

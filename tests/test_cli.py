@@ -40,6 +40,21 @@ def test_reciprocity(capsys):
                        "--symbol", "(t, t+1)_2 + (t+2, t+3)_2")
     assert code == 0
     assert "sum=0" in out
+    code, out, _ = run(capsys, "reciprocity", "--q", "5", "--n", "2",
+                       "--symbol", "(t, 2)_2 + (t^2+2, t+1)_2")
+    assert code == 0
+    assert out.splitlines() == ["  t: 1", "  t+1: 1", "  t^2+2: 1", "  inf: 1",
+                                "sum=0"]
+
+
+def test_reciprocity_json(capsys):
+    code, out, _ = run(capsys, "reciprocity", "--q", "5", "--n", "2",
+                       "--symbol", "(t, 2)_2 + (t^2+2, t+1)_2",
+                       "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["results"] == {"sum": {"value": 0, "n": 2, "zeta": 4}}
+    assert payload["pass"] is True
 
 
 def test_cohomology_edge(capsys):
@@ -65,6 +80,11 @@ def test_cohomology_rank(capsys):
                        "--factors", "2,2", "--m", "2", "--format", "json")
     assert code == 0
     assert json.loads(out)["results"]["invariant_factors"] == [2, 2, 2]
+    code, out, _ = run(capsys, "cohomology", "rank", "--n", "2",
+                       "--factors", "3,3", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["params"] == {"n": 2, "q": None, "factors": [3, 3],
+                                         "m": 2, "degree": 2}
 
 
 def test_cohomology_rank_rejects_bad_modulus_and_degree(capsys):

@@ -24,10 +24,41 @@ def test_field_construction_rejects_bad_input():
 def test_field_instances_are_cached():
     assert FiniteField(5) is FiniteField(5)
     assert FiniteField(7, 2) is FiniteField(7, 2)
+    for p, d in ((5, 2), (7, 3), (13, 4)):
+        F = FiniteField(p, d)
+        assert F is FiniteField(p, d, F.modulus)
+        assert F is FiniteField(p, d, [c + p for c in F.modulus])
+    # a field first built from its default modulus given explicitly
+    G = FiniteField(11, 2, (1, 0, 1))
+    assert FiniteField(11, 2) is G
+
+
+def test_default_moduli():
+    expected = {
+        2: [(0, 1), (1, 1, 1), (1, 1, 0, 1), (1, 1, 0, 0, 1)],
+        3: [(0, 1), (1, 0, 1), (1, 2, 0, 1), (2, 1, 0, 0, 1)],
+        5: [(0, 1), (2, 0, 1), (1, 1, 0, 1), (2, 0, 0, 0, 1)],
+        7: [(0, 1), (1, 0, 1), (2, 0, 0, 1), (1, 1, 0, 0, 1)],
+        13: [(0, 1), (2, 0, 1), (2, 0, 0, 1), (2, 0, 0, 0, 1)],
+    }
+    for p, moduli in expected.items():
+        for d, modulus in enumerate(moduli, start=1):
+            assert FiniteField(p, d).modulus == modulus
+
+
+def test_reducible_modulus_rejected_after_caching():
+    FiniteField(5, 2)
+    FiniteField(5, 2, (3, 0, 1))  # t^2 + 3 is irreducible mod 5
+    for _ in range(2):
+        with pytest.raises(ValueError, match="irreducible"):
+            FiniteField(5, 2, (4, 0, 1))  # t^2 - 1
+        with pytest.raises(ValueError, match="irreducible"):
+            FiniteField(5, 3, (2, 2, 1, 1))  # (t + 1)(t^2 + 2)
 
 
 def test_arithmetic_axioms_by_sampling(rng):
-    for F in (F5, F49, FiniteField(13, 2)):
+    for F in (F5, F49, FiniteField(13, 2), FiniteField(5, 3),
+              FiniteField(13, 4)):
         elems = [F.from_key(rng.randrange(F.order)) for _ in range(30)]
         for a in elems[:10]:
             for b in elems[10:20]:

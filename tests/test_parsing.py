@@ -6,11 +6,14 @@ from brauer import (
     Place,
     Poly,
     RatFunc,
+    SymbolClass,
     parse_place,
     parse_poly,
     parse_ratfunc,
     parse_symbol_sum,
 )
+
+from conftest import random_ratfunc
 
 
 F5 = FiniteField(5)
@@ -70,3 +73,22 @@ def test_parse_symbol_sum_errors():
         parse_symbol_sum("(t, t+1)_2 + (t, 2)_3", F5)  # mixed n
     with pytest.raises(ParseError):
         parse_symbol_sum("(t t+1)_2", F5)
+    for bad in ("(t)_2", "(t,2,3)_2", "((t,2)_2"):
+        with pytest.raises(ParseError):
+            parse_symbol_sum(bad, F5)
+
+
+def test_symbol_sum_repr_round_trip(rng):
+    # arguments with denominators print as (num)/(den) inside the symbol
+    assert parse_symbol_sum("((t+1)/(t+2), t)_2", F5) == SymbolClass(
+        2, [(RatFunc(t + 1, t + 2), RatFunc(t), 1)])
+    for F, n in ((F5, 2), (F5, 4), (F7, 3)):
+        for _ in range(20):
+            terms = []
+            for _ in range(rng.randrange(1, 4)):
+                a, b = random_ratfunc(rng, F), random_ratfunc(rng, F)
+                if not a.is_zero() and not b.is_zero():
+                    terms.append((a, b, rng.randrange(1, n)))
+            alpha = SymbolClass(n, terms)
+            if alpha.terms:
+                assert parse_symbol_sum(repr(alpha), F) == alpha

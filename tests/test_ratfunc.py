@@ -1,6 +1,7 @@
 import pytest
 
-from brauer import FiniteField, Place, Poly, RatFunc, reduce_at, valuation
+from brauer import (FiniteField, ParseError, Place, Poly, RatFunc,
+                    parse_place, reduce_at, valuation)
 from brauer.ratfunc import degree_one_place, support
 
 from conftest import random_place, random_ratfunc
@@ -46,6 +47,27 @@ def test_place_construction_requires_monic_irreducible():
         Place(F5, Poly.gen(F5) ** 2 - 1)
     with pytest.raises(ValueError, match="monic"):
         Place(F5, Poly(F5, [0, 2]))
+
+
+def test_reducible_place_of_degree_three_rejected():
+    t = Poly.gen(F5)
+    reducible = (t + 1) * (t ** 2 + 2)
+    with pytest.raises(ValueError, match="irreducible"):
+        Place(F5, reducible)
+    with pytest.raises(ParseError, match="irreducible"):
+        parse_place(repr(reducible), F5)
+    assert Place(F5, t ** 3 + t + 1).residue_field().order == 125
+
+
+def test_places_over_non_prime_base_field():
+    F25 = FiniteField(5, 2)
+    t = Poly.gen(F25)
+    with pytest.raises(ValueError, match="irreducible"):
+        Place(F25, t ** 2 - 1)
+    P = Place(F25, t + 1)
+    with pytest.raises(NotImplementedError):
+        P.residue_field()
+    assert Place.infinity(F25).residue_field() is F25
 
 
 def test_place_degrees():
