@@ -19,12 +19,11 @@ from .cohomology import (FiniteAbelianGroup, Cochain, cohomology_rank,
                          identity_character, lhs_edge_map,
                          verify_coboundary_identity)
 from .conic import (ConicBundle, ConicModelError, check_artin,
-                    component_torsor, count_fiber_points, discriminant_places)
+                    component_torsor, discriminant_places)
 from .finitefield import FiniteField, ResidueClass, is_prime
 from .parsing import ParseError, parse_place, parse_ratfunc, parse_symbol_sum
-from .ratfunc import Place
 from .residues import (SymbolClass, ramification_divisor, reciprocity_sum,
-                       residue_cocycle_route, tame_residue)
+                       tame_residue)
 from .snf import TableSizeError
 
 EXIT_CHECK_FAILED = 1
@@ -119,7 +118,10 @@ def cmd_reciprocity(args) -> int:
 
 def cmd_cohomology(args) -> int:
     n = args.n
-    if n < 2:
+    # rank with both --factors and --m never reads n
+    uses_n = not (args.subcommand == "rank" and args.factors
+                  and args.m is not None)
+    if uses_n and n < 2:
         raise ConstraintError("n must be >= 2")
     results: dict = {}
     params = {"n": n, "q": args.gamma_q}

@@ -11,6 +11,7 @@ a non-split one exactly 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .finitefield import FieldElement, FiniteField, ResidueClass, \
     power_residue_character
@@ -132,8 +133,7 @@ def _sqrt_count_table(F: FiniteField):
     table = _SQRT_COUNTS.get(key)
     if table is None:
         table = {}
-        for k in range(F.order):
-            z = F.from_key(k).coeffs
+        for z in product(range(F.p), repeat=F.d):
             w = F._mul(z, z)
             table[w] = table.get(w, 0) + 1
         _SQRT_COUNTS[key] = table
@@ -173,36 +173,34 @@ def count_fiber_points(C: ConicBundle, P: Place, e: int = 1) -> int:
     """Projective points of the reduced fiber at P over the degree-e
     extension of kappa(P), counted by enumeration.
 
-    Affine solutions of A x^2 + B y^2 = z^2 are enumerated with a
-    square-root count table over the extension (one loop per free
-    variable); the projective count is (solutions - 1)/(Q - 1).
+    Affine solutions of A x^2 + B y^2 = z^2 are enumerated by one pass over
+    the squares: the square-root count table of the extension gives how
+    many x have x^2 = w, so each square w is multiplied by a coefficient
+    once; the projective count is (solutions - 1)/(Q - 1).
     """
     kappa = P.residue_field()
     L, embed = _extension_with_embedding(kappa, e)
     abar, bbar = _reduced_fiber(C, P)
     A, B = embed(abar), embed(bbar)
     Q = L.order
+    smooth = not A.is_zero() and not B.is_zero()
+    if smooth and Q * Q > 10 ** 6:
+        raise TableSizeError(
+            f"smooth-fiber enumeration over {Q}^2 pairs exceeds guard")
     cnt = _sqrt_count_table(L)
-    zero = L.zero().coeffs
-    total = 0
-    if A.is_zero() or B.is_zero():
-        coeff = B.coeffs if A.is_zero() else A.coeffs
-        for k in range(Q):
-            x = L.from_key(k).coeffs
-            w = L._mul(coeff, L._mul(x, x))
-            total += cnt.get(w, 0)
-        total *= Q  # the missing variable is free
+    mul = L._mul
+    if smooth:
+        ax2 = [(mul(A.coeffs, w), n) for w, n in cnt.items()]
+        by2 = [(mul(B.coeffs, w), n) for w, n in cnt.items()]
+        add = L._add
+        total = 0
+        for u, nx in ax2:
+            for v, ny in by2:
+                total += nx * ny * cnt.get(add(u, v), 0)
     else:
-        if Q * Q > 10 ** 6:
-            raise TableSizeError(
-                f"smooth-fiber enumeration over {Q}^2 pairs exceeds guard")
-        for kx in range(Q):
-            x = L.from_key(kx).coeffs
-            ax2 = L._mul(A.coeffs, L._mul(x, x))
-            for ky in range(Q):
-                y = L.from_key(ky).coeffs
-                w = L._add(ax2, L._mul(B.coeffs, L._mul(y, y)))
-                total += cnt.get(w, 0)
+        coeff = B.coeffs if A.is_zero() else A.coeffs
+        total = sum(n * cnt.get(mul(coeff, w), 0) for w, n in cnt.items())
+        total *= Q  # the missing variable is free
     # projective points = (nonzero affine solutions) / (Q - 1)
     points, rem = divmod(total - 1, Q - 1)
     if rem:

@@ -100,6 +100,25 @@ def test_cohomology_rank_rejects_bad_modulus_and_degree(capsys):
     assert "degree must be >= 0, got -1" in err
 
 
+def test_cohomology_rank_checks_n_only_where_used(capsys):
+    # with --factors and --m given, rank never reads n
+    code, out, _ = run(capsys, "cohomology", "rank", "--factors", "2,2",
+                       "--m", "2", "--n", "1", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["results"]["invariant_factors"] == [2, 2, 2]
+    for extra in (("--factors", "2,2"), ("--m", "2")):
+        code, _, err = run(capsys, "cohomology", "rank", "--n", "1", *extra)
+        assert code == 3
+        assert "n must be >= 2" in err
+    for sub in ("edge", "epsilon"):
+        code, _, err = run(capsys, "cohomology", sub, "--n", "1")
+        assert code == 3
+        assert "n must be >= 2" in err
+    code, _, err = run(capsys, "cohomology", "gamma", "--n", "1", "--q", "5")
+    assert code == 3
+    assert "n must be >= 2" in err
+
+
 def test_conic(capsys):
     code, out, _ = run(capsys, "conic", "--q", "5", "--a", "t", "--b", "2",
                        "--format", "json")

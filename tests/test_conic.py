@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from brauer import (
@@ -12,9 +14,11 @@ from brauer import (
     count_fiber_points,
     tame_residue,
 )
+from brauer import conic
 from brauer.conic import degenerate_places, discriminant_places, minimize_at
+from brauer.snf import TableSizeError
 
-from conftest import random_poly
+from conftest import random_place, random_poly
 
 
 F5 = FiniteField(5)
@@ -78,6 +82,90 @@ def test_split_degenerate_fiber():
     C = ConicBundle(T5, RatFunc.constant(F5, 4))
     assert component_torsor(C, PLACE_T).value == 0
     assert count_fiber_points(C, PLACE_T) == 2 * 5 + 1
+
+
+def _tuple_mul(a, b, modulus, p):
+    """Product of coefficient tuples modulo the monic ``modulus``."""
+    d = len(modulus) - 1
+    prod = [0] * (2 * d - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for k in range(len(prod) - 1, d - 1, -1):
+        c = prod[k] % p
+        for j in range(d + 1):
+            prod[k - d + j] -= c * modulus[j]
+    return tuple(c % p for c in prod[:d])
+
+
+def _brute_force_points(A, B, L):
+    """Projective points (x:y:z) of A x^2 + B y^2 = z^2 over L, one
+    normalized triple per point: (x:y:1), (x:1:0) and (1:0:0)."""
+    p, d = L.p, L.d
+
+    def mul(u, v):
+        return _tuple_mul(u, v, L.modulus, p)
+
+    zero, one = (0,) * d, (1,) + (0,) * (d - 1)
+    elems = list(itertools.product(range(p), repeat=d))
+    triples = ([(x, y, one) for x in elems for y in elems]
+               + [(x, one, zero) for x in elems] + [(one, zero, zero)])
+    count = 0
+    for x, y, z in triples:
+        lhs = tuple((u + v) % p for u, v in zip(mul(A, mul(x, x)),
+                                                 mul(B, mul(y, y))))
+        count += lhs == mul(z, z)
+    return count
+
+
+def test_fiber_point_counts_match_brute_force(rng):
+    seen = set()
+    for p in (3, 5, 7):
+        F = FiniteField(p)
+        quads = []
+        while len(quads) < 2:
+            P = random_place(rng, F, max_deg=2)
+            if P.degree == 2 and P not in quads:
+                quads.append(P)
+        quad = quads[0]
+        places = ([Place(F, Poly(F, [c, 1])) for c in range(p)]
+                  + [Place.infinity(F)] + quads)
+        for _ in range(2):
+            # the factor pi makes the fiber at the degree-2 place degenerate
+            a = RatFunc(quad.poly * random_poly(rng, F, 2),
+                        random_poly(rng, F, 2))
+            b = RatFunc(random_poly(rng, F, 3), random_poly(rng, F, 2))
+            try:
+                C = ConicBundle(a, b)
+            except ConicModelError:
+                continue
+            degenerate = degenerate_places(C)
+            for P in places:
+                for e in (1, 2):
+                    if (p ** P.degree) ** e > 49:
+                        continue
+                    L, embed = conic._extension_with_embedding(
+                        P.residue_field(), e)
+                    abar, bbar = conic._reduced_fiber(C, P)
+                    expected = _brute_force_points(
+                        embed(abar).coeffs, embed(bbar).coeffs, L)
+                    assert count_fiber_points(C, P, e) == expected, (C, P, e)
+                    seen.add((P in degenerate, P.degree, e))
+    assert {(True, 1, 1), (False, 1, 1), (True, 1, 2), (False, 1, 2),
+            (True, 2, 1), (False, 2, 1)} <= seen
+
+
+def test_smooth_fiber_guard_raises_before_enumeration():
+    F13 = FiniteField(13)
+    t = Poly.gen(F13)
+    pi = next(t ** 3 + c for c in range(13) if (t ** 3 + c).is_irreducible())
+    P = Place(F13, pi)
+    C = ConicBundle(RatFunc.gen(F13), RatFunc.constant(F13, 2))
+    assert P not in degenerate_places(C)
+    tables = set(conic._SQRT_COUNTS)
+    with pytest.raises(TableSizeError, match="2197"):
+        count_fiber_points(C, P)
+    assert set(conic._SQRT_COUNTS) == tables
 
 
 def test_check_artin_agrees(rng):
