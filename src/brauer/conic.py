@@ -16,10 +16,9 @@ from itertools import product
 from .finitefield import FieldElement, FiniteField, ResidueClass, \
     power_residue_character
 from .poly import Poly
-from .ratfunc import Place, RatFunc, reduce_at, valuation
+from .ratfunc import Place, RatFunc, _local_unit, valuation
 from .snf import TableSizeError
-from .residues import (SymbolClass, _candidate_places, ramification_divisor,
-                       tame_residue)
+from .residues import SymbolClass, _candidate_places, ramification_divisor
 
 
 class ConicModelError(ValueError):
@@ -59,13 +58,12 @@ def minimize_at(C: ConicBundle, P: Place):
     class at P is unchanged throughout.
     """
     pi = P.uniformizer()
-    a, b = C.a, C.b
-    a = a * pi ** (-2 * (valuation(a, P) // 2))
-    b = b * pi ** (-2 * (valuation(b, P) // 2))
-    if valuation(a, P) == 1 and valuation(b, P) == 1:
+    va, vb = valuation(C.a, P), valuation(C.b, P)
+    a = C.a * pi ** (-2 * (va // 2))
+    b = C.b * pi ** (-2 * (vb // 2))
+    if va % 2 and vb % 2:
         b = (-a * b) * pi ** -2
-    minus_one = RatFunc.constant(C.field, -1)
-    return (a, b, minus_one)
+    return (a, b, RatFunc.constant(C.field, -1))
 
 
 def discriminant_places(C: ConicBundle):
@@ -74,13 +72,14 @@ def discriminant_places(C: ConicBundle):
 
 
 def _reduced_fiber(C: ConicBundle, P: Place):
-    """Coefficients (abar, bbar) of the fiber form over kappa(P); a
-    coefficient of valuation 1 reduces to zero."""
-    a0, b0, _ = minimize_at(C, P)
-    kappa = P.residue_field()
-    abar = kappa.zero() if valuation(a0, P) == 1 else reduce_at(a0, P)
-    bbar = kappa.zero() if valuation(b0, P) == 1 else reduce_at(b0, P)
-    return abar, bbar
+    """(abar, bbar) of minimize_at's fiber over kappa(P), from the local units:
+    an odd valuation reduces to 0, and two odd ones give (0, -abar*bbar)."""
+    zero = P.residue_field().zero()
+    va, ua = _local_unit(C.a, P)
+    vb, ub = _local_unit(C.b, P)
+    if va % 2 and vb % 2:
+        return zero, -(ua * ub)
+    return zero if va % 2 else ua, zero if vb % 2 else ub
 
 
 def component_torsor(C: ConicBundle, P: Place) -> ResidueClass:
@@ -93,10 +92,7 @@ def component_torsor(C: ConicBundle, P: Place) -> ResidueClass:
     abar, bbar = _reduced_fiber(C, P)
     if not abar.is_zero() and not bbar.is_zero():
         raise ConicModelError("fiber is smooth")
-    unit = abar if bbar.is_zero() else bbar
-    if unit.is_zero():
-        raise ConicModelError("fiber has rank < 2")  # unreachable: see minimize_at
-    return power_residue_character(unit, 2)
+    return power_residue_character(abar if bbar.is_zero() else bbar, 2)
 
 
 def degenerate_places(C: ConicBundle):
@@ -114,9 +110,8 @@ def check_artin(C: ConicBundle):
     """Compare the component torsor with the tame residue at every ramified
     place; returns (place, geometric, residue, agree) rows."""
     rows = []
-    for P in discriminant_places(C):
+    for P, res in ramification_divisor(C.symbol()).items():
         geo = component_torsor(C, P)
-        res = tame_residue(C.symbol(), P)
         rows.append((P, geo, res, geo == res))
     return rows
 

@@ -147,15 +147,15 @@ class FiniteField:
         return tuple(out)
 
     def _inv(self, a):
-        if not any(a):
-            raise ZeroDivisionError("inverse of zero field element")
-        if self.d == 1:
-            return (pow(a[0], self.p - 2, self.p),)
-        return self._pow(a, self.order - 2)
+        return self._pow(a, -1)
 
     def _pow(self, a, e):
-        if e < 0:
-            return self._pow(self._inv(a), -e)
+        if e < 0:  # a^e = a^(e mod (q - 1)) for a unit a
+            if not any(a):
+                raise ZeroDivisionError("inverse of zero field element")
+            e %= self.order - 1
+        if self.d == 1:
+            return (pow(a[0], e, self.p),)
         result = self.one().coeffs
         base = a
         while e:

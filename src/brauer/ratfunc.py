@@ -209,41 +209,43 @@ class Place:
         return "inf" if self.is_infinity else repr(self.poly)
 
 
-def valuation(f: RatFunc, P: Place) -> int:
-    """Order of vanishing of f at P; errors on f = 0."""
+def _local_unit(f: RatFunc, P: Place):
+    """(v, u) with f = pi^v * g, g a unit at P, u = g mod P in kappa(P) (None
+    where kappa(P) is not built); g mod pi is the first nonzero remainder of
+    the divide-by-pi loop.  At infinity u = lc(num)/lc(den)."""
     if f.is_zero():
         raise ValueError("valuation of zero")
     if P.is_infinity:
-        return f.den.degree - f.num.degree
+        return (f.den.degree - f.num.degree,
+                f.num.leading_coefficient() / f.den.leading_coefficient())
 
-    def mult(g: Poly) -> int:
-        m = 0
-        while True:
-            q, r = divmod(g, P.poly)
-            if not r.is_zero():
-                return m
-            m += 1
-            g = q
+    def split(g: Poly):
+        m, (q, r) = 0, divmod(g, P.poly)
+        while r.is_zero():
+            m, (q, r) = m + 1, divmod(q, P.poly)
+        return m, [c[0] for c in r.coeffs]
 
     # num and den are coprime, so at most one of the counts is nonzero
-    return mult(f.num) - mult(f.den)
+    (mn, rn), (md, rd) = split(f.num), split(f.den)
+    kappa = P._residue
+    if kappa is None:
+        return mn - md, None
+    return mn - md, kappa.element(rn) / kappa.element(rd)
+
+
+def valuation(f: RatFunc, P: Place) -> int:
+    """Order of vanishing of f at P; errors on f = 0."""
+    return _local_unit(f, P)[0]
 
 
 def reduce_at(f: RatFunc, P: Place) -> FieldElement:
     """Image of a unit f in the residue field at P."""
-    if f.is_zero() or valuation(f, P) != 0:
+    v, u = (1, None) if f.is_zero() else _local_unit(f, P)
+    if v != 0:
         raise ValueError("not a unit at P")
-    if P.is_infinity:
-        return f.num.leading_coefficient() / f.den.leading_coefficient()
-    kappa = P.residue_field()
-
-    def into_kappa(g: Poly) -> FieldElement:
-        r = g % P.poly
-        if P.degree == 1:
-            return r.coefficient(0)
-        return kappa.element([c[0] for c in r.coeffs])
-
-    return into_kappa(f.num) / into_kappa(f.den)
+    if u is None:
+        P.residue_field()  # raises NotImplementedError: no kappa(P) here
+    return u
 
 
 def degree_one_place(field: FiniteField, c) -> Place:

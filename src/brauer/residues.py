@@ -5,18 +5,21 @@ Two independent residue computations live here: the tame-symbol formula
     res_P((a,b)_n) = chi( (-1)^(v(a)v(b)) * a^v(b) * b^(-v(a)) mod P )
 
 and the Cech-cocycle route through the n-th root cover, which computes the
-residue of pi^j-by-unit symbols from the epsilon cocycle.  The sign
-normalization is pinned by res((pi, u)_n) = -[u].
+residue of pi^j-by-unit symbols from the epsilon cocycle.  Both read each
+argument at P once, as its valuation and reduced unit (ratfunc._local_unit),
+and form the tame unit in kappa(P).  The sign normalization is pinned by
+res((pi, u)_n) = -[u].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .cohomology import epsilon_cocycle, verify_coboundary_identity
 from .finitefield import (FiniteField, ResidueClass, corestrict,
                           power_residue_character)
-from .ratfunc import Place, RatFunc, reduce_at, support, valuation
+from .ratfunc import Place, RatFunc, _local_unit, support
 
 
 @dataclass(frozen=True)
@@ -96,12 +99,13 @@ class RamificationDivisor:
 
 
 def _tame_unit(a: RatFunc, b: RatFunc, P: Place):
-    """(-1)^(v(a)v(b)) * a^v(b) * b^(-v(a)) reduced into kappa(P)."""
-    va, vb = valuation(a, P), valuation(b, P)
-    unit = (a ** vb) * (b ** (-va))
-    if (va * vb) % 2:
-        unit = -unit
-    return reduce_at(unit, P)
+    """(-1)^(v(a)v(b)) * a^v(b) * b^(-v(a)) in kappa(P), from local units."""
+    va, ua = _local_unit(a, P)
+    vb, ub = _local_unit(b, P)
+    if ua is None:
+        P.residue_field()  # raises NotImplementedError: no kappa(P) here
+    unit = ua ** vb * ub ** -va
+    return -unit if (va * vb) % 2 else unit
 
 
 def tame_residue(alpha: SymbolClass, P: Place) -> ResidueClass:
@@ -117,27 +121,27 @@ def tame_residue(alpha: SymbolClass, P: Place) -> ResidueClass:
 
 
 def residue_cocycle_route(j: int, u: RatFunc, P: Place, n: int) -> ResidueClass:
-    """Residue of (pi_P^j, u)_n computed through the root-cover cocycle.
-
-    Builds the epsilon cocycle for the j-th power of the uniformizer,
-    checks the Cech coboundary identity that trades the twisted
-    representative for epsilon, and reads the residue off the valuations
-    of epsilon paired with the unit's residue character.  Always equals
-    -j * chi(u mod P).
-    """
-    if u.is_zero() or valuation(u, P) != 0:
+    """Residue of (pi_P^j, u)_n computed through the root-cover cocycle: the
+    edge value of the epsilon cocycle of pi^j (see _epsilon_edge) paired
+    with the unit's residue character.  Always equals -j * chi(u mod P)."""
+    v, ubar = (1, None) if u.is_zero() else _local_unit(u, P)
+    if v != 0:
         raise ValueError("second symbol argument must be a unit at P")
     kappa = P.residue_field()
     if (kappa.order - 1) % n != 0:
         raise ValueError(f"n={n} must divide |kappa(P)|-1={kappa.order - 1}")
-    if not verify_coboundary_identity(n, power=j % n):
+    chi = power_residue_character(ubar, n)
+    return ResidueClass(n, _epsilon_edge(n, j % n) * chi.value, chi.zeta)
+
+
+@lru_cache(maxsize=None)
+def _epsilon_edge(n: int, j: int) -> int:
+    """sum_b v(eps_{b,1}) in H^2(Z/n, Z) = Z/n for the epsilon cocycle of pi^j,
+    after the Cech coboundary identity is checked; once per (n, j mod n)."""
+    if not verify_coboundary_identity(n, power=j):
         raise RuntimeError("coboundary identity failed")  # never happens
-    eps = epsilon_cocycle(n, power=j % n)
-    # the epsilon class sits in H^2(Z/n, Z) after taking valuations; its
-    # value under the standard identification with Z/n is sum_b v(eps_{b,1})
-    edge = sum(int(eps[(b, 1 % n)].pi_exponent) for b in range(n))
-    chi = power_residue_character(reduce_at(u, P), n)
-    return ResidueClass(n, edge * chi.value, chi.zeta)
+    eps = epsilon_cocycle(n, power=j)
+    return sum(int(eps[(b, 1 % n)].pi_exponent) for b in range(n))
 
 
 def _candidate_places(alpha: SymbolClass):

@@ -39,6 +39,18 @@ def random_place(rng, F, max_deg=2):
             return Place(F, f)
 
 
+def local_test_places(rng, F, degrees=(1, 2, 3)):
+    """One random finite place of each given degree, then infinity."""
+    places = []
+    for deg in degrees:
+        while True:
+            f = Poly(F, [rng.randrange(F.order) for _ in range(deg)] + [1])
+            if f.is_irreducible():
+                places.append(Place(F, f))
+                break
+    return places + [Place.infinity(F)]
+
+
 def random_unit_at(rng, F, P, max_deg=4):
     while True:
         u = random_ratfunc(rng, F, max_deg)

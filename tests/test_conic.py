@@ -16,9 +16,11 @@ from brauer import (
 )
 from brauer import conic
 from brauer.conic import degenerate_places, discriminant_places, minimize_at
+from brauer.ratfunc import reduce_at, valuation
 from brauer.snf import TableSizeError
 
-from conftest import random_place, random_poly
+from conftest import (local_test_places, random_place, random_poly,
+                      random_ratfunc)
 
 
 F5 = FiniteField(5)
@@ -189,3 +191,20 @@ def test_torsor_matches_tame_residue(rng):
         alpha = C.symbol()
         for P in degenerate_places(C):
             assert component_torsor(C, P) == tame_residue(alpha, P)
+
+
+def test_reduced_fiber_matches_minimize_at(rng):
+    # the reference reduces minimize_at's model in F_q(t); a coefficient of
+    # valuation 1 reduces to zero
+    for F in (F5, FiniteField(7), FiniteField(13)):
+        for P in local_test_places(rng, F):
+            pi, kappa = P.uniformizer(), P.residue_field()
+            for _ in range(6):
+                a = random_ratfunc(rng, F, 3) * pi ** rng.randrange(-3, 4)
+                b = random_ratfunc(rng, F, 3) * pi ** rng.randrange(-3, 4)
+                C = ConicBundle(a, b)
+                a0, b0, _ = minimize_at(C, P)
+                expected = tuple(
+                    kappa.zero() if valuation(c, P) == 1 else reduce_at(c, P)
+                    for c in (a0, b0))
+                assert conic._reduced_fiber(C, P) == expected, (C, P)

@@ -72,6 +72,20 @@ def test_arithmetic_axioms_by_sampling(rng):
                 assert a ** (F.order - 1) == F.one()
 
 
+def test_negative_powers(rng):
+    for F in (F5, FiniteField(5, 3), FiniteField(13, 2)):
+        for _ in range(20):
+            a = F.from_key(rng.randrange(1, F.order))
+            for k in (1, 2, 3, F.order - 2, F.order - 1, F.order + 5):
+                assert a ** -k == (a ** k).inverse()
+                assert a ** -k * a ** k == F.one()
+        with pytest.raises(ZeroDivisionError):
+            F.zero() ** -1
+        with pytest.raises(ZeroDivisionError):
+            F.zero().inverse()
+        assert F.zero() ** 0 == F.one()
+
+
 def test_zeta_is_smallest_of_exact_order():
     assert F5.zeta(2) == F5.element(4)
     assert F5.zeta(4) == F5.element(2)

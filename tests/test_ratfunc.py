@@ -2,9 +2,9 @@ import pytest
 
 from brauer import (FiniteField, ParseError, Place, Poly, RatFunc,
                     parse_place, reduce_at, valuation)
-from brauer.ratfunc import degree_one_place, support
+from brauer.ratfunc import _local_unit, degree_one_place, support
 
-from conftest import random_place, random_ratfunc
+from conftest import local_test_places, random_place, random_ratfunc
 
 
 F5 = FiniteField(5)
@@ -68,6 +68,17 @@ def test_places_over_non_prime_base_field():
     with pytest.raises(NotImplementedError):
         P.residue_field()
     assert Place.infinity(F25).residue_field() is F25
+    # a valuation needs no residue field; reduce_at rejects a non-unit
+    # before it finds that kappa(P) is not built
+    T = RatFunc.gen(F25)
+    assert valuation((T + 1) ** 2 / (T + 2), P) == 2
+    assert _local_unit(T + 2, P) == (0, None)
+    with pytest.raises(ValueError, match="not a unit"):
+        reduce_at(T + 1, P)
+    with pytest.raises(NotImplementedError):
+        reduce_at(T + 2, P)
+    inf = Place.infinity(F25)
+    assert reduce_at((2 * T + 1) / (T + 3), inf) == F25.element(2)
 
 
 def test_place_degrees():
@@ -94,8 +105,10 @@ def test_valuation_infinity():
 
 
 def test_valuation_of_zero_rejected():
-    with pytest.raises(ValueError, match="zero"):
-        valuation(RatFunc.zero(F5), Place.infinity(F5))
+    for P in (Place.infinity(F5), Place(F5, Poly.gen(F5) ** 2 + 2)):
+        for read in (valuation, _local_unit):
+            with pytest.raises(ValueError, match="valuation of zero"):
+                read(RatFunc.zero(F5), P)
 
 
 def test_valuation_additive(rng):
@@ -131,6 +144,8 @@ def test_reduce_at_non_unit_rejected():
         reduce_at(T5, P)
     with pytest.raises(ValueError, match="unit"):
         reduce_at(1 / T5, P)
+    with pytest.raises(ValueError, match="unit"):
+        reduce_at(RatFunc.zero(F5), P)
 
 
 def test_uniformizer_valuations(rng):
@@ -153,3 +168,34 @@ def test_support():
 def test_degree_one_place():
     P = degree_one_place(F7, F7.element(3))
     assert P.poly == Poly.gen(F7) - 3
+
+
+def _at_root(g: Poly, P: Place):
+    """g evaluated at the image of t in kappa(P), by Horner's rule."""
+    kappa = P.residue_field()
+    x = (kappa.element([0, 1]) if P.degree > 1
+         else -P.poly.coefficient(0))
+    acc = kappa.zero()
+    for c in reversed(g.coeffs):
+        acc = acc * x + c[0]
+    return acc
+
+
+def test_local_unit_matches_valuation_and_reduction(rng):
+    for F in (F5, F7, FiniteField(13)):
+        for P in local_test_places(rng, F):
+            pi = P.uniformizer()
+            for _ in range(8):
+                k = rng.randrange(-3, 4)
+                f = random_ratfunc(rng, F, max_deg=3) * pi ** k
+                v, u = _local_unit(f, P)
+                g = f * pi ** -v
+                assert (v, u) == (valuation(f, P), reduce_at(g, P))
+                if P.is_infinity:
+                    assert g.num.degree == g.den.degree
+                    assert u == (g.num.leading_coefficient()
+                                 / g.den.leading_coefficient())
+                else:
+                    # g is a unit at P exactly when neither part vanishes
+                    # at the root of pi, and its image is the quotient
+                    assert u == _at_root(g.num, P) / _at_root(g.den, P)

@@ -13,9 +13,13 @@ from brauer import (
     residue_cocycle_route,
     tame_residue,
 )
-from brauer.residues import is_unramified_at
+from brauer import residues
+from brauer.cohomology import verify_coboundary_identity
+from brauer.ratfunc import reduce_at, valuation
+from brauer.residues import _tame_unit, is_unramified_at
 
-from conftest import random_place, random_ratfunc, random_unit_at
+from conftest import (local_test_places, random_place, random_ratfunc,
+                      random_unit_at)
 
 
 F5 = FiniteField(5)
@@ -143,3 +147,60 @@ def test_cocycle_route_matches_tame(rng):
 def test_cocycle_route_rejects_non_unit():
     with pytest.raises(ValueError, match="unit"):
         residue_cocycle_route(1, T5, PLACE_T, 2)
+
+
+def test_tame_unit_matches_ratfunc_reference(rng):
+    # the reference builds the tame unit in F_q(t) and reduces it once
+    for F in (F5, FiniteField(7), F13):
+        for P in local_test_places(rng, F):
+            pi = P.uniformizer()
+            for _ in range(6):
+                a = random_ratfunc(rng, F, 3) * pi ** rng.randrange(-2, 3)
+                b = random_ratfunc(rng, F, 3) * pi ** rng.randrange(-2, 3)
+                va, vb = valuation(a, P), valuation(b, P)
+                sign = -1 if (va * vb) % 2 else 1
+                ref = sign * a ** vb * b ** -va
+                assert _tame_unit(a, b, P) == reduce_at(ref, P)
+
+
+def test_cocycle_route_checks_epsilon_identity_once_per_key(monkeypatch):
+    calls = []
+
+    def counted(n, power=1):
+        calls.append((n, power))
+        return verify_coboundary_identity(n, power=power)
+
+    monkeypatch.setattr(residues, "verify_coboundary_identity", counted)
+    residues._epsilon_edge.cache_clear()
+    P = Place(F13, Poly.gen(F13))
+    u = RatFunc.gen(F13) + 2
+    for j in (1, 2, 5, 6, 9, -3):
+        residue_cocycle_route(j, u, P, 4)
+    assert calls == [(4, 1), (4, 2)]
+    # a failing identity still raises, and failures are not cached
+    monkeypatch.setattr(residues, "verify_coboundary_identity",
+                        lambda n, power=1: False)
+    residues._epsilon_edge.cache_clear()
+    with pytest.raises(RuntimeError, match="coboundary identity"):
+        residue_cocycle_route(1, u, P, 4)
+    monkeypatch.undo()
+    assert residue_cocycle_route(1, u, P, 4) == \
+        tame_residue(SymbolClass.symbol(RatFunc.gen(F13), u, n=4), P)
+
+
+def test_places_without_residue_field_raise_not_implemented():
+    # over F_25 a non-unit is rejected first; a finite place then has no kappa
+    F25 = FiniteField(5, 2)
+    t = RatFunc.gen(F25)
+    P = Place(F25, Poly.gen(F25) + 1)
+    with pytest.raises(ValueError, match="unit"):
+        residue_cocycle_route(1, t + 1, P, 2)
+    with pytest.raises(NotImplementedError):
+        residue_cocycle_route(1, t + 2, P, 2)
+    with pytest.raises(NotImplementedError):
+        tame_residue(SymbolClass.symbol(t + 1, t + 2, n=2), P)
+    with pytest.raises(NotImplementedError):
+        reciprocity_sum(SymbolClass.symbol(t + 1, t + 2, n=2))
+    # only infinity is a candidate place for constants
+    two, three = RatFunc.constant(F25, 2), RatFunc.constant(F25, 3)
+    assert reciprocity_sum(SymbolClass.symbol(two, three, n=2)).is_zero()
