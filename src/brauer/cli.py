@@ -8,6 +8,7 @@ exceeded, 5 non-standard conic model.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -305,9 +306,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process: parse_args leaves no state on it
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

@@ -5,13 +5,15 @@ minimized local model degenerates to a rank-2 form whose two lines are
 swapped by a quadratic twist; the class of that component torsor equals
 the tame residue.  A projective point-count over the residue field acts as
 an independent oracle: a split degenerate conic over F_Q has 2Q+1 points,
-a non-split one exactly 1.
+a non-split one exactly 1.  The count runs in the default-modulus field
+F_Q = FiniteField(p, d*e), into which kappa(P) embeds by a root of pi, on
+int keys with log/exp-table products, so its tables exist once per (p, d).
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from itertools import product
 
 from .finitefield import FieldElement, FiniteField, ResidueClass, \
     power_residue_character
@@ -120,46 +122,56 @@ def check_artin(C: ConicBundle):
 # point counting oracle
 
 _SQRT_COUNTS: dict = {}
+_GUARD = 10 ** 6  # bound on the enumeration: Q squares, or Q^2 pairs
 
 
-def _sqrt_count_table(F: FiniteField):
-    """cnt[w] = number of z in F with z^2 = w, by one pass over F."""
-    key = (F.p, F.d, F.modulus)
-    table = _SQRT_COUNTS.get(key)
+def _sqrt_count_table(p: int, d: int):
+    """(cnt, squares) over L = FiniteField(p, d): cnt[k] = #{z in L : z*z has
+    key k}, each z*z a log/exp-table product, and squares the keys with
+    cnt > 0, so a count visits the squares without a pass over L.  One table
+    per (p, d)."""
+    table = _SQRT_COUNTS.get((p, d))
     if table is None:
-        table = {}
-        for z in product(range(F.p), repeat=F.d):
-            w = F._mul(z, z)
-            table[w] = table.get(w, 0) + 1
-        _SQRT_COUNTS[key] = table
+        L = FiniteField(p, d)
+        exp, log = L._log_tables()
+        m = L.order - 1
+        cnt = [0] * L.order
+        cnt[0] = 1  # 0 * 0
+        for z in range(1, L.order):
+            cnt[exp[(log[z] + log[z]) % m]] += 1
+        squares = array("l", (w for w, n in enumerate(cnt) if n))
+        table = _SQRT_COUNTS[p, d] = cnt, squares
     return table
 
 
 def _extension_with_embedding(kappa: FiniteField, e: int):
-    """(L, embed) with L = F_{|kappa|^e} and embed: kappa -> L a field map.
+    """(L, embed) with L = FiniteField(p, d*e), the default-modulus field of
+    order |kappa|^e, and embed: kappa -> L a field map.
 
     The embedding sends the generator of kappa to the smallest root of
-    kappa's defining polynomial in L.
+    kappa's modulus in L; the powers of that root are found once per
+    (kappa, e) and kept on kappa.
     """
-    if e == 1:
-        return kappa, lambda u: u
     L = FiniteField(kappa.p, kappa.d * e)
-    if kappa.d == 1:
-        return L, lambda u: L.element(u.coeffs[0])
-    defining = Poly(L, [L.element(c) for c in kappa.modulus])
-    roots = defining.roots()
-    if not roots:
-        raise RuntimeError("defining polynomial has no root in the extension")
-    r = roots[0]
-    powers = [L.one()]
-    for _ in range(kappa.d - 1):
-        powers.append(powers[-1] * r)
+    powers = kappa._root_powers.get(e)
+    if powers is None:
+        powers = [L.one()]
+        if kappa.d > 1:
+            roots = Poly(L, [L.element(c) for c in kappa.modulus]).roots()
+            if not roots:
+                raise RuntimeError(
+                    "defining polynomial has no root in the extension")
+            for _ in range(kappa.d - 1):
+                powers.append(powers[-1] * roots[0])
+        powers = kappa._root_powers[e] = tuple(r.coeffs for r in powers)
 
     def embed(u: FieldElement) -> FieldElement:
-        acc = L.zero()
+        acc = [0] * L.d
         for c, rp in zip(u.coeffs, powers):
-            acc = acc + rp * c
-        return acc
+            if c:
+                for j, x in enumerate(rp):
+                    acc[j] += c * x
+        return L.element(acc)
 
     return L, embed
 
@@ -168,33 +180,54 @@ def count_fiber_points(C: ConicBundle, P: Place, e: int = 1) -> int:
     """Projective points of the reduced fiber at P over the degree-e
     extension of kappa(P), counted by enumeration.
 
-    Affine solutions of A x^2 + B y^2 = z^2 are enumerated by one pass over
-    the squares: the square-root count table of the extension gives how
-    many x have x^2 = w, so each square w is multiplied by a coefficient
-    once; the projective count is (solutions - 1)/(Q - 1).
+    The count runs in L = FiniteField(p, d*e), into which kappa(P) embeds by
+    a root of its modulus, with elements as int keys and products read from
+    L's log/exp tables.  Affine solutions of A x^2 + B y^2 = z^2 are
+    enumerated by one pass over the squares: the square-root count table
+    of L gives how many x have x^2 = w, so each square w is multiplied by a
+    coefficient once; the projective count is (solutions - 1)/(Q - 1).
+    Raises TableSizeError, before L or any table is built, when a smooth
+    fiber has Q^2 > 10^6 pairs or a degenerate one Q > 10^6 points.
     """
     kappa = P.residue_field()
-    L, embed = _extension_with_embedding(kappa, e)
     abar, bbar = _reduced_fiber(C, P)
-    A, B = embed(abar), embed(bbar)
-    Q = L.order
-    smooth = not A.is_zero() and not B.is_zero()
-    if smooth and Q * Q > 10 ** 6:
+    Q = kappa.order ** e
+    smooth = not abar.is_zero() and not bbar.is_zero()
+    if smooth and Q * Q > _GUARD:
         raise TableSizeError(
             f"smooth-fiber enumeration over {Q}^2 pairs exceeds guard")
-    cnt = _sqrt_count_table(L)
-    mul = L._mul
+    if Q > _GUARD:
+        raise TableSizeError(
+            f"degenerate-fiber enumeration over {Q} points exceeds guard")
+    L, embed = _extension_with_embedding(kappa, e)
+    exp, log = L._log_tables()
+    cnt, squares = _sqrt_count_table(L.p, L.d)
+    m = Q - 1
+
+    def scaled(c: FieldElement):
+        """(key of c*w, count of w) over the squares w, for c != 0."""
+        lc = log[c.key()]
+        return ((exp[(lc + log[w]) % m] if w else 0, cnt[w]) for w in squares)
+
+    A, B = embed(abar), embed(bbar)
     if smooth:
-        ax2 = [(mul(A.coeffs, w), n) for w, n in cnt.items()]
-        by2 = [(mul(B.coeffs, w), n) for w, n in cnt.items()]
-        add = L._add
+        # keys rewritten in base 2p add digit by digit without carries
+        p, base = L.p, 2 * L.p
+        spread = [0] * Q
+        for k in range(1, Q):
+            spread[k] = k % p + base * spread[k // p]
+        fold = [0] * base ** L.d
+        for s in range(1, len(fold)):
+            fold[s] = s % base % p + p * fold[s // base]
+        cnt_of_sum = [cnt[k] for k in fold]
+        ax2 = [(spread[u], n) for u, n in scaled(A)]
+        by2 = [(spread[v], n) for v, n in scaled(B)]
         total = 0
         for u, nx in ax2:
             for v, ny in by2:
-                total += nx * ny * cnt.get(add(u, v), 0)
+                total += nx * ny * cnt_of_sum[u + v]
     else:
-        coeff = B.coeffs if A.is_zero() else A.coeffs
-        total = sum(n * cnt.get(mul(coeff, w), 0) for w, n in cnt.items())
+        total = sum(n * cnt[u] for u, n in scaled(B if A.is_zero() else A))
         total *= Q  # the missing variable is free
     # projective points = (nonzero affine solutions) / (Q - 1)
     points, rem = divmod(total - 1, Q - 1)

@@ -3,7 +3,9 @@
 Elements of F_{p^d} = F_p[x]/(modulus) are coefficient tuples of length d
 with entries in [0, p).  Fields are cached by (p, d, modulus); a modulus is
 checked, and the default one found, with Poly.is_irreducible, so F_p[x] has
-one implementation.  Inverses in F_{p^d} are a^(p^d - 2).  Each field caches
+one implementation.  Inverses in F_{p^d} are a^(p^d - 2).  A field builds
+log/exp tables on int keys (key = sum c_i p^i) on first request; only the
+conic point count asks, on default-modulus fields.  Each field caches
 its n-th roots of unity; the canonical primitive n-th root is the smallest
 element of exact order n in the enumeration order (constants first), which
 makes every character value reproducible.
@@ -11,6 +13,7 @@ makes every character value reproducible.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 
@@ -100,6 +103,10 @@ class FiniteField:
         self.modulus = modulus
         self.order = p ** d
         self._zeta_cache = {}
+        self._tables = None  # (exp, log), built by _log_tables on first use
+        # e -> coefficient tuples of r^0 .. r^(d-1) for the root r of the
+        # modulus by which conic embeds this field into FiniteField(p, d*e)
+        self._root_powers = {}
         # reduction rows for x^k, k = d .. 2d-2
         red = []
         row = [(-modulus[j]) % p for j in range(d)]
@@ -115,6 +122,12 @@ class FiniteField:
         return self
 
     # -- low-level ops on coefficient tuples -------------------------------
+
+    def _key(self, a) -> int:
+        k = 0
+        for c in reversed(a):
+            k = k * self.p + c
+        return k
 
     def _add(self, a, b):
         p = self.p
@@ -164,6 +177,27 @@ class FiniteField:
             base = self._mul(base, base)
             e >>= 1
         return result
+
+    def _log_tables(self):
+        """(exp, log) int arrays on keys: exp[i] = key(g^i) for 0 <= i < q - 1
+        and log[key(g^i)] = i, with log[0] = -1, where g = zeta(q - 1) is
+        the smallest primitive element.  Built once by walking the powers
+        of g; a product of units is exp[(log[a] + log[b]) % (q - 1)]."""
+        if self._tables is None:
+            m = self.order - 1
+            g = self.zeta(m).coeffs
+            exp, log = array("l", [0]) * m, array("l", [-1]) * self.order
+            w = self.one().coeffs
+            for i in range(m):
+                k = self._key(w)
+                if log[k] >= 0 or not k:
+                    raise RuntimeError("powers of g repeat or reach zero")
+                exp[i], log[k] = k, i
+                w = self._mul(w, g)
+            if w != self.one().coeffs:
+                raise RuntimeError("g^(q-1) != 1")
+            self._tables = exp, log
+        return self._tables
 
     # -- element constructors ----------------------------------------------
 
@@ -231,10 +265,7 @@ class FieldElement:
         self.coeffs = coeffs
 
     def key(self) -> int:
-        k = 0
-        for c in reversed(self.coeffs):
-            k = k * self.field.p + c
-        return k
+        return self.field._key(self.coeffs)
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)

@@ -209,33 +209,43 @@ class Place:
         return "inf" if self.is_infinity else repr(self.poly)
 
 
-def _local_unit(f: RatFunc, P: Place):
-    """(v, u) with f = pi^v * g, g a unit at P, u = g mod P in kappa(P) (None
-    where kappa(P) is not built); g mod pi is the first nonzero remainder of
-    the divide-by-pi loop.  At infinity u = lc(num)/lc(den)."""
+def _divide_out_pi(f: RatFunc, P: Place):
+    """(v, rn, rd) with f = pi^v * g, g a unit at P, from the one divide-by-pi
+    loop: at a finite place rn and rd are the first nonzero remainders of num
+    and den (g mod pi = rn/rd), at infinity the leading coefficients."""
     if f.is_zero():
         raise ValueError("valuation of zero")
     if P.is_infinity:
-        return (f.den.degree - f.num.degree,
-                f.num.leading_coefficient() / f.den.leading_coefficient())
+        return (f.den.degree - f.num.degree, f.num.leading_coefficient(),
+                f.den.leading_coefficient())
 
     def split(g: Poly):
         m, (q, r) = 0, divmod(g, P.poly)
         while r.is_zero():
             m, (q, r) = m + 1, divmod(q, P.poly)
-        return m, [c[0] for c in r.coeffs]
+        return m, r
 
     # num and den are coprime, so at most one of the counts is nonzero
     (mn, rn), (md, rd) = split(f.num), split(f.den)
+    return mn - md, rn, rd
+
+
+def _local_unit(f: RatFunc, P: Place):
+    """(v, u) with f = pi^v * g, g a unit at P, u = g mod P in kappa(P) (None
+    where kappa(P) is not built).  At infinity u = lc(num)/lc(den)."""
+    v, rn, rd = _divide_out_pi(f, P)
+    if P.is_infinity:
+        return v, rn / rd
     kappa = P._residue
     if kappa is None:
-        return mn - md, None
-    return mn - md, kappa.element(rn) / kappa.element(rd)
+        return v, None
+    return v, (kappa.element([c[0] for c in rn.coeffs])
+               / kappa.element([c[0] for c in rd.coeffs]))
 
 
 def valuation(f: RatFunc, P: Place) -> int:
     """Order of vanishing of f at P; errors on f = 0."""
-    return _local_unit(f, P)[0]
+    return _divide_out_pi(f, P)[0]
 
 
 def reduce_at(f: RatFunc, P: Place) -> FieldElement:

@@ -1,5 +1,6 @@
 import json
 
+from brauer import cli
 from brauer.cli import main
 
 
@@ -154,3 +155,33 @@ def test_exit_code_constraint(capsys):
 def test_exit_code_conic_model(capsys):
     code, _, err = run(capsys, "conic", "--q", "5", "--a", "0", "--b", "t")
     assert code == 2  # zero coefficient is caught at parse level
+
+
+def test_parser_built_once_per_process(capsys):
+    cases = [
+        ["conic", "--q", "5", "--a", "t"],  # argparse error: --b missing
+        ["conic", "--q", "5", "--a", "t", "--b", "2", "--format", "json"],
+        ["residue", "--q", "5", "--n", "2", "--symbol", "(t, 2)_2",
+         "--place", "t"],
+        ["cohomology", "rank", "--n", "2", "--factors", "2,2", "--m", "2",
+         "--format", "json"],
+    ]
+
+    def outcome(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in cases:
+        cli._parser.cache_clear()
+        fresh.append(outcome(argv))
+    cli._parser.cache_clear()
+    cached = [outcome(argv) for argv in cases]
+    assert cli._parser.cache_info().misses == 1
+    assert cached == fresh
+    assert fresh[0][0] == 2 and fresh[0][2].startswith("usage: brauer conic")
+    assert [code for code, _, _ in fresh[1:]] == [0, 0, 0]

@@ -16,6 +16,7 @@ from brauer import (
 )
 from brauer import conic
 from brauer.conic import degenerate_places, discriminant_places, minimize_at
+from brauer.finitefield import _FIELD_CACHE
 from brauer.ratfunc import reduce_at, valuation
 from brauer.snf import TableSizeError
 
@@ -168,6 +169,73 @@ def test_smooth_fiber_guard_raises_before_enumeration():
     with pytest.raises(TableSizeError, match="2197"):
         count_fiber_points(C, P)
     assert set(conic._SQRT_COUNTS) == tables
+
+
+def test_degenerate_fiber_guard_raises_before_any_build():
+    F13 = FiniteField(13)
+    t = Poly.gen(F13)
+    pi = next(t ** 3 + c for c in range(13) if (t ** 3 + c).is_irreducible())
+    P = Place(F13, pi)
+    C = ConicBundle(RatFunc(pi), RatFunc.constant(F13, 2))
+    assert P in degenerate_places(C)
+    tables, fields = set(conic._SQRT_COUNTS), set(_FIELD_CACHE)
+    with pytest.raises(TableSizeError, match=str(13 ** 6)):
+        count_fiber_points(C, P, e=2)
+    assert set(conic._SQRT_COUNTS) == tables
+    assert set(_FIELD_CACHE) == fields
+    assert 2 not in P.residue_field()._root_powers
+
+
+def _non_default_field(p, d):
+    """FiniteField(p, d) under the largest monic irreducible modulus."""
+    Fp = FiniteField(p)
+    for k in range(p ** d - 1, -1, -1):
+        f = [k // p ** i % p for i in range(d)] + [1]
+        if Poly(Fp, f).is_irreducible():
+            return FiniteField(p, d, f)
+
+
+@pytest.mark.parametrize("p,d", [(5, 2), (3, 4)])
+def test_embedding_is_a_ring_map(rng, p, d):
+    kappa = _non_default_field(p, d)
+    assert kappa is not FiniteField(p, d)
+    for e in (1, 2):
+        L, embed = conic._extension_with_embedding(kappa, e)
+        assert L is FiniteField(p, d * e)
+        assert embed(kappa.one()) == L.one()
+        for _ in range(50):
+            u, v = (kappa.from_key(rng.randrange(kappa.order))
+                    for _ in range(2))
+            assert embed(u * v) == embed(u) * embed(v)
+            assert embed(u + v) == embed(u) + embed(v)
+
+
+def test_point_count_tables_one_per_field(monkeypatch):
+    F13 = FiniteField(13)
+    places = []
+    for c in range(13 ** 4):
+        f = Poly(F13, [c % 13, c // 13 % 13, c // 169, 0, 1])
+        if f.is_irreducible():
+            places.append(Place(F13, f))
+            if len(places) == 2:
+                break
+    C = ConicBundle(RatFunc(places[0].poly * places[1].poly),
+                    RatFunc.constant(F13, 2))
+    root_calls = []
+    roots = Poly.roots
+    monkeypatch.setattr(Poly, "roots",
+                        lambda f: root_calls.append(f) or roots(f))
+    monkeypatch.setattr(conic, "_SQRT_COUNTS", {})
+    for P in places:
+        monkeypatch.setattr(P.residue_field(), "_root_powers", {})
+    counts = [count_fiber_points(C, P) for P in places]
+    assert set(conic._SQRT_COUNTS) == {(13, 4)}
+    assert len(root_calls) == 2
+    assert [count_fiber_points(C, P) for P in places] == counts
+    assert len(root_calls) == 2
+    for P, n in zip(places, counts):
+        split = component_torsor(C, P).is_zero()
+        assert n == (2 * 13 ** 4 + 1 if split else 1)
 
 
 def test_check_artin_agrees(rng):

@@ -86,6 +86,22 @@ def test_negative_powers(rng):
         assert F.zero() ** 0 == F.one()
 
 
+@pytest.mark.parametrize("p,d", [(5, 2), (7, 3), (13, 4)])
+def test_log_tables(rng, p, d):
+    F = FiniteField(p, d)
+    exp, log = F._log_tables()
+    assert F._log_tables() is F._log_tables()  # built once
+    m = F.order - 1
+    assert exp[0] == F.one().key() and F.from_key(exp[1]) == F.zeta(m)
+    # exp is a bijection onto the nonzero keys and log inverts it
+    assert sorted(exp) == list(range(1, F.order))
+    assert log[0] == -1 and all(log[k] == i for i, k in enumerate(exp))
+    for _ in range(200):
+        a, b = rng.randrange(1, F.order), rng.randrange(1, F.order)
+        expected = F._key(F._mul(F.from_key(a).coeffs, F.from_key(b).coeffs))
+        assert exp[(log[a] + log[b]) % m] == expected
+
+
 def test_zeta_is_smallest_of_exact_order():
     assert F5.zeta(2) == F5.element(4)
     assert F5.zeta(4) == F5.element(2)
