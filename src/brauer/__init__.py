@@ -7,11 +7,12 @@ sets), and the n = 2 conic-bundle picture where residues appear as
 component torsors of degenerate fibers.
 """
 
-from .cohomology import (Cochain, FiniteAbelianGroup, FormalUnit, coboundary,
-                         cohomology_rank, cocycles_cohomologous,
-                         cup_product_boxtimes, epsilon_cocycle,
-                         extension_factor_set, identity_character,
-                         is_cocycle, lhs_edge_map, verify_coboundary_identity)
+from .cohomology import (Cochain, FiniteAbelianGroup, FormalUnit,
+                         TableSizeError, coboundary, cohomology_rank,
+                         cocycles_cohomologous, cup_product_boxtimes,
+                         epsilon_cocycle, extension_factor_set,
+                         identity_character, is_cocycle, lhs_edge_map,
+                         verify_coboundary_identity)
 from .conic import (ConicBundle, ConicModelError, check_artin,
                     component_torsor, count_fiber_points, degenerate_places,
                     discriminant_places, minimize_at)
@@ -25,7 +26,7 @@ from .ratfunc import Place, RatFunc, degree_one_place, reduce_at, support, \
 from .residues import (RamificationDivisor, SymbolClass, is_unramified_at,
                        ramification_divisor, reciprocity_sum,
                        residue_cocycle_route, tame_residue)
-from .snf import TableSizeError, smith_normal_form
+from .snf import smith_normal_form
 
 __version__ = "0.1.0"
 

@@ -14,17 +14,16 @@ import os
 import random
 import sys
 
-from .cohomology import (FiniteAbelianGroup, Cochain, cohomology_rank,
-                         cocycles_cohomologous, cup_product_boxtimes,
-                         epsilon_cocycle, extension_factor_set,
-                         identity_character, lhs_edge_map,
-                         verify_coboundary_identity)
+from .cohomology import (FiniteAbelianGroup, Cochain, TableSizeError,
+                         cohomology_rank, cocycles_cohomologous,
+                         cup_product_boxtimes, epsilon_cocycle,
+                         extension_factor_set, identity_character,
+                         lhs_edge_map, verify_coboundary_identity)
 from .conic import ConicBundle, ConicModelError, check_artin
-from .finitefield import FiniteField, ResidueClass, is_prime
+from .finitefield import FiniteField, ResidueClass, prime_powers
 from .parsing import ParseError, parse_place, parse_ratfunc, parse_symbol_sum
 from .residues import (SymbolClass, ramification_divisor, reciprocity_sum,
                        tame_residue)
-from .snf import TableSizeError
 
 EXIT_CHECK_FAILED = 1
 EXIT_PARSE = 2
@@ -38,7 +37,7 @@ class ConstraintError(ValueError):
 
 
 def _field_for(q: int, n: int | None = None, odd: bool = False) -> FiniteField:
-    if not is_prime(q):
+    if prime_powers(q) != [(q, 1)]:
         raise ConstraintError(f"q={q} must be prime")
     if odd and q == 2:
         raise ConstraintError("odd characteristic required")

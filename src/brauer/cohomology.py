@@ -10,7 +10,10 @@ the ambient field.
 Also here: the formal-unit calculus for the Cech coboundary identity on the
 n-th root cover of a DVR, and the factor set of the monomial-matrix central
 extension of mu_n x Z/n (scalars, the n-cycle permutation, and the diagonal
-of successive root-of-unity powers).
+of successive root-of-unity powers).  A formal unit holds its pi-exponent as
+an int count of 1/n steps, so the identity is checked in integer arithmetic.
+TableSizeError and its bound TABLE_GUARD, shared by every size check in the
+package, live here.
 """
 
 from __future__ import annotations
@@ -22,10 +25,14 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .finitefield import FiniteField, zeta_log
-from .snf import TableSizeError, _eliminate, _prime_powers, solve_mod
+from .finitefield import FiniteField, prime_powers, zeta_log
+from .snf import _eliminate, solve_mod
 
-TABLE_GUARD = 10 ** 6
+TABLE_GUARD = 10 ** 6  # the one work bound on tables, matrices and parsing
+
+
+class TableSizeError(ValueError):
+    """Raised when a table, matrix or parsed polynomial exceeds TABLE_GUARD."""
 
 
 class FiniteAbelianGroup:
@@ -201,7 +208,7 @@ def cohomology_rank(group: FiniteAbelianGroup, modulus: int, degree: int):
         mats.append(coboundary_matrix(group, degree - 1))
     N = group.size ** degree
     primary = []  # per prime p, the exponents a of its factors Z/p^a
-    for p, e in _prime_powers(modulus):
+    for p, e in prime_powers(modulus):
         vals = [a for M in mats
                 for _, _, a in _eliminate(M, p, e, [0] * len(M))[1]]
         exps = [a for a in vals if a] + [e] * (N - len(vals))
@@ -241,26 +248,34 @@ def cup_product_boxtimes(n: int) -> Cochain:
 
 @dataclass(frozen=True)
 class FormalUnit:
-    """pi^pi_exponent * zeta^zeta_exponent with zeta_exponent mod n."""
+    """pi^(pi_steps/n) * zeta^zeta_exponent with zeta_exponent mod n.
 
-    pi_exponent: Fraction
+    The pi-exponent is held as an integer count of 1/n steps, so products
+    and inverses are integer additions and every exponent lies in (1/n)Z.
+    """
+
+    pi_steps: int
     zeta_exponent: int
     n: int
 
     def __post_init__(self):
-        object.__setattr__(self, "pi_exponent", Fraction(self.pi_exponent))
+        if not isinstance(self.pi_steps, int):
+            raise TypeError("pi_steps must be an int count of 1/n steps, "
+                            f"got {type(self.pi_steps).__name__}")
         object.__setattr__(self, "zeta_exponent", self.zeta_exponent % self.n)
-        if (self.pi_exponent * self.n).denominator != 1:
-            raise ValueError("pi exponent denominator must divide n")
+
+    @property
+    def pi_exponent(self) -> Fraction:
+        return Fraction(self.pi_steps, self.n)
 
     def __mul__(self, other: "FormalUnit") -> "FormalUnit":
         if self.n != other.n:
             raise ValueError("formal units for different n")
-        return FormalUnit(self.pi_exponent + other.pi_exponent,
+        return FormalUnit(self.pi_steps + other.pi_steps,
                           self.zeta_exponent + other.zeta_exponent, self.n)
 
     def inverse(self) -> "FormalUnit":
-        return FormalUnit(-self.pi_exponent, -self.zeta_exponent, self.n)
+        return FormalUnit(-self.pi_steps, -self.zeta_exponent, self.n)
 
     def __repr__(self):
         return f"pi^({self.pi_exponent})*zeta^{self.zeta_exponent}"
@@ -269,7 +284,7 @@ class FormalUnit:
 def epsilon_cocycle(n: int, power: int = 1):
     """Table (b, b') -> 1 or pi^-1 (pi^-power for the power-th tensor)."""
     one = FormalUnit(0, 0, n)
-    drop = FormalUnit(-power, 0, n)
+    drop = FormalUnit(-power * n, 0, n)
     return {(b, b2): (drop if b + b2 >= n else one)
             for b in range(n) for b2 in range(n)}
 
@@ -285,11 +300,10 @@ def verify_coboundary_identity(n: int, power: int = 1) -> bool:
     # the value at ((beta, b), (beta', b')) is independent of beta':
     # the cochain depends only on b and the translation only on beta
     for beta, b, b2 in itertools.product(range(n), repeat=3):
-        c_g = FormalUnit(Fraction(power * b, n), 0, n)
+        c_g = FormalUnit(power * b, 0, n)
         # c_{g'} translated by g: the root picks up the factor zeta^beta
-        c_g2_translated = FormalUnit(Fraction(power * b2, n),
-                                     power * beta * b2, n)
-        c_gg2 = FormalUnit(Fraction(power * ((b + b2) % n), n), 0, n)
+        c_g2_translated = FormalUnit(power * b2, power * beta * b2, n)
+        c_gg2 = FormalUnit(power * ((b + b2) % n), 0, n)
         d_value = c_g2_translated * c_gg2.inverse() * c_g
         expected = eps[(b, b2)].inverse() * FormalUnit(0, power * beta * b2, n)
         if d_value != expected:

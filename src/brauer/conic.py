@@ -15,11 +15,11 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 
+from .cohomology import TABLE_GUARD, TableSizeError
 from .finitefield import FieldElement, FiniteField, ResidueClass, \
     power_residue_character
 from .poly import Poly
 from .ratfunc import Place, RatFunc, _local_unit, valuation
-from .snf import TableSizeError
 from .residues import SymbolClass, _candidate_places, ramification_divisor
 
 
@@ -122,7 +122,6 @@ def check_artin(C: ConicBundle):
 # point counting oracle
 
 _SQRT_COUNTS: dict = {}
-_GUARD = 10 ** 6  # bound on the enumeration: Q squares, or Q^2 pairs
 
 
 def _sqrt_count_table(p: int, d: int):
@@ -193,10 +192,10 @@ def count_fiber_points(C: ConicBundle, P: Place, e: int = 1) -> int:
     abar, bbar = _reduced_fiber(C, P)
     Q = kappa.order ** e
     smooth = not abar.is_zero() and not bbar.is_zero()
-    if smooth and Q * Q > _GUARD:
+    if smooth and Q * Q > TABLE_GUARD:
         raise TableSizeError(
             f"smooth-fiber enumeration over {Q}^2 pairs exceeds guard")
-    if Q > _GUARD:
+    if Q > TABLE_GUARD:
         raise TableSizeError(
             f"degenerate-fiber enumeration over {Q} points exceeds guard")
     L, embed = _extension_with_embedding(kappa, e)

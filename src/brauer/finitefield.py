@@ -17,33 +17,18 @@ from array import array
 from dataclasses import dataclass
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
-def prime_factors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+def prime_powers(n: int):
+    """[(p, e)] with n the product of the p^e, by trial division; [] for
+    n < 2, so n is prime exactly when this is [(n, 1)]."""
+    out, p = [], 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n, e = n // p, e + 1
+        if e:
+            out.append((p, e))
+        p += 2 if p > 2 else 1
+    return out + [(n, 1)] * (n > 1)
 
 
 def _default_modulus(p: int, d: int):
@@ -81,7 +66,7 @@ class FiniteField:
         cached = _FIELD_CACHE.get(key)
         if cached is not None:
             return cached
-        if not is_prime(p):
+        if prime_powers(p) != [(p, 1)]:
             raise ValueError(f"{p} is not prime")
         if d < 1:
             raise ValueError("extension degree must be >= 1")
@@ -238,7 +223,7 @@ class FiniteField:
             return self._zeta_cache[n]
         if n < 1 or (self.order - 1) % n != 0:
             raise ValueError(f"n={n} does not divide |F|-1={self.order - 1}")
-        ells = prime_factors(n)
+        ells = [ell for ell, _ in prime_powers(n)]
         for u in self.elements():
             if u.is_zero():
                 continue
@@ -337,7 +322,7 @@ class FieldElement:
         if self.is_zero():
             raise ValueError("zero has no multiplicative order")
         n = self.field.order - 1
-        for ell in prime_factors(n):
+        for ell, _ in prime_powers(n):
             while n % ell == 0 and self ** (n // ell) == self.field.one():
                 n //= ell
         return n
@@ -395,9 +380,9 @@ class ResidueClass:
         return f"{self.value} (mod {self.n})"
 
 
-def power_residue_character(u: FieldElement, n: int,
-                            zeta: FieldElement | None = None) -> ResidueClass:
-    """Discrete logarithm of u^((|F|-1)/n) base zeta, as a ResidueClass.
+def power_residue_character(u: FieldElement, n: int) -> ResidueClass:
+    """Discrete logarithm of u^((|F|-1)/n) base zeta = F.zeta(n), as a
+    ResidueClass.
 
     The value m satisfies u^((|F|-1)/n) = zeta^m; it is 0 exactly when u is
     an n-th power.
@@ -407,13 +392,7 @@ def power_residue_character(u: FieldElement, n: int,
         raise ValueError("character of zero")
     if n < 1 or (F.order - 1) % n != 0:
         raise ValueError(f"n={n} does not divide |F|-1={F.order - 1}")
-    if zeta is None:
-        zeta = F.zeta(n)
-    else:
-        if zeta.field is not F:
-            raise ValueError("zeta lives in a different field")
-        if zeta.multiplicative_order() != n:
-            raise ValueError("zeta does not have exact order n")
+    zeta = F.zeta(n)
     t = u ** ((F.order - 1) // n)
     return ResidueClass(n, zeta_log(t.coeffs, zeta, n), zeta)
 

@@ -2,13 +2,16 @@
 
 Polynomials use integer coefficients, `t`, `*` and `^` (e.g. `t^2+3*t+1`);
 rational functions are `num/den`; symbols are `(a,b)_n`, optionally with an
-integer multiplicity prefix `k*(a,b)_n`, joined by `+` or `-`.
+integer multiplicity prefix `k*(a,b)_n`, joined by `+` or `-`.  No power or
+product of degree above MAX_DEGREE is built: TableSizeError is raised first.
 """
 
 from __future__ import annotations
 
+import math
 import re
 
+from .cohomology import TABLE_GUARD, TableSizeError
 from .finitefield import FiniteField
 from .poly import Poly
 from .ratfunc import Place, RatFunc
@@ -17,6 +20,17 @@ from .residues import SymbolClass
 
 class ParseError(ValueError):
     pass
+
+
+# reading a degree-d argument at a place divides by pi up to d times, so the
+# work is O(d^2); holding d to isqrt(TABLE_GUARD) keeps d^2 within the guard
+MAX_DEGREE = math.isqrt(TABLE_GUARD)
+
+
+def _check_degree(degree: int):
+    if degree > MAX_DEGREE:
+        raise TableSizeError(f"polynomial of degree {degree} exceeds the "
+                             f"parse bound {MAX_DEGREE}")
 
 
 _TOKEN = re.compile(r"\s*(\d+|t|\^|\*|\+|-|/|\(|\)|,)")
@@ -64,20 +78,22 @@ class _PolyParser:
             nxt = self.peek()
             if nxt == "*":
                 self.take()
-                acc = acc * self.parse_factor()
-            elif nxt in ("t", "("):  # juxtaposition like 3t or 2(t+1)
-                acc = acc * self.parse_factor()
-            else:
+            elif nxt not in ("t", "("):  # these juxtapose: 3t, 2(t+1)
                 return acc
+            factor = self.parse_factor()
+            _check_degree(acc.degree + factor.degree)
+            acc = acc * factor
 
-    def _exponent(self) -> int:
+    def _power(self, base: Poly) -> Poly:
+        """base, raised to the exponent that follows it if there is one."""
         if self.peek() != "^":
-            return 1
+            return base
         self.take()
         e = self.take()
         if e is None or not e.isdigit():
             raise ParseError("exponent must be an integer")
-        return int(e)
+        _check_degree(base.degree * int(e))
+        return base ** int(e)
 
     def parse_factor(self) -> Poly:
         tok = self.take()
@@ -87,11 +103,11 @@ class _PolyParser:
             inner = self.parse_expr()
             if self.take() != ")":
                 raise ParseError("expected ')'")
-            return inner ** self._exponent()
+            return self._power(inner)
         if tok == "t":
-            return Poly.gen(self.field) ** self._exponent()
+            return self._power(Poly.gen(self.field))
         if tok.isdigit():
-            return Poly.constant(self.field, int(tok)) ** self._exponent()
+            return self._power(Poly.constant(self.field, int(tok)))
         raise ParseError(f"unexpected token {tok!r} in polynomial")
 
 

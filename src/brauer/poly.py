@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from .finitefield import FieldElement, FiniteField, prime_factors
+from .finitefield import FieldElement, FiniteField, prime_powers
 
 
 class Poly:
@@ -236,7 +236,7 @@ class Poly:
         t = Poly.gen(self.field)
         if t.pow_mod(q ** f.degree, f) != t % f:
             return False
-        for ell in prime_factors(f.degree):
+        for ell, _ in prime_powers(f.degree):
             h = t.pow_mod(q ** (f.degree // ell), f) - t
             if f.gcd(h).degree != 0:
                 return False

@@ -141,7 +141,7 @@ def _epsilon_edge(n: int, j: int) -> int:
     if not verify_coboundary_identity(n, power=j):
         raise RuntimeError("coboundary identity failed")  # never happens
     eps = epsilon_cocycle(n, power=j)
-    return sum(int(eps[(b, 1 % n)].pi_exponent) for b in range(n))
+    return sum(eps[(b, 1 % n)].pi_steps for b in range(n)) // n
 
 
 def _candidate_places(alpha: SymbolClass):

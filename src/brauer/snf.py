@@ -12,9 +12,7 @@ modulo N", ESA 1998).
 
 from __future__ import annotations
 
-
-class TableSizeError(ValueError):
-    """Raised when a cochain table or matrix exceeds the size guard."""
+from .finitefield import prime_powers
 
 
 def _identity(n):
@@ -133,19 +131,6 @@ def smith_normal_form(A):
     return D, U, V
 
 
-def _prime_powers(m):
-    """[(p, e)] with m the product of the p^e, by trial division."""
-    out, p = [], 2
-    while p * p <= m:
-        e = 0
-        while m % p == 0:
-            m, e = m // p, e + 1
-        if e:
-            out.append((p, e))
-        p += 1
-    return out + [(m, 1)] * (m > 1)
-
-
 def _eliminate(A, p, e, rhs):
     """Row-reduce A modulo q = p^e, pivoting on entries of least valuation.
 
@@ -198,7 +183,7 @@ def solve_mod(A, b, m):
     if m < 1:
         raise ValueError(f"modulus must be >= 1, got {m}")
     x, M = [0] * (len(A[0]) if A else 0), 1
-    for p, e in _prime_powers(m):
+    for p, e in prime_powers(m):
         q = p ** e
         rhs = [v % q for v in b]
         rows, pivots = _eliminate(A, p, e, rhs)

@@ -1,4 +1,5 @@
 import json
+import time
 
 from brauer import cli
 from brauer.cli import main
@@ -150,6 +151,20 @@ def test_exit_code_constraint(capsys):
     code, _, _ = run(capsys, "residue", "--q", "6", "--n", "2",
                      "--symbol", "(t, 2)_2", "--place", "t")
     assert code == 3
+
+
+def test_parse_degree_bound(capsys):
+    for symbol in ("(t^100000, 2)_2", "((t+1)^600 (t+2)^600, 2)_2"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "residue", "--q", "5", "--n", "2",
+                             "--symbol", symbol, "--place", "t")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (4, "")
+        assert err.startswith("size guard")
+    code, out, _ = run(capsys, "residue", "--q", "5", "--n", "2",
+                       "--symbol", "(t^1000, 2)_2", "--place", "t")
+    assert code == 0
+    assert out.startswith("0 ")
 
 
 def test_exit_code_conic_model(capsys):

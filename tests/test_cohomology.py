@@ -1,7 +1,10 @@
+import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
+from brauer import cohomology
 from brauer.cohomology import (
     Cochain,
     FiniteAbelianGroup,
@@ -159,12 +162,23 @@ def test_cocycles_cohomologous_detects_shift(rng):
 
 
 def test_formal_unit_arithmetic():
-    from fractions import Fraction
-    u = FormalUnit(Fraction(1, 2), 1, 2)
+    u = FormalUnit(1, 1, 2)
     v = u * u
     assert v.pi_exponent == 1
     assert v.zeta_exponent == 0
     assert (u * u.inverse()).pi_exponent == 0
+
+
+def test_formal_unit_integer_steps():
+    u = FormalUnit(1, 1, 2)
+    assert u.pi_steps == 1
+    assert u.pi_exponent == Fraction(1, 2)
+    assert repr(u) == "pi^(1/2)*zeta^1"
+    assert repr(FormalUnit(-2, 0, 2)) == "pi^(-1)*zeta^0"
+    assert FormalUnit(3, -1, 2) == FormalUnit(3, 1, 2)
+    for steps in (Fraction(1, 2), Fraction(2, 1), 0.5):
+        with pytest.raises(TypeError):
+            FormalUnit(steps, 1, 2)
 
 
 def test_epsilon_cocycle_values():
@@ -179,6 +193,44 @@ def test_coboundary_identity():
         assert verify_coboundary_identity(n)
     for j in range(4):
         assert verify_coboundary_identity(4, power=j)
+
+
+def _fraction_reference(n, power):
+    """The epsilon table as Fraction pi-exponents, and whether the Cech
+    coboundary of pi^(power*b/n) equals epsilon^-1 * zeta^(power*beta*b'),
+    each side held as (Fraction pi-exponent, zeta-exponent mod n)."""
+    eps = {(b, b2): Fraction(-power if b + b2 >= n else 0)
+           for b in range(n) for b2 in range(n)}
+    holds = True
+    for beta, b, b2 in itertools.product(range(n), repeat=3):
+        translation = power * beta * b2 % n
+        d_value = (Fraction(power * b2, n) - Fraction(power * ((b + b2) % n), n)
+                   + Fraction(power * b, n), translation)
+        holds &= d_value == (-eps[b, b2], translation)
+    return eps, holds
+
+
+def test_coboundary_identity_matches_fraction_reference():
+    for n in range(2, 9):
+        for power in range(n):
+            eps, holds = _fraction_reference(n, power)
+            table = epsilon_cocycle(n, power)
+            assert {k: u.pi_exponent for k, u in table.items()} == eps
+            assert all(u.zeta_exponent == 0 for u in table.values())
+            assert verify_coboundary_identity(n, power) == holds
+
+
+def test_coboundary_identity_fails_on_a_dropped_carry(monkeypatch):
+    real = cohomology.epsilon_cocycle
+
+    def dropped_carry(n, power=1):
+        eps = real(n, power)
+        eps[n - 1, n - 1] = FormalUnit(0, 0, n)
+        return eps
+
+    monkeypatch.setattr(cohomology, "epsilon_cocycle", dropped_carry)
+    for n in (2, 3, 7, 12):
+        assert not verify_coboundary_identity(n)
 
 
 def test_edge_map_on_boxtimes():

@@ -9,6 +9,7 @@ from brauer import (
     Place,
     Poly,
     RatFunc,
+    TableSizeError,
     check_artin,
     component_torsor,
     count_fiber_points,
@@ -18,7 +19,6 @@ from brauer import conic
 from brauer.conic import degenerate_places, discriminant_places, minimize_at
 from brauer.finitefield import _FIELD_CACHE
 from brauer.ratfunc import reduce_at, valuation
-from brauer.snf import TableSizeError
 
 from conftest import (local_test_places, random_place, random_poly,
                       random_ratfunc)

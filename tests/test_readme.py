@@ -1,7 +1,10 @@
-"""The README's library tour runs and shows the values it prints."""
+"""The README's library tour and CLI lines run as shown."""
 
 import re
+import shlex
 from pathlib import Path
+
+from brauer import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -24,3 +27,14 @@ def test_library_tour_values():
     for expr, comment in shown.items():
         value = repr(eval(expr, namespace))
         assert comment == value or comment.startswith(value + ", ")
+
+
+def test_cli_lines_exit_zero(capsys):
+    lines = [line for block in re.findall(r"```sh\n(.*?)```",
+                                           README.read_text(), re.S)
+             for line in block.splitlines() if line.startswith("brauer ")]
+    assert len(lines) == 9
+    for line in lines:
+        argv = shlex.split(line, comments=True)
+        assert cli.main(argv[1:]) == 0, line
+        capsys.readouterr()
