@@ -143,6 +143,21 @@ def _sqrt_count_table(p: int, d: int):
     return table
 
 
+def _smallest_root(f: Poly, d: int) -> int:
+    """Key of the smallest root of f, a monic irreducible of degree d over
+    the prime field that splits over f's field.  Equal-degree splits of f,
+    keeping the smaller side, give one root r; its conjugates r^(p^i),
+    i < d, are all the roots."""
+    L = f.field
+    while f.degree > 1:
+        g = f._split(1)
+        f = min(g, f // g, key=lambda h: h.degree)
+    roots = [L._kneg(f.coeffs[0])]
+    for _ in range(d - 1):
+        roots.append(L._kpow(roots[-1], L.p))
+    return min(roots)
+
+
 def _extension_with_embedding(kappa: FiniteField, e: int):
     """(L, embed) with L = FiniteField(p, d*e), the default-modulus field of
     order |kappa|^e, and embed: kappa -> L a field map.
@@ -154,15 +169,10 @@ def _extension_with_embedding(kappa: FiniteField, e: int):
     L = FiniteField(kappa.p, kappa.d * e)
     powers = kappa._root_powers.get(e)
     if powers is None:
-        powers = [L.one()]
-        if kappa.d > 1:
-            roots = Poly(L, [L.element(c) for c in kappa.modulus]).roots()
-            if not roots:
-                raise RuntimeError(
-                    "defining polynomial has no root in the extension")
-            for _ in range(kappa.d - 1):
-                powers.append(powers[-1] * roots[0])
-        powers = kappa._root_powers[e] = tuple(r.coeffs for r in powers)
+        r, powers = _smallest_root(Poly(L, kappa.modulus), kappa.d), [1]
+        for _ in range(kappa.d - 1):
+            powers.append(L._kmul(powers[-1], r))
+        powers = kappa._root_powers[e] = tuple(map(L._digits, powers))
 
     def embed(u: FieldElement) -> FieldElement:
         acc = [0] * L.d

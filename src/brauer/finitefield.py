@@ -3,16 +3,19 @@
 Elements of F_{p^d} = F_p[x]/(modulus) are coefficient tuples of length d
 with entries in [0, p).  Fields are cached by (p, d, modulus); a modulus is
 checked, and the default one found, with Poly.is_irreducible, so F_p[x] has
-one implementation.  Inverses in F_{p^d} are a^(p^d - 2).  A field builds
-log/exp tables on int keys (key = sum c_i p^i) on first request; only the
-conic point count asks, on default-modulus fields.  Each field caches
-its n-th roots of unity; the canonical primitive n-th root is the smallest
-element of exact order n in the enumeration order (constants first), which
-makes every character value reproducible.
+one implementation.  Inverses in F_{p^d} come from the extended Euclid of a
+and the modulus on Poly.  Ops on int keys (key = sum c_i p^i), which Poly
+coefficients are, are ints mod p over F_p and the tuple ops through the key
+otherwise.  A field builds log/exp tables on int keys on first request;
+only the conic point count asks, on default-modulus fields.  Each field
+caches its n-th roots of unity; the canonical primitive n-th root is the
+smallest element of exact order n in the enumeration order (constants
+first), which makes every character value reproducible.
 """
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass
 
@@ -102,6 +105,11 @@ class FiniteField:
             if carry:
                 row = [(row[j] + carry * red[0][j]) % p for j in range(d)]
         self._red = red
+        if d == 1:  # key ops on ints mod p, bound here to skip lookups
+            self._kadd = lambda a, b: (a + b) % p
+            self._ksub = lambda a, b: (a - b) % p
+            self._kneg = lambda a: -a % p
+            self._kmul = lambda a, b: a * b % p
         # a default-modulus field is also found under its explicit modulus
         _FIELD_CACHE[key] = _FIELD_CACHE[(p, d, modulus)] = self
         return self
@@ -113,6 +121,14 @@ class FiniteField:
         for c in reversed(a):
             k = k * self.p + c
         return k
+
+    def _digits(self, k: int) -> tuple:
+        """The coefficient tuple with key k."""
+        p, out = self.p, []
+        for _ in range(self.d):
+            k, c = divmod(k, p)
+            out.append(c)
+        return tuple(out)
 
     def _add(self, a, b):
         p = self.p
@@ -145,7 +161,21 @@ class FiniteField:
         return tuple(out)
 
     def _inv(self, a):
-        return self._pow(a, -1)
+        """a^-1; in F_{p^d} by the extended Euclid of a and the modulus in
+        F_p[x], on Poly's int keys."""
+        if not any(a):
+            raise ZeroDivisionError("inverse of zero field element")
+        if self.d == 1:
+            return (pow(a[0], -1, self.p),)
+        from .poly import Poly  # poly imports this module
+        Fp = FiniteField(self.p)
+        r0, r1 = Poly._raw(Fp, self.modulus), Poly._raw(Fp, a)
+        s0, s1 = Poly.zero(Fp), Poly.one(Fp)
+        while r1.degree > 0:  # s_i * a = r_i mod the modulus
+            q, r = divmod(r0, r1)
+            r0, r1, s0, s1 = r1, r, s1, s0 - q * s1
+        s = (s1 * Fp._kinv(r1.coeffs[0])).coeffs
+        return s + (0,) * (self.d - len(s))
 
     def _pow(self, a, e):
         if e < 0:  # a^e = a^(e mod (q - 1)) for a unit a
@@ -162,6 +192,33 @@ class FiniteField:
             base = self._mul(base, base)
             e >>= 1
         return result
+
+    # -- ops on int keys: the tuple ops above through _digits and _key; a
+    # prime field replaces _kadd, _ksub, _kneg and _kmul by ints mod p
+
+    def _kadd(self, a: int, b: int) -> int:
+        return self._key(self._add(self._digits(a), self._digits(b)))
+
+    def _ksub(self, a: int, b: int) -> int:
+        return self._key(self._sub(self._digits(a), self._digits(b)))
+
+    def _kneg(self, a: int) -> int:
+        return self._key(self._neg(self._digits(a)))
+
+    def _kmul(self, a: int, b: int) -> int:
+        return self._key(self._mul(self._digits(a), self._digits(b)))
+
+    def _kinv(self, a: int) -> int:
+        if self.d == 1:
+            if not a:
+                raise ZeroDivisionError("inverse of zero field element")
+            return pow(a, -1, self.p)
+        return self._key(self._inv(self._digits(a)))
+
+    def _kpow(self, a: int, e: int) -> int:
+        if self.d == 1 and (a or e >= 0):  # _pow raises on 0^-1
+            return pow(a, e, self.p)
+        return self._key(self._pow(self._digits(a), e))
 
     def _log_tables(self):
         """(exp, log) int arrays on keys: exp[i] = key(g^i) for 0 <= i < q - 1
@@ -207,31 +264,43 @@ class FiniteField:
         return FieldElement(self, (1,) + (0,) * (self.d - 1))
 
     def from_key(self, k: int) -> "FieldElement":
-        coeffs = []
-        for _ in range(self.d):
-            coeffs.append(k % self.p)
-            k //= self.p
-        return FieldElement(self, tuple(coeffs))
+        return FieldElement(self, self._digits(k))
 
     def elements(self):
         for k in range(self.order):
             yield self.from_key(k)
 
     def zeta(self, n: int) -> "FieldElement":
-        """Canonical primitive n-th root of unity: smallest of exact order n."""
+        """Canonical primitive n-th root of unity: the smallest key of exact
+        order n.  The keys below p are F_p, so for n | p - 1 it is F_p's.
+        Otherwise, where such keys are dense (n^2 >= q), they are tested in
+        order; else the least primitive power of one generator c^((q-1)/n)
+        of the n-th roots of unity is taken."""
         if n in self._zeta_cache:
             return self._zeta_cache[n]
-        if n < 1 or (self.order - 1) % n != 0:
-            raise ValueError(f"n={n} does not divide |F|-1={self.order - 1}")
+        q = self.order
+        if n < 1 or (q - 1) % n != 0:
+            raise ValueError(f"n={n} does not divide |F|-1={q - 1}")
         ells = [ell for ell, _ in prime_powers(n)]
-        for u in self.elements():
-            if u.is_zero():
-                continue
-            if u ** n == self.one() and all(
-                    u ** (n // ell) != self.one() for ell in ells):
-                self._zeta_cache[n] = u
-                return u
-        raise RuntimeError("no element of the requested order")  # unreachable
+
+        def primitive(h):  # for h with h^n = 1
+            return all(self._kpow(h, n // ell) != 1 for ell in ells)
+
+        if self.d > 1 and (self.p - 1) % n == 0:
+            k = FiniteField(self.p).zeta(n).key()
+        elif n * n >= q:
+            k = next(k for k in range(1, q)
+                     if self._kpow(k, n) == 1 and primitive(k))
+        else:
+            h = next(h for h in (self._kpow(c, (q - 1) // n)
+                                 for c in range(1, q)) if primitive(h))
+            k = w = h
+            for i in range(2, n):
+                w = self._kmul(w, h)
+                if w < k and math.gcd(i, n) == 1:
+                    k = w
+        u = self._zeta_cache[n] = self.from_key(k)
+        return u
 
     def __repr__(self):
         if self.d == 1:

@@ -4,6 +4,9 @@ Polynomials use integer coefficients, `t`, `*` and `^` (e.g. `t^2+3*t+1`);
 rational functions are `num/den`; symbols are `(a,b)_n`, optionally with an
 integer multiplicity prefix `k*(a,b)_n`, joined by `+` or `-`.  No power or
 product of degree above MAX_DEGREE is built: TableSizeError is raised first.
+Digit tokens of any length are read without Python's int-string limit: a
+coefficient mod p, an exponent of a constant mod q - 1, and an exponent of
+more than 4000 digits on a nonconstant polynomial as over MAX_DEGREE.
 """
 
 from __future__ import annotations
@@ -31,6 +34,18 @@ def _check_degree(degree: int):
     if degree > MAX_DEGREE:
         raise TableSizeError(f"polynomial of degree {degree} exceeds the "
                              f"parse bound {MAX_DEGREE}")
+
+
+def _read_int(tok: str, m: int | None = None) -> int:
+    """The value of a digit token, reduced mod m when m is given, read in
+    chunks short enough for int()."""
+    v = 0
+    for i in range(0, len(tok), 1000):
+        chunk = tok[i:i + 1000]
+        v = v * 10 ** len(chunk) + int(chunk)
+        if m is not None:
+            v %= m
+    return v
 
 
 _TOKEN = re.compile(r"\s*(\d+|t|\^|\*|\+|-|/|\(|\)|,)")
@@ -89,11 +104,19 @@ class _PolyParser:
         if self.peek() != "^":
             return base
         self.take()
-        e = self.take()
-        if e is None or not e.isdigit():
+        tok = self.take()
+        if tok is None or not tok.isdigit():
             raise ParseError("exponent must be an integer")
-        _check_degree(base.degree * int(e))
-        return base ** int(e)
+        if base.degree < 1:
+            # a constant has c^e = c^e' for e, e' >= 1 with e = e' mod q - 1
+            m = self.field.order - 1
+            return base ** (_read_int(tok, m) or (m if tok.strip("0") else 0))
+        digits = tok.lstrip("0") or "0"
+        if len(digits) > 4000:  # a degree too long to print
+            raise TableSizeError(f"exponent of {len(digits)} digits exceeds "
+                                 f"the parse bound {MAX_DEGREE}")
+        _check_degree(base.degree * int(digits))
+        return base ** int(digits)
 
     def parse_factor(self) -> Poly:
         tok = self.take()
@@ -107,7 +130,8 @@ class _PolyParser:
         if tok == "t":
             return self._power(Poly.gen(self.field))
         if tok.isdigit():
-            return self._power(Poly.constant(self.field, int(tok)))
+            return self._power(
+                Poly.constant(self.field, _read_int(tok, self.field.p)))
         raise ParseError(f"unexpected token {tok!r} in polynomial")
 
 
@@ -195,10 +219,10 @@ def parse_symbol_sum(s: str, field: FiniteField, n: int | None = None
         m = _SYMBOL.match(chunk)
         if not m:
             raise ParseError(f"cannot parse symbol term {chunk.strip()!r}")
-        mult = int(m.group(1)) if m.group(1) else 1
+        mult = _read_int(m.group(1)) if m.group(1) else 1
         if n is None:
-            n = int(m.group(3))
-        if int(m.group(3)) != n:
+            n = _read_int(m.group(3))
+        if _read_int(m.group(3)) != n:
             raise ParseError(
                 f"symbol modulus {m.group(3)} does not match n={n}")
         inner = _split_top_level(m.group(2), ",")

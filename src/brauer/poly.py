@@ -1,8 +1,12 @@
 """Univariate polynomials over a finite field, with full factorization.
 
-Factorization is squarefree decomposition followed by distinct-degree and
-Cantor-Zassenhaus equal-degree splitting (odd characteristic).  Splitting
-uses a polynomial-derived seed so results are deterministic.
+Coefficients are the field's int keys (key = sum c_i p^i, so over F_p the
+residue mod p), and every operation is one loop over them through the
+field's key ops (FiniteField._kadd, _kmul, ...), which are plain ints mod p
+over a prime field.  Factorization is squarefree decomposition followed by
+distinct-degree and Cantor-Zassenhaus equal-degree splitting (odd
+characteristic).  Splitting uses a polynomial-derived seed so results are
+deterministic.
 """
 
 from __future__ import annotations
@@ -13,7 +17,11 @@ from .finitefield import FieldElement, FiniteField, prime_powers
 
 
 class Poly:
-    """Polynomial in t over a FiniteField; coeffs[i] multiplies t^i."""
+    """Polynomial in t over a FiniteField; coeffs[i] is the int key of the
+    coefficient of t^i.
+
+    The constructor takes FieldElements, coefficient tuples, or ints, which
+    are prime-field constants (c mod p) as in FiniteField.element."""
 
     __slots__ = ("field", "coeffs")
 
@@ -24,14 +32,24 @@ class Poly:
             if isinstance(c, FieldElement):
                 if c.field is not field:
                     raise ValueError("coefficient from a different field")
-                cs.append(c.coeffs)
+                cs.append(c.key())
             elif isinstance(c, int):
-                cs.append(field.element(c).coeffs)
+                cs.append(c % field.p)
             else:
-                cs.append(tuple(c))
-        while cs and not any(cs[-1]):
+                cs.append(field.element(c).key())
+        while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
+
+    @classmethod
+    def _raw(cls, field: FiniteField, keys) -> "Poly":
+        """The polynomial with these int keys, trimmed and not checked."""
+        keys = list(keys)
+        while keys and not keys[-1]:
+            keys.pop()
+        self = object.__new__(cls)
+        self.field, self.coeffs = field, tuple(keys)
+        return self
 
     # -- constructors -------------------------------------------------------
 
@@ -64,25 +82,23 @@ class Poly:
 
     def coefficient(self, i: int) -> FieldElement:
         if 0 <= i < len(self.coeffs):
-            return FieldElement(self.field, self.coeffs[i])
+            return self.field.from_key(self.coeffs[i])
         return self.field.zero()
 
     def leading_coefficient(self) -> FieldElement:
         if self.is_zero():
             raise ValueError("zero polynomial has no leading coefficient")
-        return FieldElement(self.field, self.coeffs[-1])
+        return self.field.from_key(self.coeffs[-1])
 
     def is_monic(self) -> bool:
-        return not self.is_zero() and self.coeffs[-1] == self.field.one().coeffs
+        return not self.is_zero() and self.coeffs[-1] == 1
 
     def is_constant(self) -> bool:
         return len(self.coeffs) <= 1
 
     def key(self):
         """Deterministic sort key: (degree, coefficients from the top down)."""
-        keys = tuple(FieldElement(self.field, c).key()
-                     for c in reversed(self.coeffs))
-        return (self.degree, keys)
+        return (self.degree, self.coeffs[::-1])
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -99,26 +115,31 @@ class Poly:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        F = self.field
+        add = self.field._kadd
         a, b = self.coeffs, o.coeffs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
-            out[i] = F._add(out[i], c)
-        return Poly(F, out)
+            out[i] = add(out[i], c)
+        return Poly._raw(self.field, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        F = self.field
-        return Poly(F, [F._neg(c) for c in self.coeffs])
+        neg = self.field._kneg
+        return Poly._raw(self.field, [neg(c) for c in self.coeffs])
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return self + (-o)
+        sub = self.field._ksub
+        a, b = self.coeffs, o.coeffs
+        out = list(a) + [0] * (len(b) - len(a))
+        for i, c in enumerate(b):
+            out[i] = sub(out[i], c)
+        return Poly._raw(self.field, out)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -130,13 +151,14 @@ class Poly:
         F = self.field
         if self.is_zero() or o.is_zero():
             return Poly.zero(F)
+        add, mul = F._kadd, F._kmul
         a, b = self.coeffs, o.coeffs
-        out = [F.zero().coeffs] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
-            if any(x):
-                for j, y in enumerate(b):
-                    out[i + j] = F._add(out[i + j], F._mul(x, y))
-        return Poly(F, out)
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] = add(out[j], mul(x, y))
+        return Poly._raw(F, out)
 
     __rmul__ = __mul__
 
@@ -147,19 +169,20 @@ class Poly:
         if o.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         F = self.field
-        rem = list(self.coeffs)
-        dq = len(rem) - len(o.coeffs)
+        sub, mul = F._ksub, F._kmul
+        rem, b = list(self.coeffs), o.coeffs
+        dq = len(rem) - len(b)
         if dq < 0:
             return Poly.zero(F), self
-        quo = [F.zero().coeffs] * (dq + 1)
-        lead_inv = F._inv(o.coeffs[-1])
+        quo = [0] * (dq + 1)
+        lead_inv = F._kinv(b[-1])
         for i in range(dq, -1, -1):
-            c = F._mul(rem[i + len(o.coeffs) - 1], lead_inv)
-            if any(c):
+            c = mul(rem[i + len(b) - 1], lead_inv)
+            if c:
                 quo[i] = c
-                for j, y in enumerate(o.coeffs):
-                    rem[i + j] = F._sub(rem[i + j], F._mul(c, y))
-        return Poly(F, quo), Poly(F, rem)
+                for j, y in enumerate(b, i):
+                    rem[j] = sub(rem[j], mul(c, y))
+        return Poly._raw(F, quo), Poly._raw(F, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -203,8 +226,9 @@ class Poly:
     def monic(self) -> "Poly":
         if self.is_zero() or self.is_monic():
             return self
-        inv = self.field._inv(self.coeffs[-1])
-        return Poly(self.field, [self.field._mul(c, inv) for c in self.coeffs])
+        F = self.field
+        inv = F._kinv(self.coeffs[-1])
+        return Poly._raw(F, [F._kmul(c, inv) for c in self.coeffs])
 
     def gcd(self, other: "Poly") -> "Poly":
         a, b = self, other
@@ -213,16 +237,16 @@ class Poly:
         return a.monic() if not a.is_zero() else a
 
     def derivative(self) -> "Poly":
-        F = self.field
-        return Poly(F, [F._mul(F.element(i).coeffs, c)
-                        for i, c in enumerate(self.coeffs)][1:])
+        F = self.field  # the integer i is the key i mod p
+        return Poly._raw(F, [F._kmul(i % F.p, c)
+                             for i, c in enumerate(self.coeffs)][1:])
 
     def evaluate(self, x: FieldElement) -> FieldElement:
         F = self.field
-        acc = F.zero().coeffs
+        xk, acc = x.key(), 0
         for c in reversed(self.coeffs):
-            acc = F._add(F._mul(acc, x.coeffs), c)
-        return FieldElement(F, acc)
+            acc = F._kadd(F._kmul(acc, xk), c)
+        return F.from_key(acc)
 
     # -- factorization ---------------------------------------------------------
 
@@ -247,9 +271,8 @@ class Poly:
         F = self.field
         p = F.p
         root_exp = F.order // p  # c -> c^(q/p) is the inverse of Frobenius
-        out = [F._pow(self.coeffs[i], root_exp)
-               for i in range(0, len(self.coeffs), p)]
-        return Poly(F, out)
+        return Poly._raw(F, [F._kpow(c, root_exp)
+                             for c in self.coeffs[::p]])
 
     def squarefree_decomposition(self):
         """List of (squarefree monic factor, multiplicity)."""
@@ -302,31 +325,32 @@ class Poly:
 
     def _equal_degree(self, d: int):
         """Cantor-Zassenhaus split of a product of degree-d irreducibles."""
-        F = self.field
-        q = F.order
-        if q % 2 == 0:
+        if self.field.order % 2 == 0:
             raise NotImplementedError(
                 "equal-degree splitting implemented for odd order only")
-        f = self
-        if f.degree == d:
-            return [f]
+        if self.degree == d:
+            return [self]
+        g = self._split(d)
+        return g._equal_degree(d) + (self // g)._equal_degree(d)
+
+    def _split(self, d: int) -> "Poly":
+        """A proper monic factor of a product of at least two degree-d
+        irreducibles over a field of odd order, from random draws seeded by
+        the polynomial."""
+        F, f = self.field, self
+        q = F.order
         seed = hash(("edf", F.p, F.d, F.modulus, f.coeffs, d)) & 0xFFFFFFFF
         rng = random.Random(seed)
         exp = (q ** d - 1) // 2
         while True:
-            a = Poly(F, [F.from_key(rng.randrange(q))
-                         for _ in range(f.degree)])
+            a = Poly._raw(F, [rng.randrange(q) for _ in range(f.degree)])
             if a.degree < 1:
                 continue
             g = f.gcd(a)
+            if not 0 < g.degree < f.degree:
+                g = f.gcd(a.pow_mod(exp, f) - Poly.one(F))
             if 0 < g.degree < f.degree:
-                pass
-            else:
-                b = a.pow_mod(exp, f) - Poly.one(F)
-                g = f.gcd(b)
-                if not 0 < g.degree < f.degree:
-                    continue
-            return g._equal_degree(d) + (f // g)._equal_degree(d)
+                return g
 
     def factor(self):
         """Monic irreducible factors with multiplicities, sorted by key.
@@ -360,19 +384,12 @@ class Poly:
         parts = []
         for i in range(self.degree, -1, -1):
             c = self.coeffs[i]
-            if not any(c):
+            if not c:
                 continue
-            ce = FieldElement(self.field, c)
-            if self.field.d == 1:
-                cstr = str(c[0])
-            else:
-                cstr = repr(ce)
+            cstr = repr(self.field.from_key(c))
             if i == 0:
                 parts.append(cstr)
             else:
                 tpow = "t" if i == 1 else f"t^{i}"
-                if ce == self.field.one():
-                    parts.append(tpow)
-                else:
-                    parts.append(f"{cstr}*{tpow}")
+                parts.append(tpow if c == 1 else f"{cstr}*{tpow}")
         return "+".join(parts)

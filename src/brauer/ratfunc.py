@@ -158,8 +158,7 @@ class Place:
                 # kappa(P) exists exactly when pi is irreducible, and the
                 # field cache tests each pi once per process
                 try:
-                    residue = FiniteField(field.p, poly.degree,
-                                          [c[0] for c in poly.coeffs])
+                    residue = FiniteField(field.p, poly.degree, poly.coeffs)
                 except ValueError:
                     valid = False
             if not valid:
@@ -239,8 +238,7 @@ def _local_unit(f: RatFunc, P: Place):
     kappa = P._residue
     if kappa is None:
         return v, None
-    return v, (kappa.element([c[0] for c in rn.coeffs])
-               / kappa.element([c[0] for c in rd.coeffs]))
+    return v, kappa.element(rn.coeffs) / kappa.element(rd.coeffs)
 
 
 def valuation(f: RatFunc, P: Place) -> int:

@@ -167,6 +167,34 @@ def test_parse_degree_bound(capsys):
     assert out.startswith("0 ")
 
 
+def test_large_prime_field_answers_quickly(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "residue", "--q", "1000003", "--n", "2",
+                       "--symbol", "(t, 2)_2", "--place", "t")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (0, "1 (zeta=1000002)\n")
+
+
+def test_tokens_past_int_string_limit(capsys):
+    ones = "1" * 5000
+    start = time.perf_counter()
+    code, out, err = run(capsys, "residue", "--q", "5", "--n", "2",
+                         "--symbol", f"(t^{ones}, 2)_2", "--place", "t")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (4, "")
+    assert err.startswith("size guard") and "exponent" in err
+    # coefficients are read mod p and constants' exponents mod q - 1:
+    # 11...1 = 1 mod 5 and 11...1 = 3 mod 4
+    for symbol, same in ((f"({ones}*t+1, 2)_2", "(t+1, 2)_2"),
+                         (f"(2^{ones}*t, 2)_2", "(2^3*t, 2)_2")):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "residue", "--q", "5", "--n", "2",
+                             "--symbol", symbol, "--place", "t")
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == run(capsys, "residue", "--q", "5", "--n",
+                                       "2", "--symbol", same, "--place", "t")
+
+
 def test_exit_code_conic_model(capsys):
     code, _, err = run(capsys, "conic", "--q", "5", "--a", "0", "--b", "t")
     assert code == 2  # zero coefficient is caught at parse level

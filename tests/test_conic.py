@@ -222,9 +222,9 @@ def test_point_count_tables_one_per_field(monkeypatch):
     C = ConicBundle(RatFunc(places[0].poly * places[1].poly),
                     RatFunc.constant(F13, 2))
     root_calls = []
-    roots = Poly.roots
-    monkeypatch.setattr(Poly, "roots",
-                        lambda f: root_calls.append(f) or roots(f))
+    smallest = conic._smallest_root
+    monkeypatch.setattr(conic, "_smallest_root",
+                        lambda f, d: root_calls.append(f) or smallest(f, d))
     monkeypatch.setattr(conic, "_SQRT_COUNTS", {})
     for P in places:
         monkeypatch.setattr(P.residue_field(), "_root_powers", {})
@@ -236,6 +236,22 @@ def test_point_count_tables_one_per_field(monkeypatch):
     for P, n in zip(places, counts):
         split = component_torsor(C, P).is_zero()
         assert n == (2 * 13 ** 4 + 1 if split else 1)
+
+
+def test_embedding_root_is_smallest_root(rng):
+    for p in (3, 5, 13):
+        Fp = FiniteField(p)
+        for d in (2, 3, 4):
+            while True:
+                f = Poly(Fp, [rng.randrange(p) for _ in range(d)] + [1])
+                if f.is_irreducible():
+                    break
+            kappa = Place(Fp, f).residue_field()
+            for e in (1, 2):
+                L, embed = conic._extension_with_embedding(kappa, e)
+                roots = Poly(L, kappa.modulus).roots()
+                assert embed(kappa.element([0, 1])) == min(
+                    roots, key=lambda r: r.key())
 
 
 def test_check_artin_agrees(rng):

@@ -125,6 +125,36 @@ def test_zeta_is_smallest_of_exact_order():
         F5.zeta(3)
 
 
+def _zeta_by_scan(F, n):
+    """The smallest element of exact order n, by a scan of the elements."""
+    ells = [ell for ell, _ in prime_powers(n)]
+    for u in F.elements():
+        if not u.is_zero() and u ** n == F.one() and all(
+                u ** (n // ell) != F.one() for ell in ells):
+            return u
+
+
+def test_zeta_matches_element_scan():
+    primes = [p for p in range(2, 100) if prime_powers(p) == [(p, 1)]]
+    for F in [FiniteField(p) for p in primes] + [FiniteField(5, 2),
+                                                 FiniteField(13, 2)]:
+        for n in range(1, F.order):
+            if (F.order - 1) % n == 0:
+                assert F.zeta(n) == _zeta_by_scan(F, n), (F, n)
+
+
+def test_inverse_matches_fermat_power(rng):
+    F125 = FiniteField(5, 3)
+    for u in list(F125.elements())[1:]:
+        assert F125._inv(u.coeffs) == F125._pow(u.coeffs, F125.order - 2)
+    for F in (FiniteField(13, 4), FiniteField(7, 6)):
+        for _ in range(500):
+            u = F.from_key(rng.randrange(1, F.order)).coeffs
+            assert F._inv(u) == F._pow(u, F.order - 2)
+    with pytest.raises(ZeroDivisionError):
+        F125._inv((0, 0, 0))
+
+
 def test_character_examples():
     # identity is always an n-th power
     assert power_residue_character(F5.one(), 2).value == 0

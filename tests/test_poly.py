@@ -93,3 +93,178 @@ def test_repr_grammar_round_trip():
     from brauer import parse_poly
     f = t(F5) ** 3 + 3 * t(F5) + 1
     assert parse_poly(repr(f), F5) == f
+
+
+# -- reference arithmetic: plain-int schoolbook over F_p, FieldElement over
+# F_{p^2}; coefficient lists are low degree first with no trailing zeros
+
+
+def _trim(cs):
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def _int_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return _trim(out)
+
+
+def _int_divmod(a, b, p):
+    rem, inv = list(a), pow(b[-1], p - 2, p)
+    quo = [0] * max(len(a) - len(b) + 1, 0)
+    for i in range(len(quo) - 1, -1, -1):
+        c = rem[i + len(b) - 1] * inv % p
+        quo[i] = c
+        for j, y in enumerate(b):
+            rem[i + j] = (rem[i + j] - c * y) % p
+    return _trim(quo), _trim(rem)
+
+
+def _int_monic(a, p):
+    inv = pow(a[-1], p - 2, p)
+    return [c * inv % p for c in a]
+
+
+def _int_gcd(a, b, p):
+    while b:
+        a, b = b, _int_divmod(a, b, p)[1]
+    return _int_monic(a, p) if a else a
+
+
+def _int_pow_mod(a, e, m, p):
+    result, base = _int_divmod([1], m, p)[1], _int_divmod(a, m, p)[1]
+    while e:
+        if e & 1:
+            result = _int_divmod(_int_mul(result, base, p), m, p)[1]
+        base = _int_divmod(_int_mul(base, base, p), m, p)[1]
+        e >>= 1
+    return result
+
+
+def _int_derivative(a, p):
+    return _trim([i * c % p for i, c in enumerate(a)][1:])
+
+
+def _random_ints(rng, p, max_len=9):
+    return _trim([rng.randrange(p) for _ in range(rng.randrange(0, max_len))])
+
+
+@pytest.mark.parametrize("p", [5, 13])
+def test_arithmetic_matches_int_schoolbook(rng, p):
+    F = FiniteField(p)
+    for _ in range(60):
+        a, b = _random_ints(rng, p), _random_ints(rng, p)
+        A, B = Poly(F, a), Poly(F, b)
+        assert list(A.coeffs) == a and list(B.coeffs) == b
+        assert list((A * B).coeffs) == _int_mul(a, b, p)
+        assert list(A.derivative().coeffs) == _int_derivative(a, p)
+        if not b:
+            continue
+        q, r = divmod(A, B)
+        assert (list(q.coeffs), list(r.coeffs)) == _int_divmod(a, b, p)
+        assert list(B.monic().coeffs) == _int_monic(b, p)
+        assert list(A.gcd(B).coeffs) == _int_gcd(a, b, p)
+        e = rng.randrange(0, p ** 3)
+        assert list(A.pow_mod(e, B).coeffs) == _int_pow_mod(a, e, b, p)
+
+
+def _element_mul(a, b, F):
+    out = [F.zero()] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def _element_divmod(a, b, F):
+    rem, inv = list(a), b[-1].inverse()
+    quo = [F.zero()] * max(len(a) - len(b) + 1, 0)
+    for i in range(len(quo) - 1, -1, -1):
+        c = rem[i + len(b) - 1] * inv
+        quo[i] = c
+        for j, y in enumerate(b):
+            rem[i + j] = rem[i + j] - c * y
+    return quo, rem
+
+
+def _same(P, elements):
+    """P equals the polynomial with these FieldElement coefficients."""
+    keys = [c.key() for c in elements]
+    while keys and not keys[-1]:
+        keys.pop()
+    return list(P.coeffs) == keys
+
+
+@pytest.mark.parametrize("p", [5, 13])
+def test_arithmetic_over_p2_matches_field_elements(rng, p):
+    F = FiniteField(p, 2)
+    for _ in range(40):
+        a = [F.from_key(rng.randrange(F.order))
+             for _ in range(rng.randrange(0, 7))]
+        b = [F.from_key(rng.randrange(F.order))
+             for _ in range(rng.randrange(1, 5))]
+        if not any(not c.is_zero() for c in b):
+            continue
+        while b[-1].is_zero():
+            b.pop()
+        A, B = Poly(F, a), Poly(F, b)
+        assert _same(A, a) and _same(B, b)
+        assert _same(A * B, _element_mul(a, b, F))
+        assert _same(A.derivative(), [c * i for i, c in enumerate(a)][1:])
+        q, r = divmod(A, B)
+        eq, er = _element_divmod(a, b, F)
+        assert _same(q, eq) and _same(r, er)
+        inv = b[-1].inverse()
+        assert _same(B.monic(), [c * inv for c in b])
+        g = A.gcd(B)
+        assert g.is_zero() or g.is_monic()
+        assert (A % g).is_zero() and (B % g).is_zero()
+        e = rng.randrange(50)
+        want = Poly.one(F) % B
+        for _ in range(e):
+            want = (want * A) % B
+        assert A.pow_mod(e, B) == want
+
+
+def test_coefficients_are_int_keys():
+    F25 = FiniteField(5, 2)
+    x = F25.element([0, 1])
+    f = Poly(F25, [x, 7, (3, 4)])
+    # ints are prime-field constants; an element's key is c0 + 5*c1
+    assert f.coeffs == (5, 2, 23)
+    assert f.coefficient(2) == F25.element([3, 4])
+    assert Poly(F5, [7, 0, 10]).coeffs == (2,)
+
+
+def test_factor_and_repr_literals():
+    f = Poly(F5, [1, 0, 0, 0, 1])  # t^4 + 1
+    assert [(repr(g), m) for g, m in f.factor()] == [("t^2+2", 1),
+                                                     ("t^2+3", 1)]
+    F13 = FiniteField(13)
+    g = Poly(F13, [12, 0, 0, 1]) * Poly(F13, [1, 1])  # (t^3 - 1)(t + 1)
+    assert repr(g) == "t^4+t^3+12*t+12"
+    assert [(repr(h), m) for h, m in g.factor()] == [
+        ("t+1", 1), ("t+4", 1), ("t+10", 1), ("t+12", 1)]
+    F25 = FiniteField(5, 2)
+    h = (Poly(F25, [F25.element([1, 2]), 0, 1])
+         * Poly(F25, [F25.element([0, 1]), 1]) ** 2)
+    assert repr(h) == "t^4+[0,2]*t^3+[4,2]*t^2+[2,2]*t+[3,1]"
+    assert [(repr(k), m) for k, m in h.factor()] == [
+        ("t+[0,1]", 2), ("t+[4,1]", 1), ("t+[1,4]", 1)]
+    assert repr(Poly(F5, [3, 0, 2, 1])) == "t^3+2*t^2+3"
+
+
+def test_key_orders_places_as_field_element_keys(rng):
+    for F in (F5, FiniteField(13), FiniteField(5, 2)):
+        polys = [Poly(F, [F.from_key(rng.randrange(F.order))
+                          for _ in range(rng.randrange(1, 6))])
+                 for _ in range(60)]
+        old = [(f.degree, tuple(f.coefficient(i).key()
+                                for i in range(f.degree, -1, -1)))
+               for f in polys]
+        assert [f.key() for f in polys] == old

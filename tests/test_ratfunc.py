@@ -176,8 +176,8 @@ def _at_root(g: Poly, P: Place):
     x = (kappa.element([0, 1]) if P.degree > 1
          else -P.poly.coefficient(0))
     acc = kappa.zero()
-    for c in reversed(g.coeffs):
-        acc = acc * x + c[0]
+    for i in range(g.degree, -1, -1):
+        acc = acc * x + g.coefficient(i).coeffs[0]
     return acc
 
 
