@@ -366,38 +366,37 @@ def lhs_edge_map(c: Cochain) -> Cochain:
 # the monomial-matrix central extension and its factor set
 
 def _mat_mul(F: FiniteField, A, B):
+    """A*B for square matrices of field keys."""
     n = len(A)
-    zero = F.zero().coeffs
     out = []
-    for i in range(n):
+    for Ai in A:
         row = []
-        Ai = A[i]
         for j in range(n):
-            acc = zero
+            acc = 0
             for k in range(n):
-                if any(Ai[k]) and any(B[k][j]):
-                    acc = F._add(acc, F._mul(Ai[k], B[k][j]))
+                if Ai[k] and B[k][j]:
+                    acc = F._kadd(acc, F._kmul(Ai[k], B[k][j]))
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)
 
 
 def _gamma_group(n: int, q_field: FiniteField):
-    """Closure of {zeta*I, n-cycle permutation, diag of zeta powers}."""
+    """Closure of {zeta*I, n-cycle permutation, diag of zeta powers}, as
+    matrices of field keys."""
     F = q_field
-    zeta = F.zeta(n)
-    zero, one = F.zero().coeffs, F.one().coeffs
+    zeta = F.zeta(n).key()
 
     def diag(entries):
-        return tuple(tuple(entries[i].coeffs if i == j else zero
-                           for j in range(n)) for i in range(n))
+        return tuple(tuple(entries[i] if i == j else 0 for j in range(n))
+                     for i in range(n))
 
     scalar = diag([zeta] * n)
-    powers = diag([zeta ** i for i in range(n)])
-    cycle = tuple(tuple(one if j == (i + 1) % n else zero for j in range(n))
+    powers = diag([F._kpow(zeta, i) for i in range(n)])
+    cycle = tuple(tuple(int(j == (i + 1) % n) for j in range(n))
                   for i in range(n))
     gens = [scalar, powers, cycle]
-    seen = {diag([F.one()] * n)}
+    seen = {diag([1] * n)}
     frontier = list(seen)
     while frontier:
         nxt = []
@@ -428,11 +427,8 @@ def extension_factor_set(n: int, q: int) -> Cochain:
     group = _gamma_group(n, F)
 
     def project(A):
-        cols = []
-        for i in range(n):
-            col = next(j for j in range(n) if any(A[i][j]))
-            cols.append(col)
-        ratio = F._mul(A[1][cols[1]], F._inv(A[0][cols[0]])) if n > 1 else F.one().coeffs
+        cols = [next(j for j in range(n) if A[i][j]) for i in range(n)]
+        ratio = F._kmul(A[1][cols[1]], F._kinv(A[0][cols[0]])) if n > 1 else 1
         beta = zeta_log(ratio, zeta, n)
         return (beta, cols[0])
 
@@ -446,10 +442,10 @@ def extension_factor_set(n: int, q: int) -> Cochain:
 
     def inv_matrix(A):
         # monomial matrix inverse: transpose positions, invert entries
-        out = [[F.zero().coeffs] * n for _ in range(n)]
+        out = [[0] * n for _ in range(n)]
         for i in range(n):
-            j = next(jj for jj in range(n) if any(A[i][jj]))
-            out[j][i] = F._inv(A[i][j])
+            j = next(jj for jj in range(n) if A[i][jj])
+            out[j][i] = F._kinv(A[i][j])
         return tuple(tuple(r) for r in out)
 
     def value(g, h):

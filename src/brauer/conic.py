@@ -6,8 +6,9 @@ swapped by a quadratic twist; the class of that component torsor equals
 the tame residue.  A projective point-count over the residue field acts as
 an independent oracle: a split degenerate conic over F_Q has 2Q+1 points,
 a non-split one exactly 1.  The count runs in the default-modulus field
-F_Q = FiniteField(p, d*e), into which kappa(P) embeds by a root of pi, on
-int keys with log/exp-table products, so its tables exist once per (p, d).
+F_Q = FiniteField(p, d*e), into which kappa(P) embeds by the key powers of
+a root of pi, with log/exp-table products on the keys, so its tables exist
+once per (p, d).
 """
 
 from __future__ import annotations
@@ -172,15 +173,16 @@ def _extension_with_embedding(kappa: FiniteField, e: int):
         r, powers = _smallest_root(Poly(L, kappa.modulus), kappa.d), [1]
         for _ in range(kappa.d - 1):
             powers.append(L._kmul(powers[-1], r))
-        powers = kappa._root_powers[e] = tuple(map(L._digits, powers))
+        powers = kappa._root_powers[e] = tuple(powers)
 
     def embed(u: FieldElement) -> FieldElement:
-        acc = [0] * L.d
-        for c, rp in zip(u.coeffs, powers):
+        """The key of u, read in base p, with r in place of p."""
+        acc, k = 0, u.key()
+        for rp in powers:
+            k, c = divmod(k, kappa.p)
             if c:
-                for j, x in enumerate(rp):
-                    acc[j] += c * x
-        return L.element(acc)
+                acc = L._kadd(acc, L._kmul(c, rp))
+        return L.from_key(acc)
 
     return L, embed
 

@@ -1,16 +1,18 @@
 """Exact arithmetic in finite fields F_{p^d} and power residue characters.
 
-Elements of F_{p^d} = F_p[x]/(modulus) are coefficient tuples of length d
-with entries in [0, p).  Fields are cached by (p, d, modulus); a modulus is
-checked, and the default one found, with Poly.is_irreducible, so F_p[x] has
-one implementation.  Inverses in F_{p^d} come from the extended Euclid of a
-and the modulus on Poly.  Ops on int keys (key = sum c_i p^i), which Poly
-coefficients are, are ints mod p over F_p and the tuple ops through the key
-otherwise.  A field builds log/exp tables on int keys on first request;
-only the conic point count asks, on default-modulus fields.  Each field
-caches its n-th roots of unity; the canonical primitive n-th root is the
-smallest element of exact order n in the enumeration order (constants
-first), which makes every character value reproducible.
+An element of F_{p^d} = F_p[x]/(modulus) is its int key, sum c_i p^i over
+its coefficients c_i in [0, p), so over F_p the residue mod p; Poly
+coefficients are keys too.  The key ops _kadd, _ksub, _kneg, _kmul, _kinv
+and _kpow are the only arithmetic: ints mod p over F_p, one loop over the
+base-p digits of the keys otherwise, and inverses in F_{p^d} from the
+extended Euclid of a and the modulus on Poly.  Fields are cached by
+(p, d, modulus); a modulus is checked, and the default one found, with
+Poly.is_irreducible, so F_p[x] has one implementation.  A field builds
+log/exp tables on keys on first request; only the conic point count asks,
+on default-modulus fields.  Each field caches its n-th roots of unity; the
+canonical primitive n-th root is the smallest element of exact order n in
+the enumeration order (constants first), which makes every character value
+reproducible.
 """
 
 from __future__ import annotations
@@ -92,19 +94,11 @@ class FiniteField:
         self.order = p ** d
         self._zeta_cache = {}
         self._tables = None  # (exp, log), built by _log_tables on first use
-        # e -> coefficient tuples of r^0 .. r^(d-1) for the root r of the
-        # modulus by which conic embeds this field into FiniteField(p, d*e)
+        # e -> keys of r^0 .. r^(d-1) in FiniteField(p, d*e) for the root r
+        # of the modulus by which conic embeds this field there
         self._root_powers = {}
-        # reduction rows for x^k, k = d .. 2d-2
-        red = []
-        row = [(-modulus[j]) % p for j in range(d)]
-        for _ in range(d - 1):
-            red.append(tuple(row))
-            carry = row[d - 1]
-            row = [0] + row[:-1]
-            if carry:
-                row = [(row[j] + carry * red[0][j]) % p for j in range(d)]
-        self._red = red
+        # x^d = sum of r * x^j over the (j, r) here, the reduction in _kmul
+        self._tail = tuple((j, -c % p) for j, c in enumerate(modulus[:d]) if c)
         if d == 1:  # key ops on ints mod p, bound here to skip lookups
             self._kadd = lambda a, b: (a + b) % p
             self._ksub = lambda a, b: (a - b) % p
@@ -114,9 +108,10 @@ class FiniteField:
         _FIELD_CACHE[key] = _FIELD_CACHE[(p, d, modulus)] = self
         return self
 
-    # -- low-level ops on coefficient tuples -------------------------------
+    # -- keys and coefficient tuples ---------------------------------------
 
     def _key(self, a) -> int:
+        """The key of the coefficient sequence a (low degree first)."""
         k = 0
         for c in reversed(a):
             k = k * self.p + c
@@ -130,95 +125,85 @@ class FiniteField:
             out.append(c)
         return tuple(out)
 
-    def _add(self, a, b):
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
+    # -- arithmetic on int keys, each one loop over the base-p digits; a
+    # prime field replaces _kadd, _ksub, _kneg and _kmul by ints mod p
 
-    def _sub(self, a, b):
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
+    def _kadd(self, a: int, b: int) -> int:
+        p = s = self.p
+        k = a + b
+        while a and b:  # a + b, less p at each digit whose sum is >= p
+            if a % p + b % p >= p:
+                k -= s
+            a, b, s = a // p, b // p, s * p
+        return k
 
-    def _neg(self, a):
-        p = self.p
-        return tuple((-x) % p for x in a)
+    def _ksub(self, a: int, b: int) -> int:
+        p = s = self.p
+        k = a - b
+        while b:  # a - b, plus p at each digit where a's is below b's
+            if a % p < b % p:
+                k += s
+            a, b, s = a // p, b // p, s * p
+        return k
 
-    def _mul(self, a, b):
+    def _kneg(self, a: int) -> int:
+        return self._ksub(0, a)
+
+    def _kmul(self, a: int, b: int) -> int:
+        """The schoolbook product of the digits, reduced from the top by
+        the modulus (_tail)."""
         p, d = self.p, self.d
-        if d == 1:
-            return ((a[0] * b[0]) % p,)
-        conv = [0] * (2 * d - 1)
-        for i, x in enumerate(a):
+        ys = []
+        while b:
+            b, y = divmod(b, p)
+            ys.append(y)
+        conv, i = [0] * (2 * d - 1), 0
+        while a:
+            a, x = divmod(a, p)
             if x:
-                for j, y in enumerate(b):
-                    conv[i + j] += x * y
-        out = [c % p for c in conv[:d]]
-        for k in range(d, 2 * d - 1):
-            c = conv[k] % p
+                for j, y in enumerate(ys, i):
+                    conv[j] += x * y
+            i += 1
+        for i in range(2 * d - 2, d - 1, -1):
+            c = conv[i] % p
             if c:
-                row = self._red[k - d]
-                for j in range(d):
-                    out[j] = (out[j] + c * row[j]) % p
-        return tuple(out)
+                for j, r in self._tail:
+                    conv[i - d + j] += c * r
+        k = 0
+        for c in reversed(conv[:d]):
+            k = k * p + c % p
+        return k
 
-    def _inv(self, a):
+    def _kinv(self, a: int) -> int:
         """a^-1; in F_{p^d} by the extended Euclid of a and the modulus in
         F_p[x], on Poly's int keys."""
-        if not any(a):
+        if not a:
             raise ZeroDivisionError("inverse of zero field element")
         if self.d == 1:
-            return (pow(a[0], -1, self.p),)
+            return pow(a, -1, self.p)
         from .poly import Poly  # poly imports this module
         Fp = FiniteField(self.p)
-        r0, r1 = Poly._raw(Fp, self.modulus), Poly._raw(Fp, a)
+        r0, r1 = Poly._raw(Fp, self.modulus), Poly._raw(Fp, self._digits(a))
         s0, s1 = Poly.zero(Fp), Poly.one(Fp)
         while r1.degree > 0:  # s_i * a = r_i mod the modulus
             q, r = divmod(r0, r1)
             r0, r1, s0, s1 = r1, r, s1, s0 - q * s1
-        s = (s1 * Fp._kinv(r1.coeffs[0])).coeffs
-        return s + (0,) * (self.d - len(s))
+        return self._key((s1 * Fp._kinv(r1.coeffs[0])).coeffs)
 
-    def _pow(self, a, e):
+    def _kpow(self, a: int, e: int) -> int:
         if e < 0:  # a^e = a^(e mod (q - 1)) for a unit a
-            if not any(a):
+            if not a:
                 raise ZeroDivisionError("inverse of zero field element")
             e %= self.order - 1
         if self.d == 1:
-            return (pow(a[0], e, self.p),)
-        result = self.one().coeffs
-        base = a
+            return pow(a, e, self.p)
+        r = 1
         while e:
             if e & 1:
-                result = self._mul(result, base)
-            base = self._mul(base, base)
+                r = self._kmul(r, a)
+            a = self._kmul(a, a)
             e >>= 1
-        return result
-
-    # -- ops on int keys: the tuple ops above through _digits and _key; a
-    # prime field replaces _kadd, _ksub, _kneg and _kmul by ints mod p
-
-    def _kadd(self, a: int, b: int) -> int:
-        return self._key(self._add(self._digits(a), self._digits(b)))
-
-    def _ksub(self, a: int, b: int) -> int:
-        return self._key(self._sub(self._digits(a), self._digits(b)))
-
-    def _kneg(self, a: int) -> int:
-        return self._key(self._neg(self._digits(a)))
-
-    def _kmul(self, a: int, b: int) -> int:
-        return self._key(self._mul(self._digits(a), self._digits(b)))
-
-    def _kinv(self, a: int) -> int:
-        if self.d == 1:
-            if not a:
-                raise ZeroDivisionError("inverse of zero field element")
-            return pow(a, -1, self.p)
-        return self._key(self._inv(self._digits(a)))
-
-    def _kpow(self, a: int, e: int) -> int:
-        if self.d == 1 and (a or e >= 0):  # _pow raises on 0^-1
-            return pow(a, e, self.p)
-        return self._key(self._pow(self._digits(a), e))
+        return r
 
     def _log_tables(self):
         """(exp, log) int arrays on keys: exp[i] = key(g^i) for 0 <= i < q - 1
@@ -227,16 +212,15 @@ class FiniteField:
         of g; a product of units is exp[(log[a] + log[b]) % (q - 1)]."""
         if self._tables is None:
             m = self.order - 1
-            g = self.zeta(m).coeffs
+            g = self.zeta(m).key()
             exp, log = array("l", [0]) * m, array("l", [-1]) * self.order
-            w = self.one().coeffs
+            w = 1
             for i in range(m):
-                k = self._key(w)
-                if log[k] >= 0 or not k:
+                if log[w] >= 0 or not w:
                     raise RuntimeError("powers of g repeat or reach zero")
-                exp[i], log[k] = k, i
-                w = self._mul(w, g)
-            if w != self.one().coeffs:
+                exp[i], log[w] = w, i
+                w = self._kmul(w, g)
+            if w != 1:
                 raise RuntimeError("g^(q-1) != 1")
             self._tables = exp, log
         return self._tables
@@ -249,22 +233,20 @@ class FiniteField:
                 raise ValueError("element of a different field")
             return coeffs
         if isinstance(coeffs, int):
-            c = [coeffs % self.p] + [0] * (self.d - 1)
-            return FieldElement(self, tuple(c))
+            return FieldElement(self, coeffs % self.p)
         c = [int(x) % self.p for x in coeffs]
         if len(c) > self.d:
             raise ValueError("too many coefficients")
-        c += [0] * (self.d - len(c))
-        return FieldElement(self, tuple(c))
+        return FieldElement(self, self._key(c))
 
     def zero(self) -> "FieldElement":
-        return FieldElement(self, (0,) * self.d)
+        return FieldElement(self, 0)
 
     def one(self) -> "FieldElement":
-        return FieldElement(self, (1,) + (0,) * (self.d - 1))
+        return FieldElement(self, 1)
 
     def from_key(self, k: int) -> "FieldElement":
-        return FieldElement(self, self._digits(k))
+        return FieldElement(self, k % self.order)
 
     def elements(self):
         for k in range(self.order):
@@ -312,93 +294,101 @@ class FiniteField:
 
 
 class FieldElement:
-    __slots__ = ("field", "coeffs")
+    """An element of a FiniteField, held as its int key; every operation is
+    one of the field's key ops."""
 
-    def __init__(self, field: FiniteField, coeffs: tuple):
+    __slots__ = ("field", "_k")
+
+    def __init__(self, field: FiniteField, key: int):
         self.field = field
-        self.coeffs = coeffs
+        self._k = key
 
     def key(self) -> int:
-        return self.field._key(self.coeffs)
+        return self._k
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficient tuple (c_0, ..., c_{d-1}) of the key."""
+        return self.field._digits(self._k)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not self._k
 
     def _coerce(self, other):
+        """The key of other, an element of this field or an int (c mod p)."""
         if isinstance(other, FieldElement):
             if other.field is not self.field:
                 raise ValueError("elements of different fields")
-            return other
+            return other._k
         if isinstance(other, int):
-            return self.field.element(other)
+            return other % self.field.p
         return NotImplemented
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return FieldElement(self.field, self.field._add(self.coeffs, o.coeffs))
+        k = self._coerce(other)
+        if k is NotImplemented:
+            return k
+        return FieldElement(self.field, self.field._kadd(self._k, k))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return FieldElement(self.field, self.field._sub(self.coeffs, o.coeffs))
+        k = self._coerce(other)
+        if k is NotImplemented:
+            return k
+        return FieldElement(self.field, self.field._ksub(self._k, k))
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __neg__(self):
-        return FieldElement(self.field, self.field._neg(self.coeffs))
+        return FieldElement(self.field, self.field._kneg(self._k))
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return FieldElement(self.field, self.field._mul(self.coeffs, o.coeffs))
+        k = self._coerce(other)
+        if k is NotImplemented:
+            return k
+        return FieldElement(self.field, self.field._kmul(self._k, k))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return FieldElement(self.field,
-                            self.field._mul(self.coeffs, self.field._inv(o.coeffs)))
+        k = self._coerce(other)
+        if k is NotImplemented:
+            return k
+        F = self.field
+        return FieldElement(F, F._kmul(self._k, F._kinv(k)))
 
     def __rtruediv__(self, other):
         return self.field.element(other) / self
 
     def inverse(self):
-        return FieldElement(self.field, self.field._inv(self.coeffs))
+        return FieldElement(self.field, self.field._kinv(self._k))
 
     def __pow__(self, e: int):
-        return FieldElement(self.field, self.field._pow(self.coeffs, e))
+        return FieldElement(self.field, self.field._kpow(self._k, e))
 
     def __eq__(self, other):
         if isinstance(other, int):
-            other = self.field.element(other)
+            return self._k == other % self.field.p
         return (isinstance(other, FieldElement)
-                and self.field is other.field
-                and self.coeffs == other.coeffs)
+                and self.field is other.field and self._k == other._k)
 
     def __hash__(self):
-        return hash((id(self.field), self.coeffs))
+        return hash((id(self.field), self._k))
 
     def multiplicative_order(self) -> int:
         if self.is_zero():
             raise ValueError("zero has no multiplicative order")
         n = self.field.order - 1
         for ell, _ in prime_powers(n):
-            while n % ell == 0 and self ** (n // ell) == self.field.one():
+            while n % ell == 0 and self.field._kpow(self._k, n // ell) == 1:
                 n //= ell
         return n
 
     def __repr__(self):
         if self.field.d == 1:
-            return str(self.coeffs[0])
+            return str(self._k)
         return f"[{','.join(map(str, self.coeffs))}]"
 
 
@@ -462,19 +452,18 @@ def power_residue_character(u: FieldElement, n: int) -> ResidueClass:
     if n < 1 or (F.order - 1) % n != 0:
         raise ValueError(f"n={n} does not divide |F|-1={F.order - 1}")
     zeta = F.zeta(n)
-    t = u ** ((F.order - 1) // n)
-    return ResidueClass(n, zeta_log(t.coeffs, zeta, n), zeta)
+    t = F._kpow(u.key(), (F.order - 1) // n)
+    return ResidueClass(n, zeta_log(t, zeta, n), zeta)
 
 
-def zeta_log(x: tuple, zeta: FieldElement, n: int) -> int:
-    """The m in [0, n) with zeta^m = x, for x a coefficient tuple of zeta's
-    field and zeta of order n; ValueError if x is not a power of zeta."""
-    F = zeta.field
-    w = F.one().coeffs
+def zeta_log(x: int, zeta: FieldElement, n: int) -> int:
+    """The m in [0, n) with zeta^m = x, for x a key of zeta's field and zeta
+    of order n; ValueError if x is not a power of zeta."""
+    F, z, w = zeta.field, zeta.key(), 1
     for m in range(n):
         if w == x:
             return m
-        w = F._mul(w, zeta.coeffs)
+        w = F._kmul(w, z)
     raise ValueError("element is not a power of zeta")
 
 
@@ -483,11 +472,10 @@ def norm_to_prime_field(u: FieldElement) -> FieldElement:
     F = u.field
     if u.is_zero():
         raise ValueError("norm of zero")
-    e = (F.order - 1) // (F.p - 1)
-    nu = u ** e
-    if any(nu.coeffs[1:]):
+    nu = F._kpow(u.key(), (F.order - 1) // (F.p - 1))
+    if nu >= F.p:  # the keys below p are F_p
         raise RuntimeError("norm did not land in the prime field")
-    return FiniteField(F.p).element(nu.coeffs[0])
+    return FiniteField(F.p).from_key(nu)
 
 
 def corestrict(u: FieldElement, n: int) -> ResidueClass:

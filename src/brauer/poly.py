@@ -339,8 +339,8 @@ class Poly:
         the polynomial."""
         F, f = self.field, self
         q = F.order
-        seed = hash(("edf", F.p, F.d, F.modulus, f.coeffs, d)) & 0xFFFFFFFF
-        rng = random.Random(seed)
+        # a tuple of ints hashes the same in every process
+        rng = random.Random(hash((F.p, F.d, F.modulus, f.coeffs, d)))
         exp = (q ** d - 1) // 2
         while True:
             a = Poly._raw(F, [rng.randrange(q) for _ in range(f.degree)])

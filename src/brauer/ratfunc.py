@@ -238,7 +238,9 @@ def _local_unit(f: RatFunc, P: Place):
     kappa = P._residue
     if kappa is None:
         return v, None
-    return v, kappa.element(rn.coeffs) / kappa.element(rd.coeffs)
+    # the F_p keys of a remainder mod pi are the digits of its kappa(P) key
+    un, ud = (kappa.from_key(kappa._key(r.coeffs)) for r in (rn, rd))
+    return v, un / ud
 
 
 def valuation(f: RatFunc, P: Place) -> int:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from brauer import cohomology
+from brauer import FiniteField, cohomology
 from brauer.cohomology import (
     Cochain,
     FiniteAbelianGroup,
@@ -260,7 +260,9 @@ def test_gamma_group_order():
 
 
 def test_extension_factor_set_class():
-    for n, q in ((2, 5), (3, 7)):
+    # over F_25, zeta(3) is not in F_5 and the section is chosen among
+    # matrices of keys that are not residues mod p
+    for n, q in ((2, 5), (3, 7), (3, FiniteField(5, 2))):
         c = extension_factor_set(n, q)
         assert is_cocycle(c)
         box = cup_product_boxtimes(n)

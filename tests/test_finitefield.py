@@ -6,6 +6,39 @@ from brauer import FiniteField, corestrict, power_residue_character
 from brauer.finitefield import norm_to_prime_field, prime_powers
 
 
+# reference arithmetic on keys (key = sum c_i p^i): digits by plain ints,
+# products by schoolbook and long division by F.modulus
+
+def _ref_digits(F, k):
+    return [k // F.p ** i % F.p for i in range(F.d)]
+
+
+def _ref_key(F, cs):
+    return sum(c % F.p * F.p ** i for i, c in enumerate(cs))
+
+
+def _ref_mul(F, a, b):
+    prod = [0] * (2 * F.d - 1)
+    for i, x in enumerate(_ref_digits(F, a)):
+        for j, y in enumerate(_ref_digits(F, b)):
+            prod[i + j] += x * y
+    for top in range(2 * F.d - 2, F.d - 1, -1):
+        c = prod[top]
+        for j, m in enumerate(F.modulus):
+            prod[top - F.d + j] -= c * m
+    assert not any(c % F.p for c in prod[F.d:])
+    return _ref_key(F, prod[:F.d])
+
+
+def _ref_pow(F, a, e):
+    out = 1
+    for bit in bin(e)[2:]:
+        out = _ref_mul(F, out, out)
+        if bit == "1":
+            out = _ref_mul(F, out, a)
+    return out
+
+
 F5 = FiniteField(5)
 F7 = FiniteField(7)
 F13 = FiniteField(13)
@@ -110,8 +143,7 @@ def test_log_tables(rng, p, d):
     assert log[0] == -1 and all(log[k] == i for i, k in enumerate(exp))
     for _ in range(200):
         a, b = rng.randrange(1, F.order), rng.randrange(1, F.order)
-        expected = F._key(F._mul(F.from_key(a).coeffs, F.from_key(b).coeffs))
-        assert exp[(log[a] + log[b]) % m] == expected
+        assert exp[(log[a] + log[b]) % m] == _ref_mul(F, a, b)
 
 
 def test_zeta_is_smallest_of_exact_order():
@@ -145,14 +177,50 @@ def test_zeta_matches_element_scan():
 
 def test_inverse_matches_fermat_power(rng):
     F125 = FiniteField(5, 3)
-    for u in list(F125.elements())[1:]:
-        assert F125._inv(u.coeffs) == F125._pow(u.coeffs, F125.order - 2)
+    for k in range(1, F125.order):
+        assert F125._kinv(k) == _ref_pow(F125, k, F125.order - 2)
     for F in (FiniteField(13, 4), FiniteField(7, 6)):
         for _ in range(500):
-            u = F.from_key(rng.randrange(1, F.order)).coeffs
-            assert F._inv(u) == F._pow(u, F.order - 2)
+            k = rng.randrange(1, F.order)
+            assert F._kinv(k) == _ref_pow(F, k, F.order - 2)
     with pytest.raises(ZeroDivisionError):
-        F125._inv((0, 0, 0))
+        F125._kinv(0)
+
+
+def test_key_ops_match_int_reference(rng):
+    for F in (FiniteField(5, 3), FiniteField(13, 4), FiniteField(7, 6)):
+        p, q = F.p, F.order
+        keys = [0, 1, p - 1, p, q - 1] + [rng.randrange(q) for _ in range(35)]
+        inv = {k: _ref_pow(F, k, q - 2) for k in keys if k}
+        for a in keys:
+            x, da = F.from_key(a), _ref_digits(F, a)
+            neg = _ref_key(F, [-c for c in da])
+            assert F._kneg(a) == (-x).key() == neg
+            for b in keys:
+                y, db = F.from_key(b), _ref_digits(F, b)
+                add = _ref_key(F, [s + t for s, t in zip(da, db)])
+                sub = _ref_key(F, [s - t for s, t in zip(da, db)])
+                assert F._kadd(a, b) == (x + y).key() == add
+                assert F._ksub(a, b) == (x - y).key() == sub
+                assert F._kmul(a, b) == (x * y).key() == _ref_mul(F, a, b)
+                if b:
+                    assert (x / y).key() == _ref_mul(F, a, inv[b])
+                else:
+                    with pytest.raises(ZeroDivisionError):
+                        x / y
+            if a:
+                assert F._kinv(a) == x.inverse().key() == inv[a]
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    x.inverse()
+            for e in (0, 1, 2, 7, q - 2, q - 1, q, rng.randrange(q * q)):
+                assert F._kpow(a, e) == (x ** e).key() == _ref_pow(F, a, e)
+                if a:
+                    ref = _ref_pow(F, inv[a], e)
+                    assert F._kpow(a, -e) == (x ** -e).key() == ref
+                elif e:
+                    with pytest.raises(ZeroDivisionError):
+                        x ** -e
 
 
 def test_character_examples():

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from brauer import FiniteField, Poly
@@ -268,3 +272,21 @@ def test_key_orders_places_as_field_element_keys(rng):
                                 for i in range(f.degree, -1, -1)))
                for f in polys]
         assert [f.key() for f in polys] == old
+
+
+def test_split_is_independent_of_the_hash_seed():
+    # str hashes change with PYTHONHASHSEED; the draws of _split must not
+    script = ("from brauer import FiniteField, Poly\n"
+              "F = FiniteField(13)\n"
+              "f = Poly.one(F)\n"
+              "for r in (1, 2, 3, 5, 7, 11):\n"
+              "    f = f * Poly(F, [-r, 1])\n"
+              "print(f._split(1))\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    out = set()
+    for seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        out.add(run.stdout)
+    assert len(out) == 1
