@@ -152,8 +152,12 @@ def cmd_cohomology(args) -> int:
         results["nontrivial"] = nontrivial
         lines.append(f"factor set ~ -(1x1) : {'PASS' if ok else 'FAIL'}")
     elif args.subcommand == "rank":
-        factors = ([int(x) for x in args.factors.split(",")]
-                   if args.factors else [n])
+        try:
+            factors = ([int(x) for x in args.factors.split(",")]
+                       if args.factors else [n])
+        except ValueError:
+            raise ParseError("--factors takes comma-separated integers, "
+                             f"got {args.factors!r}") from None
         m = n if args.m is None else args.m
         params.update(factors=factors, m=m, degree=args.degree)
         ranks = cohomology_rank(FiniteAbelianGroup(factors), m, args.degree)

@@ -1,8 +1,9 @@
 """Explicit cohomology of finite abelian groups with Z/m coefficients.
 
 Everything is inhomogeneous-cochain linear algebra: cochains are total
-tables G^k -> Z/m, the differential is the standard integer one for the
-trivial action, and ranks / cohomologous-ness are decided by row elimination
+tables G^k -> Z/m, and the differential, the integer one for the trivial
+action, is written once, as the cached sparse rows of coboundary_matrix.
+Coboundaries apply those rows; ranks and cohomologous-ness eliminate them
 over Z/p^e for each prime power p^e of m.  The multiplicative group mu_n is
 written additively as Z/n throughout, via the canonical primitive root of
 the ambient field.
@@ -18,6 +19,7 @@ package, live here.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -48,22 +50,15 @@ class FiniteAbelianGroup:
             self.size *= m
         self._elements = [tuple(e) for e in
                           itertools.product(*(range(m) for m in factors))]
-        self._index = {e: i for i, e in enumerate(self._elements)}
 
     def elements(self):
         return self._elements
-
-    def identity(self):
-        return (0,) * len(self.factors)
 
     def add(self, g, h):
         return tuple((a + b) % m for a, b, m in zip(g, h, self.factors))
 
     def neg(self, g):
         return tuple((-a) % m for a, m in zip(g, self.factors))
-
-    def index(self, g) -> int:
-        return self._index[tuple(g)]
 
     def __eq__(self, other):
         return isinstance(other, FiniteAbelianGroup) and self.factors == other.factors
@@ -82,7 +77,8 @@ def _check_size(group: FiniteAbelianGroup, degree: int):
 
 
 class Cochain:
-    """A total function group^degree -> Z/modulus."""
+    """A total function group^degree -> Z/modulus; ``values`` is kept in
+    tuple-product order, the column order of coboundary_matrix."""
 
     def __init__(self, group: FiniteAbelianGroup, degree: int, modulus: int,
                  values=None):
@@ -149,45 +145,49 @@ class Cochain:
 
 
 def coboundary(c: Cochain) -> Cochain:
-    """Inhomogeneous differential with trivial coefficients; d(d(c)) = 0."""
-    G = c.group
-    k = c.degree
-    _check_size(G, k + 1)
-    m = c.modulus
-    out = {}
-    for key in itertools.product(G.elements(), repeat=k + 1):
-        v = c.values[key[1:]]
-        sign = -1
-        for i in range(k):
-            merged = key[:i] + (G.add(key[i], key[i + 1]),) + key[i + 2:]
-            v += sign * c.values[merged]
-            sign = -sign
-        v += sign * c.values[key[:k]]
-        out[key] = v % m
-    return Cochain(G, k + 1, m, out)
+    """Inhomogeneous differential with trivial coefficients, d(d(c)) = 0:
+    the rows of coboundary_matrix applied to c.values."""
+    v = list(c.values.values())
+    keys = itertools.product(c.group.elements(), repeat=c.degree + 1)
+    rows = coboundary_matrix(c.group, c.degree)
+    return Cochain(c.group, c.degree + 1, c.modulus,
+                   {key: sum(a * v[j] for j, a in row)
+                    for key, row in zip(keys, rows)})
 
 
 def is_cocycle(c: Cochain) -> bool:
     return coboundary(c).is_zero()
 
 
+@functools.lru_cache(maxsize=16)
 def coboundary_matrix(group: FiniteAbelianGroup, k: int):
-    """Integer matrix of d_k : C^k -> C^{k+1} in the tuple-product bases."""
+    """d_k : C^k -> C^{k+1} in the tuple-product bases, as rows of
+    (column, coefficient) pairs: row r holds the faces of the r-th
+    (k+1)-tuple, c(g_1..g_k) + sum_i (-1)^(i+1) c(..g_i + g_{i+1}..)
+    + (-1)^(k+1) c(g_0..g_{k-1}), merged, zeros dropped: at most k+2
+    pairs.  Immutable tuples, cached per (group, k)."""
     _check_size(group, k + 1)
-    rows_keys = list(itertools.product(group.elements(), repeat=k + 1))
-    cols_keys = list(itertools.product(group.elements(), repeat=k))
-    col_index = {key: j for j, key in enumerate(cols_keys)}
-    M = [[0] * len(cols_keys) for _ in rows_keys]
-    for r, key in enumerate(rows_keys):
-        row = M[r]
-        row[col_index[key[1:]]] += 1
+    elements = group.elements()
+    n = len(elements)
+    index = {g: i for i, g in enumerate(elements)}
+    # n^2 <= n^(k+1) entries; d_0 merges no faces, so needs none
+    add = [[index[group.add(g, h)] for h in elements]
+           for g in elements] if k else None
+    pw = [n ** j for j in range(k + 2)]
+    rows, pairs = [], {}  # one tuple per distinct pair, shared by the rows
+    for r, t in enumerate(itertools.product(range(n), repeat=k + 1)):
+        row = {r % pw[k]: 1}
         sign = -1
         for i in range(k):
-            merged = key[:i] + (group.add(key[i], key[i + 1]),) + key[i + 2:]
-            row[col_index[merged]] += sign
+            # the digits of r before i, then g_i + g_{i+1}, then those after
+            col = ((r // pw[k + 1 - i] * n + add[t[i]][t[i + 1]])
+                   * pw[k - 1 - i] + r % pw[k - 1 - i])
+            row[col] = row.get(col, 0) + sign
             sign = -sign
-        row[col_index[key[:k]]] += sign
-    return M
+        row[r // n] = row.get(r // n, 0) + sign
+        rows.append(tuple(pairs.setdefault(ja, ja)
+                          for ja in row.items() if ja[1]))
+    return tuple(rows)
 
 
 def cohomology_rank(group: FiniteAbelianGroup, modulus: int, degree: int):
@@ -202,7 +202,6 @@ def cohomology_rank(group: FiniteAbelianGroup, modulus: int, degree: int):
         raise ValueError(f"cohomology degree must be >= 0, got {degree}")
     if modulus < 1:
         raise ValueError(f"coefficient modulus must be >= 1, got {modulus}")
-    _check_size(group, degree + 1)
     mats = [coboundary_matrix(group, degree)]
     if degree > 0:
         mats.append(coboundary_matrix(group, degree - 1))
@@ -225,12 +224,10 @@ def cocycles_cohomologous(c1: Cochain, c2: Cochain) -> bool:
     if c1.degree == 0:
         return (c1 - c2).is_zero()
     G = c1.group
-    m = c1.modulus
-    A = coboundary_matrix(G, c1.degree - 1)
-    diff = c1 - c2
-    keys = list(itertools.product(G.elements(), repeat=c1.degree))
-    b = [diff.values[k] for k in keys]
-    return solve_mod(A, b, m) is not None
+    k = c1.degree - 1
+    b = list((c1 - c2).values.values())
+    return solve_mod(coboundary_matrix(G, k), b, c1.modulus,
+                     G.size ** k) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -337,10 +334,9 @@ def lhs_edge_map(c: Cochain) -> Cochain:
     Zn = FiniteAbelianGroup((n,))
 
     # solve d(phi) = c restricted to the mu_n x mu_n face
-    A = coboundary_matrix(Zn, 1)
-    keys = list(itertools.product(Zn.elements(), repeat=2))
+    keys = itertools.product(Zn.elements(), repeat=2)
     b = [c.values[(((k[0][0], 0)), ((k[1][0], 0)))] for k in keys]
-    phi = solve_mod(A, b, m)
+    phi = solve_mod(coboundary_matrix(Zn, 1), b, m, n)
     if phi is None:
         raise ValueError("class does not vanish on fiber")
     lift = Cochain(G, 1, m, lambda g: phi[g[0]])

@@ -174,10 +174,10 @@ _SYMBOL = re.compile(r"^\s*(?:(\d+)\s*\*\s*)?\((.*)\)\s*_\s*(\d+)\s*$")
 
 
 def _split_top_level(s: str, seps: str):
-    """Split on separators outside parentheses, keeping the signs."""
-    parts = []
+    """Split on separators outside parentheses: a list of (separator, part)
+    pairs, the first with separator "", blank parts kept."""
+    parts = [["", ""]]
     depth = 0
-    cur = ""
     for ch in s:
         if ch == "(":
             depth += 1
@@ -186,17 +186,11 @@ def _split_top_level(s: str, seps: str):
             if depth < 0:
                 raise ParseError("unbalanced parentheses")
         if depth == 0 and ch in seps:
-            if cur.strip():
-                parts.append(cur)
-            if ch == "-":
-                parts.append("-")
-            cur = ""
-            continue
-        cur += ch
+            parts.append([ch, ""])
+        else:
+            parts[-1][1] += ch
     if depth != 0:
         raise ParseError("unbalanced parentheses")
-    if cur.strip():
-        parts.append(cur)
     return parts
 
 
@@ -210,12 +204,12 @@ def parse_symbol_sum(s: str, field: FiniteField, n: int | None = None
             raise ParseError("cannot infer n from an empty symbol sum")
         return SymbolClass(n, [])
     chunks = _split_top_level(s, "+-")
+    if not chunks[0][1].strip():  # a leading sign
+        chunks = chunks[1:]
     terms = []
-    sign = 1
-    for chunk in chunks:
-        if chunk == "-":
-            sign = -1
-            continue
+    for sep, chunk in chunks:
+        if not chunk.strip():
+            raise ParseError(f"dangling or doubled sign in {s!r}")
         m = _SYMBOL.match(chunk)
         if not m:
             raise ParseError(f"cannot parse symbol term {chunk.strip()!r}")
@@ -228,10 +222,9 @@ def parse_symbol_sum(s: str, field: FiniteField, n: int | None = None
         inner = _split_top_level(m.group(2), ",")
         if len(inner) != 2:
             raise ParseError("a symbol needs exactly two arguments")
-        a = parse_ratfunc(inner[0], field)
-        b = parse_ratfunc(inner[1], field)
+        a = parse_ratfunc(inner[0][1], field)
+        b = parse_ratfunc(inner[1][1], field)
         if a.is_zero() or b.is_zero():
             raise ParseError("symbol arguments must be nonzero")
-        terms.append((a, b, sign * mult))
-        sign = 1
+        terms.append((a, b, -mult if sep == "-" else mult))
     return SymbolClass(n, terms)

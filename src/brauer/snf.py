@@ -1,13 +1,15 @@
 """Integer Smith normal form and linear algebra modulo m.
 
-All matrices are lists of lists of Python ints.  Linear algebra modulo m
-never leaves Z/m: it runs once per prime power p^e of m, where Z/p^e is a
-local ring and every entry is a unit times a power of p, and the results
-are combined by the Chinese remainder theorem.  Over Z/p^e, row elimination
-that always pivots on an entry of least p-adic valuation reaches the Smith
-form up to column operations, so the pivot valuations are the elementary
-divisors (Storjohann and Mulders, "Fast algorithms for linear algebra
-modulo N", ESA 1998).
+`smith_normal_form` takes a dense list of lists of Python ints.  Linear
+algebra modulo m takes sparse rows, each a sequence of (column, value)
+pairs as `cohomology.coboundary_matrix` builds them, and never leaves
+Z/m: it runs once per prime power p^e of m, where Z/p^e is a local ring
+and every entry is a unit times a power of p, and the results are combined
+by the Chinese remainder theorem.  Over Z/p^e, row elimination that always
+pivots on an entry of least p-adic valuation reaches the Smith form up to
+column operations, so the pivot valuations are the elementary divisors
+(Storjohann and Mulders, "Fast algorithms for linear algebra modulo N",
+ESA 1998).
 """
 
 from __future__ import annotations
@@ -132,18 +134,19 @@ def smith_normal_form(A):
 
 
 def _eliminate(A, p, e, rhs):
-    """Row-reduce A modulo q = p^e, pivoting on entries of least valuation.
+    """Row-reduce the pair rows A modulo q = p^e, pivoting on entries of
+    least valuation.
 
     Pass a = 0, 1, ... goes column by column and pivots on an entry u * p^a
     (u a unit) of the shortest row having one; no entry left has a smaller
-    valuation, so every entry stays divisible by p^a.  Rows are sparse
-    ({column: value}) and reduced mod q, pivot rows are scaled to pivot
-    p^a, and ``rhs`` is carried along in place.  Returns (rows, pivots),
-    pivots as (row, column, a) in order: a pivot row is zero in earlier
-    pivot columns and every other row ends zero.
+    valuation, so every entry stays divisible by p^a.  Rows are copied into
+    dicts {column: value} reduced mod q, so A is left as it is; pivot rows
+    are scaled to pivot p^a, and ``rhs`` is carried along in place.
+    Returns (rows, pivots), pivots as (row, column, a) in order: a pivot
+    row is zero in earlier pivot columns and every other row ends zero.
     """
     q = p ** e
-    rows = [{j: v % q for j, v in enumerate(r) if v % q} for r in A]
+    rows = [{j: v % q for j, v in r if v % q} for r in A]
     free = list(range(len(rows)))
     cols = sorted({j for r in rows for j in r})
     pivots = []
@@ -178,11 +181,12 @@ def _eliminate(A, p, e, rhs):
     return rows, pivots
 
 
-def solve_mod(A, b, m):
-    """One solution x of A x = b (mod m) with entries in [0, m), or None."""
+def solve_mod(A, b, m, cols):
+    """One solution x of A x = b (mod m), cols entries in [0, m), or None;
+    A is rows of (column, value) pairs over columns 0 .. cols - 1."""
     if m < 1:
         raise ValueError(f"modulus must be >= 1, got {m}")
-    x, M = [0] * (len(A[0]) if A else 0), 1
+    x, M = [0] * cols, 1
     for p, e in prime_powers(m):
         q = p ** e
         rhs = [v % q for v in b]

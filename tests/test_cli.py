@@ -102,6 +102,15 @@ def test_cohomology_rank_rejects_bad_modulus_and_degree(capsys):
     assert "degree must be >= 0, got -1" in err
 
 
+def test_cohomology_rank_rejects_non_integer_factors(capsys):
+    for factors in ("a", "2,,3", "2,x", "2.5"):
+        code, out, err = run(capsys, "cohomology", "rank", "--n", "2",
+                             "--factors", factors, "--m", "2")
+        assert code == 2
+        assert out == ""
+        assert "parse error: --factors" in err
+
+
 def test_cohomology_rank_checks_n_only_where_used(capsys):
     # with --factors and --m given, rank never reads n
     code, out, _ = run(capsys, "cohomology", "rank", "--factors", "2,2",

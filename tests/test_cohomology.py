@@ -22,7 +22,33 @@ from brauer.cohomology import (
     lhs_edge_map,
     verify_coboundary_identity,
 )
-from brauer.snf import smith_normal_form
+from brauer.snf import _eliminate, smith_normal_form, solve_mod
+
+
+def _face_coboundary(c):
+    """The inhomogeneous differential straight from the face formula, an
+    oracle independent of coboundary_matrix."""
+    G, k, m = c.group, c.degree, c.modulus
+    out = {}
+    for key in itertools.product(G.elements(), repeat=k + 1):
+        v = c.values[key[1:]]
+        sign = -1
+        for i in range(k):
+            merged = key[:i] + (G.add(key[i], key[i + 1]),) + key[i + 2:]
+            v += sign * c.values[merged]
+            sign = -sign
+        v += sign * c.values[key[:k]]
+        out[key] = v % m
+    return Cochain(G, k + 1, m, out)
+
+
+def _dense(rows, cols):
+    """The dense matrix of coboundary_matrix's pair rows."""
+    M = [[0] * cols for _ in rows]
+    for dense_row, row in zip(M, rows):
+        for j, a in row:
+            dense_row[j] += a
+    return M
 
 
 def test_group_structure():
@@ -38,6 +64,47 @@ def test_d_squared_is_zero(rng):
         for k in (0, 1, 2):
             c = Cochain.random(G, k, 6, rng)
             assert coboundary(coboundary(c)).is_zero()
+
+
+def test_coboundary_matrix_rows_are_sparse_and_square_to_zero():
+    for factors in ((2,), (2, 2), (4,), (2, 3)):
+        G = FiniteAbelianGroup(factors)
+        for k in (0, 1, 2, 3):
+            rows = coboundary_matrix(G, k)
+            assert len(rows) == G.size ** (k + 1)
+            for row in rows:
+                assert len(row) <= k + 2
+                assert len({j for j, _ in row}) == len(row)
+                assert all(0 <= j < G.size ** k and a for j, a in row)
+        for k in (0, 1, 2):
+            # each row of d_{k+1} . d_k, a combination of rows of d_k, is 0
+            lower = coboundary_matrix(G, k)
+            for row in coboundary_matrix(G, k + 1):
+                acc = {}
+                for j, a in row:
+                    for c, b in lower[j]:
+                        acc[c] = acc.get(c, 0) + a * b
+                assert not any(acc.values()), (factors, k)
+
+
+def test_coboundary_matches_face_formula(rng):
+    for factors in ((2,), (3,), (2, 2), (2, 3), (4,)):
+        G = FiniteAbelianGroup(factors)
+        for k in (0, 1, 2):
+            for m in (4, 6):
+                c = Cochain.random(G, k, m, rng)
+                assert coboundary(c) == _face_coboundary(c), (factors, k)
+
+
+def test_coboundary_matrix_is_cached_and_left_unchanged():
+    G = FiniteAbelianGroup((2, 3))
+    rows = coboundary_matrix(G, 1)
+    snapshot = [list(row) for row in rows]
+    _eliminate(rows, 2, 1, [0] * len(rows))
+    solve_mod(rows, [1] * len(rows), 6, G.size)
+    assert coboundary_matrix(G, 1) is rows
+    assert coboundary_matrix(FiniteAbelianGroup((2, 3)), 1) is rows
+    assert [list(row) for row in rows] == snapshot
 
 
 def test_coboundaries_are_cocycles(rng):
@@ -132,8 +199,11 @@ def test_cohomology_rank_matches_integer_elementary_divisors():
         G = FiniteAbelianGroup(factors)
         for k in range(top + 1):
             divisors = []
-            for A in [coboundary_matrix(G, j) for j in (k, k - 1) if j >= 0]:
-                D, _, _ = smith_normal_form(A)
+            for j in (k, k - 1):
+                if j < 0:
+                    continue
+                D, _, _ = smith_normal_form(
+                    _dense(coboundary_matrix(G, j), G.size ** j))
                 divisors += [D[i][i] for i in range(min(len(D), len(D[0])))
                              if D[i][i]]
             for m in ms:

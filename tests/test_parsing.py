@@ -73,9 +73,16 @@ def test_parse_symbol_sum_errors():
         parse_symbol_sum("(t, t+1)_2 + (t, 2)_3", F5)  # mixed n
     with pytest.raises(ParseError):
         parse_symbol_sum("(t t+1)_2", F5)
-    for bad in ("(t)_2", "(t,2,3)_2", "((t,2)_2"):
+    for bad in ("(t)_2", "(t,2,3)_2", "((t,2)_2", "(t,,2)_2", "(t,2,)_2"):
         with pytest.raises(ParseError):
             parse_symbol_sum(bad, F5)
+    # a dangling or doubled sign, as the polynomial grammar rejects t--1
+    for bad in ("(t,2)_4 +", "(t,2)_4 - - (t+1,2)_4",
+                "(t,2)_4 + + (t+1,2)_4", "+ + (t,2)_4", "-"):
+        with pytest.raises(ParseError, match="sign"):
+            parse_symbol_sum(bad, F5)
+    assert parse_symbol_sum("- (t,2)_4", F5) == SymbolClass(
+        4, [(RatFunc(t), RatFunc(Poly.constant(F5, 2)), 3)])
 
 
 def test_symbol_sum_repr_round_trip(rng):

@@ -10,6 +10,11 @@ def _mat_vec(A, x):
     return [sum(a * b for a, b in zip(row, x)) for row in A]
 
 
+def _pairs(A):
+    """The (column, value) rows that solve_mod reads, from a dense matrix."""
+    return [[(j, v) for j, v in enumerate(row) if v] for row in A]
+
+
 def test_smith_normal_form_properties():
     rng = random.Random(3)
     for _ in range(20):
@@ -37,11 +42,14 @@ def test_smith_normal_form_properties():
 
 def test_solve_mod():
     A = [[2], [4]]
-    x = solve_mod(A, [2, 4], 6)
+    x = solve_mod(_pairs(A), [2, 4], 6, 1)
     assert x is not None
     assert [(v % 6) for v in _mat_vec(A, x)] == [2, 4]
-    assert solve_mod(A, [0, 2], 6) is None
-    assert solve_mod([[2]], [1], 4) is None
+    assert solve_mod(_pairs(A), [0, 2], 6, 1) is None
+    assert solve_mod([[(0, 2)]], [1], 4, 1) is None
+    # a column no row reaches is free, and x still has an entry for it
+    x = solve_mod([[(1, 3)]], [3], 6, 3)
+    assert len(x) == 3 and x[0] == x[2] == 0 and 3 * x[1] % 6 == 3
 
 
 def test_solve_mod_brute_force():
@@ -58,7 +66,7 @@ def test_solve_mod_brute_force():
                 b = list(rng.choice(sorted(image)))
             else:
                 b = [rng.randrange(m) for _ in range(rows)]
-            x = solve_mod(A, b, m)
+            x = solve_mod(_pairs(A), b, m, cols)
             assert (x is not None) == (tuple(b) in image), (A, b, m)
             if x is not None:
                 assert len(x) == cols and all(0 <= v < m for v in x)
@@ -68,4 +76,4 @@ def test_solve_mod_brute_force():
 def test_solve_mod_rejects_bad_modulus():
     for m in (0, -2):
         with pytest.raises(ValueError, match="modulus"):
-            solve_mod([[1]], [0], m)
+            solve_mod([[(0, 1)]], [0], m, 1)
