@@ -118,7 +118,7 @@ def cmd_reciprocity(args) -> int:
 def cmd_cohomology(args) -> int:
     n = args.n
     # rank with both --factors and --m never reads n
-    uses_n = not (args.subcommand == "rank" and args.factors
+    uses_n = not (args.subcommand == "rank" and args.factors is not None
                   and args.m is not None)
     if uses_n and n < 2:
         raise ConstraintError("n must be >= 2")
@@ -154,7 +154,7 @@ def cmd_cohomology(args) -> int:
     elif args.subcommand == "rank":
         try:
             factors = ([int(x) for x in args.factors.split(",")]
-                       if args.factors else [n])
+                       if args.factors is not None else [n])
         except ValueError:
             raise ParseError("--factors takes comma-separated integers, "
                              f"got {args.factors!r}") from None
@@ -204,6 +204,8 @@ def cmd_conic(args) -> int:
 def cmd_selftest(args) -> int:
     from .poly import Poly
     from .ratfunc import RatFunc
+    if args.rounds < 1:
+        raise ConstraintError(f"--rounds must be >= 1, got {args.rounds}")
     seed = int(os.environ.get("BRAUER_SEED", "0"))
     rng = random.Random(seed)
     failures = []

@@ -319,10 +319,10 @@ def identity_character(n: int) -> Cochain:
 def lhs_edge_map(c: Cochain) -> Cochain:
     """Edge-map value of a 2-cochain on mu_n x Z/n killed on the fiber.
 
-    The restriction of c to the mu_n factor must be a coboundary; c is
-    corrected by one, and the residual pairing b -> (beta -> c((beta,0),(0,b))
-    - c((0,b),(beta,0))) is read off as a homomorphism mu_n -> Z/n, i.e. an
-    element of Z/n.  Returns a 1-cochain on Z/n.
+    The restriction of c to the mu_n factor must be a coboundary, which one
+    solve checks; the pairing b -> (beta -> c((beta,0),(0,b))
+    - c((0,b),(beta,0))) is then read off c as a homomorphism
+    mu_n -> Z/n, i.e. an element of Z/n.  Returns a 1-cochain on Z/n.
     """
     G = c.group
     if len(G.factors) != 2 or G.factors[0] != G.factors[1]:
@@ -334,27 +334,24 @@ def lhs_edge_map(c: Cochain) -> Cochain:
     Zn = FiniteAbelianGroup((n,))
 
     # solve d(phi) = c restricted to the mu_n x mu_n face
-    keys = itertools.product(Zn.elements(), repeat=2)
-    b = [c.values[(((k[0][0], 0)), ((k[1][0], 0)))] for k in keys]
-    phi = solve_mod(coboundary_matrix(Zn, 1), b, m, n)
-    if phi is None:
+    b = [c.values[(x, 0), (y, 0)] for x in range(n) for y in range(n)]
+    if solve_mod(coboundary_matrix(Zn, 1), b, m, n) is None:
         raise ValueError("class does not vanish on fiber")
-    lift = Cochain(G, 1, m, lambda g: phi[g[0]])
-    cc = c - coboundary(lift)
 
+    # G is abelian, so df(g,h) = df(h,g) for every 1-cochain f: c and c
+    # corrected by d(lift of phi) have the same pairing, read here off c
     def pairing(beta: int, bb: int) -> int:
-        return (cc.values[((beta, 0), (0, bb))]
-                - cc.values[((0, bb), (beta, 0))]) % m
+        return (c.values[((beta, 0), (0, bb))]
+                - c.values[((0, bb), (beta, 0))]) % m
 
     out = {}
-    for (bb,) in [(x,) for x in range(n)]:
+    for bb in range(n):
+        # the pairing is linear in beta; its value is the slope at 1
         base = pairing(0, bb)
-        # the corrected pairing is linear in beta; evaluate at the generator
-        for beta in range(n):
-            expected = (beta * (pairing(1, bb) - base) + base) % m
-            if pairing(beta, bb) != expected:
-                raise ValueError("fiber pairing is not a character")
-        out[((bb,),)] = (pairing(1, bb) - base) % m
+        out[((bb,),)] = slope = (pairing(1, bb) - base) % m
+        if any(pairing(beta, bb) != (beta * slope + base) % m
+               for beta in range(n)):
+            raise ValueError("fiber pairing is not a character")
     return Cochain(Zn, 1, m, out)
 
 
@@ -411,10 +408,12 @@ def extension_factor_set(n: int, q: int) -> Cochain:
 
     A group element projects to (beta, b) by the ratio of successive
     nonzero entries and the position of the nonzero entry in the first
-    row; the factor set of a deterministic set-theoretic section lands in
-    the central scalars and is returned additively, as a 2-cochain on
-    Z/n x Z/n with values in Z/n.  Its class is that of
-    ((beta,b),(beta',b')) -> beta'*b, the negative of the box product.
+    row; the factor set of a deterministic set-theoretic section S lands in
+    the central scalars, S_g S_h = lambda(g,h) S_{g+h}, and lambda is read
+    as the ratio of one entry of S_g S_h to the same entry of S_{g+h}.  It
+    is returned additively, as a 2-cochain on Z/n x Z/n with values in Z/n.
+    Its class is that of ((beta,b),(beta',b')) -> beta'*b, the negative of
+    the box product.
     """
     F = FiniteField(q) if isinstance(q, int) else q
     if (F.order - 1) % n != 0:
@@ -436,19 +435,13 @@ def extension_factor_set(n: int, q: int) -> Cochain:
 
     G = FiniteAbelianGroup((n, n))
 
-    def inv_matrix(A):
-        # monomial matrix inverse: transpose positions, invert entries
-        out = [[0] * n for _ in range(n)]
-        for i in range(n):
-            j = next(jj for jj in range(n) if A[i][jj])
-            out[j][i] = F._kinv(A[i][j])
-        return tuple(tuple(r) for r in out)
-
     def value(g, h):
+        # lambda = (S_g S_h)[0][j] / S_{g+h}[0][j], j the one nonzero
+        # column of row 0 of the monomial matrix S_{g+h}
+        S = section[G.add(g, h)]
+        j = next(j for j in range(n) if S[0][j])
         A = _mat_mul(F, section[g], section[h])
-        B = _mat_mul(F, A, inv_matrix(section[G.add(g, h)]))
-        # B is a scalar matrix in mu_n
-        return zeta_log(B[0][0], zeta, n)
+        return zeta_log(F._kmul(A[0][j], F._kinv(S[0][j])), zeta, n)
 
     return Cochain(G, 2, n, value)
 

@@ -6,8 +6,8 @@ swapped by a quadratic twist; the class of that component torsor equals
 the tame residue.  A projective point-count over the residue field acts as
 an independent oracle: a split degenerate conic over F_Q has 2Q+1 points,
 a non-split one exactly 1.  The count runs in the default-modulus field
-F_Q = FiniteField(p, d*e), into which kappa(P) embeds by the key powers of
-a root of pi, with log/exp-table products on the keys, so its tables exist
+F_Q = FiniteField(p, d*e), into which kappa(P) embeds by evaluation at a
+root of pi, with log/exp-table products on the keys, so its tables exist
 once per (p, d).
 """
 
@@ -163,28 +163,17 @@ def _extension_with_embedding(kappa: FiniteField, e: int):
     """(L, embed) with L = FiniteField(p, d*e), the default-modulus field of
     order |kappa|^e, and embed: kappa -> L a field map.
 
-    The embedding sends the generator of kappa to the smallest root of
-    kappa's modulus in L; the powers of that root are found once per
-    (kappa, e) and kept on kappa.
+    The embedding sends the generator x of kappa to the smallest root r of
+    kappa's modulus in L, so u = sum c_i x^i goes to the polynomial
+    sum c_i t^i evaluated at r; the key of r is found once per (kappa, e)
+    and kept on kappa.
     """
     L = FiniteField(kappa.p, kappa.d * e)
-    powers = kappa._root_powers.get(e)
-    if powers is None:
-        r, powers = _smallest_root(Poly(L, kappa.modulus), kappa.d), [1]
-        for _ in range(kappa.d - 1):
-            powers.append(L._kmul(powers[-1], r))
-        powers = kappa._root_powers[e] = tuple(powers)
-
-    def embed(u: FieldElement) -> FieldElement:
-        """The key of u, read in base p, with r in place of p."""
-        acc, k = 0, u.key()
-        for rp in powers:
-            k, c = divmod(k, kappa.p)
-            if c:
-                acc = L._kadd(acc, L._kmul(c, rp))
-        return L.from_key(acc)
-
-    return L, embed
+    r = kappa._roots.get(e)
+    if r is None:
+        r = kappa._roots[e] = _smallest_root(Poly(L, kappa.modulus), kappa.d)
+    root = L.from_key(r)
+    return L, lambda u: Poly(L, u.coeffs).evaluate(root)
 
 
 def count_fiber_points(C: ConicBundle, P: Place, e: int = 1) -> int:

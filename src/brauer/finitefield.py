@@ -94,9 +94,9 @@ class FiniteField:
         self.order = p ** d
         self._zeta_cache = {}
         self._tables = None  # (exp, log), built by _log_tables on first use
-        # e -> keys of r^0 .. r^(d-1) in FiniteField(p, d*e) for the root r
-        # of the modulus by which conic embeds this field there
-        self._root_powers = {}
+        # e -> key of the root of the modulus in FiniteField(p, d*e) at
+        # which conic evaluates this field's elements to embed them there
+        self._roots = {}
         # x^d = sum of r * x^j over the (j, r) here, the reduction in _kmul
         self._tail = tuple((j, -c % p) for j, c in enumerate(modulus[:d]) if c)
         if d == 1:  # key ops on ints mod p, bound here to skip lookups

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 
-from .finitefield import FieldElement, FiniteField, prime_powers
+from .finitefield import FieldElement, FiniteField
 
 
 class Poly:
@@ -251,20 +251,13 @@ class Poly:
     # -- factorization ---------------------------------------------------------
 
     def is_irreducible(self) -> bool:
+        """Squarefree, and the distinct-degree split that factor() runs
+        finds no factor of degree below its own."""
         if self.degree < 1:
             return False
-        if self.degree == 1:
-            return True
         f = self.monic()
-        q = self.field.order
-        t = Poly.gen(self.field)
-        if t.pow_mod(q ** f.degree, f) != t % f:
-            return False
-        for ell, _ in prime_powers(f.degree):
-            h = t.pow_mod(q ** (f.degree // ell), f) - t
-            if f.gcd(h).degree != 0:
-                return False
-        return True
+        return (f.gcd(f.derivative()).degree == 0
+                and f._distinct_degree() == [(f, f.degree)])
 
     def _pth_root(self) -> "Poly":
         # f with f' = 0 is g(t^p); recover g coefficientwise

@@ -12,7 +12,7 @@ def pytest_terminal_summary(terminalreporter):
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
 
-from brauer import FiniteField, Place, Poly, RatFunc, valuation
+from brauer import Place, Poly, RatFunc, valuation
 
 
 @pytest.fixture

@@ -103,7 +103,7 @@ def test_cohomology_rank_rejects_bad_modulus_and_degree(capsys):
 
 
 def test_cohomology_rank_rejects_non_integer_factors(capsys):
-    for factors in ("a", "2,,3", "2,x", "2.5"):
+    for factors in ("a", "2,,3", "2,x", "2.5", ""):
         code, out, err = run(capsys, "cohomology", "rank", "--n", "2",
                              "--factors", factors, "--m", "2")
         assert code == 2
@@ -143,6 +143,14 @@ def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest", "--rounds", "2")
     assert code == 0
     assert "selftest PASS" in out
+
+
+def test_selftest_rejects_rounds_below_one(capsys):
+    for rounds in ("0", "-1"):
+        code, out, err = run(capsys, "selftest", "--rounds", rounds)
+        assert code == 3
+        assert out == ""
+        assert "constraint violation: --rounds" in err
 
 
 def test_exit_code_parse_error(capsys):

@@ -309,7 +309,7 @@ def test_edge_map_on_boxtimes():
 
 
 def test_edge_map_ignores_coboundaries(rng):
-    for n in (2, 3):
+    for n in (2, 3, 7):
         c = cup_product_boxtimes(n)
         for _ in range(5):
             shift = coboundary(Cochain.random(c.group, 1, n, rng))
@@ -332,10 +332,14 @@ def test_gamma_group_order():
 def test_extension_factor_set_class():
     # over F_25, zeta(3) is not in F_5 and the section is chosen among
     # matrices of keys that are not residues mod p
-    for n, q in ((2, 5), (3, 7), (3, FiniteField(5, 2))):
+    for n, q in ((2, 5), (3, 7), (3, FiniteField(5, 2)), (4, 13)):
         c = extension_factor_set(n, q)
         assert is_cocycle(c)
         box = cup_product_boxtimes(n)
         zero = Cochain(box.group, 2, n, lambda *args: 0)
         assert cocycles_cohomologous(c, -box)
         assert not cocycles_cohomologous(c, zero)
+    # the exact representative, not only its class: (g, h) -> b*beta' for
+    # g = (beta, b), h = (beta', b'), in tuple-product order
+    assert list(extension_factor_set(2, 5).values.values()) == [
+        0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 1, 1]

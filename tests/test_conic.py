@@ -183,7 +183,7 @@ def test_degenerate_fiber_guard_raises_before_any_build():
         count_fiber_points(C, P, e=2)
     assert set(conic._SQRT_COUNTS) == tables
     assert set(_FIELD_CACHE) == fields
-    assert 2 not in P.residue_field()._root_powers
+    assert 2 not in P.residue_field()._roots
 
 
 def _non_default_field(p, d):
@@ -227,7 +227,7 @@ def test_point_count_tables_one_per_field(monkeypatch):
                         lambda f, d: root_calls.append(f) or smallest(f, d))
     monkeypatch.setattr(conic, "_SQRT_COUNTS", {})
     for P in places:
-        monkeypatch.setattr(P.residue_field(), "_root_powers", {})
+        monkeypatch.setattr(P.residue_field(), "_roots", {})
     counts = [count_fiber_points(C, P) for P in places]
     assert set(conic._SQRT_COUNTS) == {(13, 4)}
     assert len(root_calls) == 2

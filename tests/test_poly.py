@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from brauer import FiniteField, Poly
+from brauer.finitefield import prime_powers
 
 
 F5 = FiniteField(5)
@@ -37,6 +38,19 @@ def test_factor_zero_rejected():
         Poly.zero(F5).factor()
 
 
+def _rabin_irreducible(f):
+    """Rabin's test, independent of the distinct-degree split: f of degree
+    n >= 1 divides t^(q^n) - t, and t^(q^(n/l)) - t is prime to f for
+    each prime l | n."""
+    if f.degree < 1:
+        return False
+    f, q, t = f.monic(), f.field.order, Poly.gen(f.field)
+    if t.pow_mod(q ** f.degree, f) != t % f:
+        return False
+    return all(f.gcd(t.pow_mod(q ** (f.degree // ell), f) - t).degree == 0
+               for ell, _ in prime_powers(f.degree))
+
+
 def test_factor_reassembles(rng):
     for F in (F5, F7, FiniteField(5, 2)):
         for _ in range(40):
@@ -47,9 +61,54 @@ def test_factor_reassembles(rng):
             prod = Poly.constant(F, f.leading_coefficient())
             for g, mult in f.factor():
                 assert g.is_monic()
-                assert g.is_irreducible()
+                assert _rabin_irreducible(g)
                 prod = prod * g ** mult
             assert prod == f
+
+
+def _monic(F, d):
+    """Every monic polynomial of degree d over F."""
+    q = F.order
+    for k in range(q ** d):
+        yield Poly(F, [F.from_key(k // q ** i % q) for i in range(d)] + [1])
+
+
+def _mobius(n):
+    pp = prime_powers(n)
+    return 0 if any(e > 1 for _, e in pp) else (-1) ** len(pp)
+
+
+@pytest.mark.parametrize("p,top", [(2, 6), (3, 4), (5, 3), (7, 3)])
+def test_irreducible_count_matches_gauss(p, top):
+    # N_q(d) = (1/d) sum_{k | d} mu(d/k) q^k monic irreducibles of degree d
+    F = FiniteField(p)
+    for d in range(1, top + 1):
+        gauss = sum(_mobius(d // k) * p ** k
+                    for k in range(1, d + 1) if d % k == 0) // d
+        assert sum(f.is_irreducible() for f in _monic(F, d)) == gauss
+
+
+def test_irreducible_agrees_with_rabin(rng):
+    t5 = t(F5)
+    known = {
+        Poly.zero(F5): False, Poly.one(F5): False, Poly.constant(F5, 3): False,
+        3 * t5 + 1: True, 2 * (t5 ** 2 + 2): True, 4 * (t5 ** 2 - 1): False,
+        t5 ** 5 - t5 - 1: True,  # Artin-Schreier
+        t5 ** 5 + 2: False, t5 ** 10 + t5 ** 5 + 1: False,  # derivative 0
+    }
+    for f, want in known.items():
+        assert f.is_irreducible() == _rabin_irreducible(f) == want, f
+    for F in (F5, F7, FiniteField(5, 2)):
+        for _ in range(30):
+            g = Poly(F, [F.from_key(rng.randrange(F.order))
+                         for _ in range(rng.randrange(1, 5))])
+            f = Poly(F, [F.from_key(rng.randrange(1, F.order))]) * g
+            assert f.is_irreducible() == _rabin_irreducible(f), f
+            # g(t^p) is a p-th power
+            gp = Poly(F, [0 if i % F.p else g.coefficient(i // F.p)
+                          for i in range(F.p * g.degree + 1)])
+            assert gp.derivative().is_zero()
+            assert not gp.is_irreducible() and not _rabin_irreducible(gp)
 
 
 def test_factors_are_distinct(rng):

@@ -7,7 +7,6 @@ from brauer import (
     RatFunc,
     ResidueClass,
     SymbolClass,
-    corestrict,
     ramification_divisor,
     reciprocity_sum,
     residue_cocycle_route,
