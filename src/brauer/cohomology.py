@@ -1,20 +1,22 @@
 """Explicit cohomology of finite abelian groups with Z/m coefficients.
 
-Everything is inhomogeneous-cochain linear algebra: cochains are total
-tables G^k -> Z/m, and the differential, the integer one for the trivial
-action, is written once, as the cached sparse rows of coboundary_matrix.
-Coboundaries apply those rows; ranks and cohomologous-ness eliminate them
-over Z/p^e for each prime power p^e of m.  The multiplicative group mu_n is
-written additively as Z/n throughout, via the canonical primitive root of
-the ambient field.
+Everything is inhomogeneous-cochain linear algebra in one numbering: a
+cochain G^k -> Z/m is the tuple of its values in tuple-product order, an
+element's position read from its group's index, and the differential, the
+integer one for the trivial action, is written once, as the cached sparse
+rows of coboundary_matrix over those positions.  Coboundaries apply those
+rows; ranks and cohomologous-ness eliminate them over Z/p^e for each prime
+power p^e of m.  The multiplicative group mu_n is written additively as Z/n
+throughout, via the canonical primitive root of the ambient field.
 
 Also here: the formal-unit calculus for the Cech coboundary identity on the
 n-th root cover of a DVR, and the factor set of the monomial-matrix central
 extension of mu_n x Z/n (scalars, the n-cycle permutation, and the diagonal
-of successive root-of-unity powers).  A formal unit holds its pi-exponent as
-an int count of 1/n steps, so the identity is checked in integer arithmetic.
-TableSizeError and its bound TABLE_GUARD, shared by every size check in the
-package, live here.
+of successive root-of-unity powers), each element held as the column and
+entry of each row.  A formal unit holds its pi-exponent as an int count of
+1/n steps, so the identity is checked in integer arithmetic.  TableSizeError
+and its bound TABLE_GUARD, shared by every size check in the package, live
+here; each check of this module runs before its table is listed.
 """
 
 from __future__ import annotations
@@ -37,19 +39,28 @@ class TableSizeError(ValueError):
     """Raised when a table, matrix or parsed polynomial exceeds TABLE_GUARD."""
 
 
+def _check_size(base: int, power: int, what: str):
+    """Raise TableSizeError when base^power entries of ``what`` exceed
+    TABLE_GUARD; past bit_length(TABLE_GUARD) a base >= 2 always does."""
+    if base > 1 and (power >= TABLE_GUARD.bit_length()
+                     or base ** power > TABLE_GUARD):
+        raise TableSizeError(f"{what} with {base}^{power} entries exceeds "
+                             "guard")
+
+
 class FiniteAbelianGroup:
-    """Product of cyclic groups Z/m1 x ... x Z/mk; elements are tuples."""
+    """Product of cyclic groups Z/m1 x ... x Z/mk; elements are tuples,
+    listed in tuple-product order, and ``index`` maps each to its position."""
 
     def __init__(self, factors):
         factors = tuple(int(m) for m in factors)
         if any(m < 1 for m in factors):
             raise ValueError("cyclic factors must be >= 1")
         self.factors = factors
-        self.size = 1
-        for m in factors:
-            self.size *= m
-        self._elements = [tuple(e) for e in
-                          itertools.product(*(range(m) for m in factors))]
+        self.size = math.prod(factors)
+        _check_size(self.size, 1, "element list")
+        self._elements = list(itertools.product(*(range(m) for m in factors)))
+        self.index = {g: i for i, g in enumerate(self._elements)}
 
     def elements(self):
         return self._elements
@@ -70,64 +81,70 @@ class FiniteAbelianGroup:
         return " x ".join(f"Z/{m}" for m in self.factors)
 
 
-def _check_size(group: FiniteAbelianGroup, degree: int):
-    if group.size ** max(degree, 1) > TABLE_GUARD:
-        raise TableSizeError(
-            f"cochain table with {group.size}^{degree} entries exceeds guard")
-
-
 class Cochain:
-    """A total function group^degree -> Z/modulus; ``values`` is kept in
-    tuple-product order, the column order of coboundary_matrix."""
+    """A total function group^degree -> Z/modulus.  ``values`` is a tuple in
+    tuple-product order, the column order of coboundary_matrix; it is built
+    from a function of the degree arguments or a sequence of |G|^degree
+    values."""
 
     def __init__(self, group: FiniteAbelianGroup, degree: int, modulus: int,
                  values=None):
         if degree < 0:
             raise ValueError("negative cochain degree")
-        _check_size(group, degree)
+        _check_size(group.size, degree, "cochain table")
         self.group = group
         self.degree = degree
         self.modulus = modulus
-        keys = list(itertools.product(group.elements(), repeat=degree))
+        size = group.size ** degree
         if values is None:
-            self.values = {k: 0 for k in keys}
+            values = (0,) * size
         elif callable(values):
-            self.values = {k: values(*k) % modulus for k in keys}
-        else:
-            self.values = {k: values[k] % modulus for k in keys}
+            values = [values(*k) for k in
+                      itertools.product(group.elements(), repeat=degree)]
+        elif isinstance(values, dict):
+            raise TypeError("cochain values are a sequence in tuple-product "
+                            "order, not a dict")
+        self.values = tuple(v % modulus for v in values)
+        if len(self.values) != size:
+            raise ValueError(f"a degree-{degree} cochain on {group} has "
+                             f"{size} values, got {len(self.values)}")
 
     def __call__(self, *args) -> int:
-        return self.values[tuple(tuple(g) for g in args)]
+        if len(args) != self.degree:
+            raise KeyError(args)
+        i = 0
+        for g in args:
+            i = i * self.group.size + self.group.index[tuple(g)]
+        return self.values[i]
 
     def _compat(self, other):
         if (self.group != other.group or self.degree != other.degree
                 or self.modulus != other.modulus):
             raise ValueError("incompatible cochains")
 
+    def _new(self, values):
+        return Cochain(self.group, self.degree, self.modulus, values)
+
     def __add__(self, other):
         self._compat(other)
-        return Cochain(self.group, self.degree, self.modulus,
-                       {k: v + other.values[k] for k, v in self.values.items()})
+        return self._new([a + b for a, b in zip(self.values, other.values)])
 
     def __sub__(self, other):
         self._compat(other)
-        return Cochain(self.group, self.degree, self.modulus,
-                       {k: v - other.values[k] for k, v in self.values.items()})
+        return self._new([a - b for a, b in zip(self.values, other.values)])
 
     def __neg__(self):
-        return Cochain(self.group, self.degree, self.modulus,
-                       {k: -v for k, v in self.values.items()})
+        return self._new([-v for v in self.values])
 
     def __mul__(self, k: int):
         if not isinstance(k, int):
             return NotImplemented
-        return Cochain(self.group, self.degree, self.modulus,
-                       {key: k * v for key, v in self.values.items()})
+        return self._new([k * v for v in self.values])
 
     __rmul__ = __mul__
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values.values())
+        return not any(self.values)
 
     def __eq__(self, other):
         return (isinstance(other, Cochain) and self.group == other.group
@@ -141,18 +158,16 @@ class Cochain:
     @classmethod
     def random(cls, group, degree, modulus, rng: random.Random):
         return cls(group, degree, modulus,
-                   lambda *k: rng.randrange(modulus))
+                   [rng.randrange(modulus) for _ in range(group.size ** degree)])
 
 
 def coboundary(c: Cochain) -> Cochain:
     """Inhomogeneous differential with trivial coefficients, d(d(c)) = 0:
     the rows of coboundary_matrix applied to c.values."""
-    v = list(c.values.values())
-    keys = itertools.product(c.group.elements(), repeat=c.degree + 1)
-    rows = coboundary_matrix(c.group, c.degree)
+    v = c.values
     return Cochain(c.group, c.degree + 1, c.modulus,
-                   {key: sum(a * v[j] for j, a in row)
-                    for key, row in zip(keys, rows)})
+                   [sum(a * v[j] for j, a in row)
+                    for row in coboundary_matrix(c.group, c.degree)])
 
 
 def is_cocycle(c: Cochain) -> bool:
@@ -166,12 +181,11 @@ def coboundary_matrix(group: FiniteAbelianGroup, k: int):
     (k+1)-tuple, c(g_1..g_k) + sum_i (-1)^(i+1) c(..g_i + g_{i+1}..)
     + (-1)^(k+1) c(g_0..g_{k-1}), merged, zeros dropped: at most k+2
     pairs.  Immutable tuples, cached per (group, k)."""
-    _check_size(group, k + 1)
+    _check_size(group.size, k + 1, "cochain table")
     elements = group.elements()
     n = len(elements)
-    index = {g: i for i, g in enumerate(elements)}
     # n^2 <= n^(k+1) entries; d_0 merges no faces, so needs none
-    add = [[index[group.add(g, h)] for h in elements]
+    add = [[group.index[group.add(g, h)] for h in elements]
            for g in elements] if k else None
     pw = [n ** j for j in range(k + 2)]
     rows, pairs = [], {}  # one tuple per distinct pair, shared by the rows
@@ -220,12 +234,10 @@ def cohomology_rank(group: FiniteAbelianGroup, modulus: int, degree: int):
 
 def cocycles_cohomologous(c1: Cochain, c2: Cochain) -> bool:
     """Whether c1 - c2 is a coboundary, by modular linear algebra."""
-    c1._compat(c2)
+    b = (c1 - c2).values
     if c1.degree == 0:
-        return (c1 - c2).is_zero()
-    G = c1.group
-    k = c1.degree - 1
-    b = list((c1 - c2).values.values())
+        return not any(b)
+    G, k = c1.group, c1.degree - 1
     return solve_mod(coboundary_matrix(G, k), b, c1.modulus,
                      G.size ** k) is not None
 
@@ -291,20 +303,26 @@ def verify_coboundary_identity(n: int, power: int = 1) -> bool:
 
     The Cech coboundary of the 1-cochain indexed by (beta, b) is evaluated
     with the torsor translation: restricting the second index along the
-    first multiplies the n-th root of pi by zeta^beta.
+    first multiplies the n-th root of pi by zeta^beta.  It walks n^3
+    triples, so n^3 > TABLE_GUARD raises TableSizeError.
     """
+    _check_size(n, 3, "coboundary check")
     eps = epsilon_cocycle(n, power)
+    zetas = [FormalUnit(0, k, n) for k in range(n)]
     # the value at ((beta, b), (beta', b')) is independent of beta':
     # the cochain depends only on b and the translation only on beta
-    for beta, b, b2 in itertools.product(range(n), repeat=3):
-        c_g = FormalUnit(power * b, 0, n)
+    for b2 in range(n):
         # c_{g'} translated by g: the root picks up the factor zeta^beta
-        c_g2_translated = FormalUnit(power * b2, power * beta * b2, n)
-        c_gg2 = FormalUnit(power * ((b + b2) % n), 0, n)
-        d_value = c_g2_translated * c_gg2.inverse() * c_g
-        expected = eps[(b, b2)].inverse() * FormalUnit(0, power * beta * b2, n)
-        if d_value != expected:
-            return False
+        translated = [FormalUnit(power * b2, power * beta * b2, n)
+                      for beta in range(n)]
+        for b in range(n):
+            c_g = FormalUnit(power * b, 0, n)
+            c_gg2 = FormalUnit(power * ((b + b2) % n), 0, n)
+            rest, eps_inv = c_gg2.inverse() * c_g, eps[(b, b2)].inverse()
+            for beta in range(n):
+                if (translated[beta] * rest
+                        != eps_inv * zetas[power * beta * b2 % n]):
+                    return False
     return True
 
 
@@ -334,21 +352,20 @@ def lhs_edge_map(c: Cochain) -> Cochain:
     Zn = FiniteAbelianGroup((n,))
 
     # solve d(phi) = c restricted to the mu_n x mu_n face
-    b = [c.values[(x, 0), (y, 0)] for x in range(n) for y in range(n)]
+    b = [c((x, 0), (y, 0)) for x in range(n) for y in range(n)]
     if solve_mod(coboundary_matrix(Zn, 1), b, m, n) is None:
         raise ValueError("class does not vanish on fiber")
 
     # G is abelian, so df(g,h) = df(h,g) for every 1-cochain f: c and c
     # corrected by d(lift of phi) have the same pairing, read here off c
     def pairing(beta: int, bb: int) -> int:
-        return (c.values[((beta, 0), (0, bb))]
-                - c.values[((0, bb), (beta, 0))]) % m
+        return (c((beta, 0), (0, bb)) - c((0, bb), (beta, 0))) % m
 
-    out = {}
+    out = []
     for bb in range(n):
         # the pairing is linear in beta; its value is the slope at 1
         base = pairing(0, bb)
-        out[((bb,),)] = slope = (pairing(1, bb) - base) % m
+        out.append(slope := (pairing(1, bb) - base) % m)
         if any(pairing(beta, bb) != (beta * slope + base) % m
                for beta in range(n)):
             raise ValueError("fiber pairing is not a character")
@@ -358,90 +375,69 @@ def lhs_edge_map(c: Cochain) -> Cochain:
 # ---------------------------------------------------------------------------
 # the monomial-matrix central extension and its factor set
 
-def _mat_mul(F: FiniteField, A, B):
-    """A*B for square matrices of field keys."""
-    n = len(A)
-    out = []
-    for Ai in A:
-        row = []
-        for j in range(n):
-            acc = 0
-            for k in range(n):
-                if Ai[k] and B[k][j]:
-                    acc = F._kadd(acc, F._kmul(Ai[k], B[k][j]))
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
 def _gamma_group(n: int, q_field: FiniteField):
-    """Closure of {zeta*I, n-cycle permutation, diag of zeta powers}, as
-    matrices of field keys."""
+    """Closure of {zeta*I, n-cycle permutation, diag of zeta powers}.  Each
+    element is monomial, held as (cols, entries): row i has the field key
+    entries[i] in column cols[i], so a product is O(n).  Sorted by the rows'
+    (-column, entry), which is the order of the dense matrices."""
     F = q_field
     zeta = F.zeta(n).key()
-
-    def diag(entries):
-        return tuple(tuple(entries[i] if i == j else 0 for j in range(n))
-                     for i in range(n))
-
-    scalar = diag([zeta] * n)
-    powers = diag([F._kpow(zeta, i) for i in range(n)])
-    cycle = tuple(tuple(int(j == (i + 1) % n) for j in range(n))
-                  for i in range(n))
-    gens = [scalar, powers, cycle]
-    seen = {diag([1] * n)}
+    ident = tuple(range(n))
+    gens = [(ident, (zeta,) * n),
+            (ident, tuple(F._kpow(zeta, i) for i in range(n))),
+            (tuple((i + 1) % n for i in range(n)), (1,) * n)]
+    seen = {(ident, (1,) * n)}
     frontier = list(seen)
     while frontier:
         nxt = []
-        for A in frontier:
-            for g in gens:
-                B = _mat_mul(F, A, g)
+        for cols, entries in frontier:
+            for g_cols, g_entries in gens:
+                # row i of A*g is row cols[i] of g scaled by entries[i]
+                B = (tuple(g_cols[c] for c in cols),
+                     tuple(F._kmul(e, g_entries[c])
+                           for c, e in zip(cols, entries)))
                 if B not in seen:
                     seen.add(B)
                     nxt.append(B)
         frontier = nxt
-    return sorted(seen)
+    return sorted(seen, key=lambda A: [(-c, e) for c, e in zip(*A)])
 
 
 def extension_factor_set(n: int, q: int) -> Cochain:
     """Factor set of the scalar extension of mu_n x Z/n inside GL_n(F_q).
 
-    A group element projects to (beta, b) by the ratio of successive
-    nonzero entries and the position of the nonzero entry in the first
-    row; the factor set of a deterministic set-theoretic section S lands in
-    the central scalars, S_g S_h = lambda(g,h) S_{g+h}, and lambda is read
-    as the ratio of one entry of S_g S_h to the same entry of S_{g+h}.  It
-    is returned additively, as a 2-cochain on Z/n x Z/n with values in Z/n.
-    Its class is that of ((beta,b),(beta',b')) -> beta'*b, the negative of
-    the box product.
+    A group element projects to (beta, b) by the ratio of its first two
+    entries and the column of the entry in the first row; the factor set
+    of a deterministic set-theoretic section S lands in the central
+    scalars, S_g S_h = lambda(g,h) S_{g+h}, and lambda is read as the ratio
+    of the row-0 entry of S_g S_h to that of S_{g+h}.  It is returned
+    additively, as a 2-cochain on Z/n x Z/n with values in Z/n.  Its class
+    is that of ((beta,b),(beta',b')) -> beta'*b, the negative of the box
+    product.  Its n^4 values are checked against TABLE_GUARD before the
+    group is built.
     """
     F = FiniteField(q) if isinstance(q, int) else q
     if (F.order - 1) % n != 0:
         raise ValueError(f"n={n} must divide q-1={F.order - 1}")
+    G = FiniteAbelianGroup((n, n))
+    _check_size(G.size, 2, "cochain table")
     zeta = F.zeta(n)
-    group = _gamma_group(n, F)
 
     def project(A):
-        cols = [next(j for j in range(n) if A[i][j]) for i in range(n)]
-        ratio = F._kmul(A[1][cols[1]], F._kinv(A[0][cols[0]])) if n > 1 else 1
-        beta = zeta_log(ratio, zeta, n)
-        return (beta, cols[0])
+        cols, entries = A
+        ratio = F._kmul(entries[1], F._kinv(entries[0])) if n > 1 else 1
+        return (zeta_log(ratio, zeta, n), cols[0])
 
     section = {}
-    for A in group:  # sorted, so the chosen preimages are deterministic
-        key = project(A)
-        if key not in section:
-            section[key] = A
-
-    G = FiniteAbelianGroup((n, n))
+    for A in _gamma_group(n, F):  # sorted, so the preimages are deterministic
+        section.setdefault(project(A), A)
 
     def value(g, h):
-        # lambda = (S_g S_h)[0][j] / S_{g+h}[0][j], j the one nonzero
-        # column of row 0 of the monomial matrix S_{g+h}
-        S = section[G.add(g, h)]
-        j = next(j for j in range(n) if S[0][j])
-        A = _mat_mul(F, section[g], section[h])
-        return zeta_log(F._kmul(A[0][j], F._kinv(S[0][j])), zeta, n)
+        # row 0 of S_g S_h is row cols_g[0] of S_h scaled by entries_g[0]
+        (cols_g, entries_g), (_, entries_h) = section[g], section[h]
+        entry = F._kmul(entries_g[0], entries_h[cols_g[0]])
+        _, entries_gh = section[G.add(g, h)]
+        return zeta_log(F._kmul(entry, F._kinv(entries_gh[0])), zeta, n)
 
     return Cochain(G, 2, n, value)
 

@@ -144,34 +144,19 @@ def _sqrt_count_table(p: int, d: int):
     return table
 
 
-def _smallest_root(f: Poly, d: int) -> int:
-    """Key of the smallest root of f, a monic irreducible of degree d over
-    the prime field that splits over f's field.  Equal-degree splits of f,
-    keeping the smaller side, give one root r; its conjugates r^(p^i),
-    i < d, are all the roots."""
-    L = f.field
-    while f.degree > 1:
-        g = f._split(1)
-        f = min(g, f // g, key=lambda h: h.degree)
-    roots = [L._kneg(f.coeffs[0])]
-    for _ in range(d - 1):
-        roots.append(L._kpow(roots[-1], L.p))
-    return min(roots)
-
-
 def _extension_with_embedding(kappa: FiniteField, e: int):
     """(L, embed) with L = FiniteField(p, d*e), the default-modulus field of
     order |kappa|^e, and embed: kappa -> L a field map.
 
     The embedding sends the generator x of kappa to the smallest root r of
-    kappa's modulus in L, so u = sum c_i x^i goes to the polynomial
+    kappa's modulus in L, the first of Poly.roots, so u = sum c_i x^i goes to the polynomial
     sum c_i t^i evaluated at r; the key of r is found once per (kappa, e)
     and kept on kappa.
     """
     L = FiniteField(kappa.p, kappa.d * e)
     r = kappa._roots.get(e)
     if r is None:
-        r = kappa._roots[e] = _smallest_root(Poly(L, kappa.modulus), kappa.d)
+        r = kappa._roots[e] = Poly(L, kappa.modulus).roots()[0].key()
     root = L.from_key(r)
     return L, lambda u: Poly(L, u.coeffs).evaluate(root)
 

@@ -184,6 +184,29 @@ def test_parse_degree_bound(capsys):
     assert out.startswith("0 ")
 
 
+def test_cohomology_size_guard_before_building(capsys):
+    # the group, the Gamma closure and a 2^(10^9) table size are all
+    # refused before anything is listed, built or multiplied out
+    for argv in (["rank", "--n", "2", "--factors", "100000,100000", "--m",
+                  "2", "--degree", "1"],
+                 ["rank", "--n", "2", "--factors", "2", "--m", "2",
+                  "--degree", "1000000000"],
+                 ["edge", "--n", "100000"],
+                 ["gamma", "--n", "32", "--q", "97"],
+                 ["epsilon", "--n", "101"]):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "cohomology", *argv)
+        assert time.perf_counter() - start < 1, argv
+        assert (code, out) == (4, ""), argv
+        assert err.startswith("size guard"), argv
+
+
+def test_epsilon_at_the_guard(capsys):
+    # 100^3 triples is exactly TABLE_GUARD, so the check runs
+    code, out, _ = run(capsys, "cohomology", "epsilon", "--n", "100")
+    assert (code, out) == (0, "coboundary identity PASS\n")
+
+
 def test_large_prime_field_answers_quickly(capsys):
     start = time.perf_counter()
     code, out, _ = run(capsys, "residue", "--q", "1000003", "--n", "2",

@@ -29,16 +29,16 @@ def _face_coboundary(c):
     """The inhomogeneous differential straight from the face formula, an
     oracle independent of coboundary_matrix."""
     G, k, m = c.group, c.degree, c.modulus
-    out = {}
+    out = []
     for key in itertools.product(G.elements(), repeat=k + 1):
-        v = c.values[key[1:]]
+        v = c(*key[1:])
         sign = -1
         for i in range(k):
             merged = key[:i] + (G.add(key[i], key[i + 1]),) + key[i + 2:]
-            v += sign * c.values[merged]
+            v += sign * c(*merged)
             sign = -sign
-        v += sign * c.values[key[:k]]
-        out[key] = v % m
+        v += sign * c(*key[:k])
+        out.append(v % m)
     return Cochain(G, k + 1, m, out)
 
 
@@ -56,6 +56,31 @@ def test_group_structure():
     assert len(G.elements()) == 6
     for g in G.elements():
         assert G.add(g, G.neg(g)) == (0, 0)
+
+
+def test_group_index_is_tuple_product_order():
+    G = FiniteAbelianGroup((2, 3))
+    assert [G.index[g] for g in G.elements()] == list(range(6))
+    assert G.elements()[G.index[(1, 2)]] == (1, 2)
+
+
+def test_cochain_values_contract():
+    G = FiniteAbelianGroup((2, 3))
+    c = Cochain(G, 1, 4, [5, -1, 2, 3, 4, 9])
+    assert c.values == (1, 3, 2, 3, 0, 1)  # reduced mod 4
+    assert c((1, 0)) == c([1, 0]) == 3
+    assert Cochain(G, 1, 4, lambda g: 5 * g[0] - g[1]) == Cochain(
+        G, 1, 4, [0, 3, 2, 1, 0, 3])
+    assert Cochain(G, 0, 4, [6]).values == (2,)
+    assert Cochain(G, 2, 4).values == (0,) * 36
+    for values in ([0] * 5, [0] * 7, [0] * 36, []):
+        with pytest.raises(ValueError, match="6 values"):
+            Cochain(G, 1, 4, values)
+    with pytest.raises(TypeError, match="not a dict"):
+        Cochain(G, 1, 4, {(g,): 0 for g in G.elements()})
+    for args in (((2, 0),), ((0, 3),), ((0,),), ((0, 0), (0, 0)), ()):
+        with pytest.raises(KeyError):
+            c(*args)
 
 
 def test_d_squared_is_zero(rng):
@@ -329,6 +354,18 @@ def test_gamma_group_order():
     assert gamma_group_order(3, 7) == 27
 
 
+def test_gamma_group_sorted_as_dense_matrices():
+    # the monomial form sorts like the dense matrices, so the section that
+    # extension_factor_set picks from the sorted group is the dense one's
+    for n, F in ((2, FiniteField(5)), (3, FiniteField(7)),
+                 (4, FiniteField(13)), (3, FiniteField(5, 2))):
+        dense = [tuple(tuple(e if j == c else 0 for j in range(n))
+                       for c, e in zip(cols, entries))
+                 for cols, entries in cohomology._gamma_group(n, F)]
+        assert len(set(dense)) == n ** 3
+        assert dense == sorted(dense)
+
+
 def test_extension_factor_set_class():
     # over F_25, zeta(3) is not in F_5 and the section is chosen among
     # matrices of keys that are not residues mod p
@@ -341,5 +378,5 @@ def test_extension_factor_set_class():
         assert not cocycles_cohomologous(c, zero)
     # the exact representative, not only its class: (g, h) -> b*beta' for
     # g = (beta, b), h = (beta', b'), in tuple-product order
-    assert list(extension_factor_set(2, 5).values.values()) == [
-        0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 1, 1]
+    assert extension_factor_set(2, 5).values == (
+        0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 1, 1)

@@ -222,9 +222,9 @@ def test_point_count_tables_one_per_field(monkeypatch):
     C = ConicBundle(RatFunc(places[0].poly * places[1].poly),
                     RatFunc.constant(F13, 2))
     root_calls = []
-    smallest = conic._smallest_root
-    monkeypatch.setattr(conic, "_smallest_root",
-                        lambda f, d: root_calls.append(f) or smallest(f, d))
+    roots = Poly.roots
+    monkeypatch.setattr(Poly, "roots",
+                        lambda f: root_calls.append(f) or roots(f))
     monkeypatch.setattr(conic, "_SQRT_COUNTS", {})
     for P in places:
         monkeypatch.setattr(P.residue_field(), "_roots", {})

@@ -36,3 +36,39 @@ def test_no_unused_imports():
     found = {p.relative_to(ROOT).as_posix(): unused_imports(p.read_text())
              for p in MODULES}
     assert {path: names for path, names in found.items() if names} == {}
+
+
+def unread_private_definitions(sources):
+    """Module-level _name functions and classes that no statement of the
+    sources reads, their own definitions aside; an attribute x._name reads
+    _name."""
+    statements = [stmt for source in sources for stmt in ast.parse(source).body]
+
+    def reads(stmt):
+        return {node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(stmt)
+                if isinstance(node, ast.Attribute) or (
+                    isinstance(node, ast.Name)
+                    and isinstance(node.ctx, ast.Load))}
+
+    read = [reads(stmt) for stmt in statements]
+    return sorted(
+        stmt.name for stmt in statements
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and stmt.name.startswith("_") and not stmt.name.startswith("__")
+        and not any(stmt.name in names for other, names
+                    in zip(statements, read) if other is not stmt))
+
+
+def test_checker_finds_unread_definitions():
+    sources = ["def _used():\n    return 1\n"
+               "def _recursive(n):\n    return _recursive(n - 1)\n"
+               "class _Unused:\n    pass\n"
+               "def public():\n    return 2\n",
+               "import m\nx = m._used()\n"]
+    assert unread_private_definitions(sources) == ["_Unused", "_recursive"]
+
+
+def test_no_unread_private_definitions():
+    sources = [p.read_text() for p in (ROOT / "src" / "brauer").glob("*.py")]
+    assert unread_private_definitions(sources) == []
