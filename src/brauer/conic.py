@@ -6,19 +6,21 @@ swapped by a quadratic twist; the class of that component torsor equals
 the tame residue.  A projective point-count over the residue field acts as
 an independent oracle: a split degenerate conic over F_Q has 2Q+1 points,
 a non-split one exactly 1.  The count runs in the default-modulus field
-F_Q = FiniteField(p, d*e), into which kappa(P) embeds by evaluation at a
-root of pi, with log/exp-table products on the keys, so its tables exist
-once per (p, d).
+F_Q = FiniteField(p, d*e), into which kappa(P) embeds at a root of pi;
+multiplying by c there rotates discrete logs by log c, so a degenerate
+fiber is one dot product of log-indexed square-root counts with their
+rotation, from tables built once per (p, d).
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from functools import reduce
+from operator import getitem, mul
 
 from .cohomology import TABLE_GUARD, TableSizeError
-from .finitefield import FieldElement, FiniteField, ResidueClass, \
-    power_residue_character
+from .finitefield import FiniteField, ResidueClass, power_residue_character
 from .poly import Poly
 from .ratfunc import Place, RatFunc, _local_unit, valuation
 from .residues import SymbolClass, _candidate_places, ramification_divisor
@@ -126,21 +128,20 @@ _SQRT_COUNTS: dict = {}
 
 
 def _sqrt_count_table(p: int, d: int):
-    """(cnt, squares) over L = FiniteField(p, d): cnt[k] = #{z in L : z*z has
-    key k}, each z*z a log/exp-table product, and squares the keys with
-    cnt > 0, so a count visits the squares without a pass over L.  One table
-    per (p, d)."""
+    """(cnt, by_log) over L = FiniteField(p, d): cnt[k] = #{z in L : z*z has
+    key k}, each z*z a log/exp-table product, and by_log[i] = cnt[exp[i]],
+    the counts on the units by discrete log, stored twice over so that
+    by_log[j:j + Q - 1] is their rotation by j.  One table per (p, d)."""
     table = _SQRT_COUNTS.get((p, d))
     if table is None:
         L = FiniteField(p, d)
         exp, log = L._log_tables()
         m = L.order - 1
-        cnt = [0] * L.order
-        cnt[0] = 1  # 0 * 0
+        cnt = array("B", [1]) + array("B", [0]) * m  # 1 at 0, for 0 * 0
         for z in range(1, L.order):
             cnt[exp[(log[z] + log[z]) % m]] += 1
-        squares = array("l", (w for w, n in enumerate(cnt) if n))
-        table = _SQRT_COUNTS[p, d] = cnt, squares
+        by_log = array("B", (cnt[w] for w in exp)) * 2
+        table = _SQRT_COUNTS[p, d] = cnt, by_log
     return table
 
 
@@ -149,30 +150,34 @@ def _extension_with_embedding(kappa: FiniteField, e: int):
     order |kappa|^e, and embed: kappa -> L a field map.
 
     The embedding sends the generator x of kappa to the smallest root r of
-    kappa's modulus in L, the first of Poly.roots, so u = sum c_i x^i goes to the polynomial
-    sum c_i t^i evaluated at r; the key of r is found once per (kappa, e)
-    and kept on kappa.
+    kappa's modulus in L, the first of Poly.roots, and is F_p-linear: the
+    image of u = sum c_i x^i is the key sum of the c_i * r^i, read from
+    rows of keys of c * r^i (c < p, i < d) built once per (kappa, e).
     """
-    L = FiniteField(kappa.p, kappa.d * e)
-    r = kappa._roots.get(e)
-    if r is None:
-        r = kappa._roots[e] = Poly(L, kappa.modulus).roots()[0].key()
-    root = L.from_key(r)
-    return L, lambda u: Poly(L, u.coeffs).evaluate(root)
+    p, L = kappa.p, FiniteField(kappa.p, kappa.d * e)
+    rows = kappa._roots.get(e)
+    if rows is None:
+        r = Poly(L, kappa.modulus).roots()[0].key()
+        rows = kappa._roots[e] = [[L._kmul(c, L._kpow(r, i)) for c in range(p)]
+                                  for i in range(kappa.d)]
+    return L, lambda u: L.from_key(
+        reduce(L._kadd, map(getitem, rows, u.coeffs)))
 
 
 def count_fiber_points(C: ConicBundle, P: Place, e: int = 1) -> int:
     """Projective points of the reduced fiber at P over the degree-e
     extension of kappa(P), counted by enumeration.
 
-    The count runs in L = FiniteField(p, d*e), into which kappa(P) embeds by
-    a root of its modulus, with elements as int keys and products read from
-    L's log/exp tables.  Affine solutions of A x^2 + B y^2 = z^2 are
-    enumerated by one pass over the squares: the square-root count table
-    of L gives how many x have x^2 = w, so each square w is multiplied by a
-    coefficient once; the projective count is (solutions - 1)/(Q - 1).
-    Raises TableSizeError, before L or any table is built, when a smooth
-    fiber has Q^2 > 10^6 pairs or a degenerate one Q > 10^6 points.
+    The count runs on int keys in L = FiniteField(p, d*e), of order Q, into
+    which kappa(P) embeds by a root of its modulus.  With cnt[w] = #{x :
+    x^2 = w}, A x^2 + B y^2 = z^2 has Q * sum_w cnt[w] * cnt[c*w] affine
+    solutions if c is the only nonzero one of A, B: on the units c*w is the
+    rotation by log c, so the sum is 1 (w = 0) plus one dot product of the
+    log-indexed counts with their rotation.  A smooth fiber sums cnt[u] *
+    cnt[v] * cnt[A*u + B*v] over the squares u, v, with A*u and B*v read
+    off the same rotations.  Points are (solutions - 1)/(Q - 1).  Raises
+    TableSizeError, before L or any table is built, when a smooth fiber
+    has Q^2 > 10^6 pairs or a degenerate one Q > 10^6 points.
     """
     kappa = P.residue_field()
     abar, bbar = _reduced_fiber(C, P)
@@ -186,15 +191,9 @@ def count_fiber_points(C: ConicBundle, P: Place, e: int = 1) -> int:
             f"degenerate-fiber enumeration over {Q} points exceeds guard")
     L, embed = _extension_with_embedding(kappa, e)
     exp, log = L._log_tables()
-    cnt, squares = _sqrt_count_table(L.p, L.d)
+    cnt, by_log = _sqrt_count_table(L.p, L.d)
     m = Q - 1
-
-    def scaled(c: FieldElement):
-        """(key of c*w, count of w) over the squares w, for c != 0."""
-        lc = log[c.key()]
-        return ((exp[(lc + log[w]) % m] if w else 0, cnt[w]) for w in squares)
-
-    A, B = embed(abar), embed(bbar)
+    lA, lB = (log[embed(u).key()] for u in (abar, bbar))  # -1 for zero
     if smooth:
         # keys rewritten in base 2p add digit by digit without carries
         p, base = L.p, 2 * L.p
@@ -205,17 +204,18 @@ def count_fiber_points(C: ConicBundle, P: Place, e: int = 1) -> int:
         for s in range(1, len(fold)):
             fold[s] = s % base % p + p * fold[s // base]
         cnt_of_sum = [cnt[k] for k in fold]
-        ax2 = [(spread[u], n) for u, n in scaled(A)]
-        by2 = [(spread[v], n) for v, n in scaled(B)]
+        # (c*w, cnt[w]) over the squares w, c*w read off the rotation by log c
+        ax2, by2 = ([(0, 1)] + [(spread[exp[k]], n) for k, n
+                                in enumerate(by_log[m - lc:2 * m - lc]) if n]
+                    for lc in (lA, lB))
         total = 0
         for u, nx in ax2:
             for v, ny in by2:
                 total += nx * ny * cnt_of_sum[u + v]
     else:
-        total = sum(n * cnt[u] for u, n in scaled(B if A.is_zero() else A))
-        total *= Q  # the missing variable is free
-    # projective points = (nonzero affine solutions) / (Q - 1)
-    points, rem = divmod(total - 1, Q - 1)
+        lc = max(lA, lB)  # the log of the nonzero coefficient
+        total = Q * (1 + sum(map(mul, by_log[lc:lc + m], by_log)))
+    points, rem = divmod(total - 1, m)
     if rem:
         raise RuntimeError("affine solution count is not projective")
     return points

@@ -5,7 +5,7 @@ its coefficients c_i in [0, p), so over F_p the residue mod p; Poly
 coefficients are keys too.  The key ops _kadd, _ksub, _kneg, _kmul, _kinv
 and _kpow are the only arithmetic: ints mod p over F_p, one loop over the
 base-p digits of the keys otherwise, and inverses in F_{p^d} from the
-extended Euclid of a and the modulus on Poly.  Fields are cached by
+extended Euclid of a and the modulus on digit lists.  Fields are cached by
 (p, d, modulus); a modulus is checked, and the default one found, with
 Poly.is_irreducible, so F_p[x] has one implementation.  A field builds
 log/exp tables on keys on first request; only the conic point count asks,
@@ -94,8 +94,9 @@ class FiniteField:
         self.order = p ** d
         self._zeta_cache = {}
         self._tables = None  # (exp, log), built by _log_tables on first use
-        # e -> key of the root of the modulus in FiniteField(p, d*e) at
-        # which conic evaluates this field's elements to embed them there
+        # e -> rows of the keys of c * r^i (c < p, i < d) in
+        # FiniteField(p, d*e), r the root of the modulus at which conic
+        # embeds this field's elements there
         self._roots = {}
         # x^d = sum of r * x^j over the (j, r) here, the reduction in _kmul
         self._tail = tuple((j, -c % p) for j, c in enumerate(modulus[:d]) if c)
@@ -176,19 +177,30 @@ class FiniteField:
 
     def _kinv(self, a: int) -> int:
         """a^-1; in F_{p^d} by the extended Euclid of a and the modulus in
-        F_p[x], on Poly's int keys."""
+        F_p[x], on int lists of base-p digits (low degree first)."""
         if not a:
             raise ZeroDivisionError("inverse of zero field element")
+        p = self.p
         if self.d == 1:
-            return pow(a, -1, self.p)
-        from .poly import Poly  # poly imports this module
-        Fp = FiniteField(self.p)
-        r0, r1 = Poly._raw(Fp, self.modulus), Poly._raw(Fp, self._digits(a))
-        s0, s1 = Poly.zero(Fp), Poly.one(Fp)
-        while r1.degree > 0:  # s_i * a = r_i mod the modulus
-            q, r = divmod(r0, r1)
-            r0, r1, s0, s1 = r1, r, s1, s0 - q * s1
-        return self._key((s1 * Fp._kinv(r1.coeffs[0])).coeffs)
+            return pow(a, -1, p)
+        r0, r1 = list(self.modulus), list(self._digits(a))
+        while not r1[-1]:
+            r1.pop()
+        s0, s1 = [0], [1]
+        while len(r1) > 1:  # s_i * a = r_i mod the modulus
+            lead = pow(r1[-1], -1, p)
+            while len(r0) >= len(r1):  # r0 -= c x^k r1, s0 -= c x^k s1
+                c, k = r0[-1] * lead % p, len(r0) - len(r1)
+                for j, y in enumerate(r1, k):
+                    r0[j] = (r0[j] - c * y) % p
+                s0 += [0] * (k + len(s1) - len(s0))
+                for j, y in enumerate(s1, k):
+                    s0[j] = (s0[j] - c * y) % p
+                while r0 and not r0[-1]:
+                    r0.pop()
+            r0, r1, s0, s1 = r1, r0, s1, s0
+        c = pow(r1[0], -1, p)
+        return self._key([x * c % p for x in s1])
 
     def _kpow(self, a: int, e: int) -> int:
         if e < 0:  # a^e = a^(e mod (q - 1)) for a unit a
@@ -209,17 +221,24 @@ class FiniteField:
         """(exp, log) int arrays on keys: exp[i] = key(g^i) for 0 <= i < q - 1
         and log[key(g^i)] = i, with log[0] = -1, where g = zeta(q - 1) is
         the smallest primitive element.  Built once by walking the powers
-        of g; a product of units is exp[(log[a] + log[b]) % (q - 1)]."""
+        of g; a product of units is exp[(log[a] + log[b]) % (q - 1)].
+        Multiplication by g is F_p-linear, so a step splits w = lo + s*hi,
+        s = p^ceil(d/2), and adds lo*g to (s*hi)*g, each read from a table
+        of at most s products."""
         if self._tables is None:
             m = self.order - 1
             g = self.zeta(m).key()
+            s = self.p ** ((self.d + 1) // 2)
+            lo = [self._kmul(a, g) for a in range(s)]
+            hi = [self._kmul(b * s, g) for b in range(self.order // s)]
             exp, log = array("l", [0]) * m, array("l", [-1]) * self.order
             w = 1
             for i in range(m):
                 if log[w] >= 0 or not w:
                     raise RuntimeError("powers of g repeat or reach zero")
                 exp[i], log[w] = w, i
-                w = self._kmul(w, g)
+                b, a = divmod(w, s)
+                w = self._kadd(lo[a], hi[b])
             if w != 1:
                 raise RuntimeError("g^(q-1) != 1")
             self._tables = exp, log

@@ -145,6 +145,26 @@ def test_selftest(capsys):
     assert "selftest PASS" in out
 
 
+def test_selftest_checks_ramified_point_counts(capsys, monkeypatch):
+    # a count that is right over kappa(P) but wrong over its quadratic
+    # extension fails exactly the places small enough for the e = 2 check
+    calls = []
+
+    def count(C, P, e=1):
+        calls.append((C.field.p ** P.degree, e))
+        return 1 if e == 1 else 0
+
+    monkeypatch.setattr(cli, "count_fiber_points", count)
+    monkeypatch.delenv("BRAUER_SEED", raising=False)
+    code, out, _ = run(capsys, "selftest", "--rounds", "2", "--format", "json")
+    failures = json.loads(out)["results"]["failures"]
+    assert code == 1
+    assert failures and all(f.startswith("conic points") for f in failures)
+    assert len(failures) == sum(e == 2 for _, e in calls)
+    assert all(k * k <= cli.TABLE_GUARD for k, e in calls if e == 2)
+    assert any(k * k > cli.TABLE_GUARD for k, e in calls)
+
+
 def test_selftest_rejects_rounds_below_one(capsys):
     for rounds in ("0", "-1"):
         code, out, err = run(capsys, "selftest", "--rounds", rounds)

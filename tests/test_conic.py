@@ -15,7 +15,7 @@ from brauer import (
     count_fiber_points,
     tame_residue,
 )
-from brauer import conic
+from brauer import conic, finitefield
 from brauer.conic import degenerate_places, discriminant_places, minimize_at
 from brauer.finitefield import _FIELD_CACHE
 from brauer.ratfunc import reduce_at, valuation
@@ -121,22 +121,29 @@ def _brute_force_points(A, B, L):
     return count
 
 
+def _places_of_degree(rng, F, degree, count):
+    places = []
+    while len(places) < count:
+        P = random_place(rng, F, max_deg=degree)
+        if P.degree == degree and P not in places:
+            places.append(P)
+    return places
+
+
 def test_fiber_point_counts_match_brute_force(rng):
     seen = set()
     for p in (3, 5, 7):
         F = FiniteField(p)
-        quads = []
-        while len(quads) < 2:
-            P = random_place(rng, F, max_deg=2)
-            if P.degree == 2 and P not in quads:
-                quads.append(P)
-        quad = quads[0]
+        quads = _places_of_degree(rng, F, 2, 2)
+        # over F_3 two cubic places too: L = F_27 at e = 1
+        cubics = _places_of_degree(rng, F, 3, 2) if p == 3 else []
+        odd = quads[0].poly * (cubics[0].poly if cubics else 1)
         places = ([Place(F, Poly(F, [c, 1])) for c in range(p)]
-                  + [Place.infinity(F)] + quads)
+                  + [Place.infinity(F)] + quads + cubics)
         for _ in range(2):
-            # the factor pi makes the fiber at the degree-2 place degenerate
-            a = RatFunc(quad.poly * random_poly(rng, F, 2),
-                        random_poly(rng, F, 2))
+            # the factor odd makes the fibers at quads[0] and cubics[0]
+            # degenerate
+            a = RatFunc(odd * random_poly(rng, F, 2), random_poly(rng, F, 2))
             b = RatFunc(random_poly(rng, F, 3), random_poly(rng, F, 2))
             try:
                 C = ConicBundle(a, b)
@@ -155,7 +162,52 @@ def test_fiber_point_counts_match_brute_force(rng):
                     assert count_fiber_points(C, P, e) == expected, (C, P, e)
                     seen.add((P in degenerate, P.degree, e))
     assert {(True, 1, 1), (False, 1, 1), (True, 1, 2), (False, 1, 2),
-            (True, 2, 1), (False, 2, 1)} <= seen
+            (True, 2, 1), (False, 2, 1), (True, 3, 1), (False, 3, 1)} <= seen
+
+
+def test_point_count_reads_no_square_class(monkeypatch):
+    # the count is the oracle for the torsor and the residue, so it must
+    # not read a quadratic character: with both made to raise, and the
+    # tables and embeddings built afresh, it still matches brute force
+    def refuse(*args, **kwargs):
+        raise AssertionError("the point count read a square class")
+
+    for module in (conic, finitefield):
+        monkeypatch.setattr(module, "power_residue_character", refuse)
+    monkeypatch.setattr(conic, "component_torsor", refuse)
+    monkeypatch.setattr(conic, "_SQRT_COUNTS", {})
+    F7 = FiniteField(7)
+    t = Poly.gen(F7)
+    quad = Place(F7, next(t ** 2 + c for c in range(7)
+                          if (t ** 2 + c).is_irreducible()))
+    places = [Place(F7, t), Place(F7, t + 6), Place.infinity(F7), quad]
+    for P in places:
+        monkeypatch.setattr(P.residue_field(), "_roots", {})
+    for d in (1, 2):
+        monkeypatch.setattr(FiniteField(7, d), "_tables", None)
+    # 3 is a non-square mod 7: split and non-split degenerate fibers
+    bundles = [ConicBundle(RatFunc.gen(F7), RatFunc.constant(F7, c))
+               for c in (2, 3)]
+    bundles.append(ConicBundle(RatFunc(quad.poly), RatFunc.constant(F7, 3)))
+    with pytest.raises(AssertionError, match="square class"):
+        check_artin(bundles[1])  # the patches hold on the torsor route
+    seen = set()
+    for C in bundles:
+        degenerate = degenerate_places(C)
+        for P in places:
+            for e in (1, 2):
+                if (7 ** P.degree) ** e > 49:
+                    continue
+                L, embed = conic._extension_with_embedding(
+                    P.residue_field(), e)
+                abar, bbar = conic._reduced_fiber(C, P)
+                expected = _brute_force_points(
+                    embed(abar).coeffs, embed(bbar).coeffs, L)
+                n = count_fiber_points(C, P, e)
+                assert n == expected, (C, P, e)
+                seen.add((P in degenerate, n))
+    assert {(True, 1), (True, 2 * 7 + 1), (True, 2 * 49 + 1),
+            (False, 7 + 1), (False, 49 + 1)} <= seen
 
 
 def test_smooth_fiber_guard_raises_before_enumeration():
