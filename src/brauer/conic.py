@@ -145,6 +145,29 @@ def _sqrt_count_table(p: int, d: int):
     return table
 
 
+_SMOOTH_SUMS: dict = {}
+
+
+def _smooth_sum_table(p: int, d: int):
+    """(spread, cnt_of_sum) over L = FiniteField(p, d) for the smooth count:
+    spread[k] is key k rewritten in base 2p, so two spread keys add digit by
+    digit without carries, and cnt_of_sum[s] = cnt[k] for the key k whose
+    digits are those of s mod p.  One table per (p, d), built at its first
+    smooth count, so degenerate counts allocate none."""
+    table = _SMOOTH_SUMS.get((p, d))
+    if table is None:
+        cnt = _sqrt_count_table(p, d)[0]
+        Q, base = p ** d, 2 * p
+        spread = [0] * Q
+        for k in range(1, Q):
+            spread[k] = k % p + base * spread[k // p]
+        fold = [0] * base ** d
+        for s in range(1, len(fold)):
+            fold[s] = s % base % p + p * fold[s // base]
+        table = _SMOOTH_SUMS[p, d] = spread, [cnt[k] for k in fold]
+    return table
+
+
 def _extension_with_embedding(kappa: FiniteField, e: int):
     """(L, embed) with L = FiniteField(p, d*e), the default-modulus field of
     order |kappa|^e, and embed: kappa -> L a field map.
@@ -191,19 +214,11 @@ def count_fiber_points(C: ConicBundle, P: Place, e: int = 1) -> int:
             f"degenerate-fiber enumeration over {Q} points exceeds guard")
     L, embed = _extension_with_embedding(kappa, e)
     exp, log = L._log_tables()
-    cnt, by_log = _sqrt_count_table(L.p, L.d)
+    by_log = _sqrt_count_table(L.p, L.d)[1]
     m = Q - 1
     lA, lB = (log[embed(u).key()] for u in (abar, bbar))  # -1 for zero
     if smooth:
-        # keys rewritten in base 2p add digit by digit without carries
-        p, base = L.p, 2 * L.p
-        spread = [0] * Q
-        for k in range(1, Q):
-            spread[k] = k % p + base * spread[k // p]
-        fold = [0] * base ** L.d
-        for s in range(1, len(fold)):
-            fold[s] = s % base % p + p * fold[s // base]
-        cnt_of_sum = [cnt[k] for k in fold]
+        spread, cnt_of_sum = _smooth_sum_table(L.p, L.d)
         # (c*w, cnt[w]) over the squares w, c*w read off the rotation by log c
         ax2, by2 = ([(0, 1)] + [(spread[exp[k]], n) for k, n
                                 in enumerate(by_log[m - lc:2 * m - lc]) if n]

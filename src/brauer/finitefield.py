@@ -87,6 +87,18 @@ class FiniteField:
             from .poly import Poly  # poly imports this module
             if d > 1 and not Poly(FiniteField(p), modulus).is_irreducible():
                 raise ValueError("modulus is not irreducible")
+        # a default-modulus field is also found under its explicit modulus
+        self = _FIELD_CACHE[key] = cls._proved(p, d, modulus)
+        return self
+
+    @classmethod
+    def _proved(cls, p: int, d: int, modulus: tuple) -> "FiniteField":
+        """F_p[x]/(modulus) for a monic modulus of degree d, reduced mod p,
+        that is already proved irreducible (a factor from Poly.factor): the
+        cached field, else a new one built without a second test."""
+        self = _FIELD_CACHE.get((p, d, modulus))
+        if self is not None:
+            return self
         self = super().__new__(cls)
         self.p = p
         self.d = d
@@ -105,8 +117,7 @@ class FiniteField:
             self._ksub = lambda a, b: (a - b) % p
             self._kneg = lambda a: -a % p
             self._kmul = lambda a, b: a * b % p
-        # a default-modulus field is also found under its explicit modulus
-        _FIELD_CACHE[key] = _FIELD_CACHE[(p, d, modulus)] = self
+        _FIELD_CACHE[(p, d, modulus)] = self
         return self
 
     # -- keys and coefficient tuples ---------------------------------------

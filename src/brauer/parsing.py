@@ -78,13 +78,17 @@ class _PolyParser:
         return tok
 
     def parse_expr(self) -> Poly:
-        sign = 1
+        negate = self.peek() == "-"
         if self.peek() in ("+", "-"):
-            sign = -1 if self.take() == "-" else 1
-        acc = self.parse_term() * self.field.element(sign)
+            self.take()
+        acc = self.parse_term()
+        if negate:
+            acc = -acc
         while self.peek() in ("+", "-"):
-            sign = -1 if self.take() == "-" else 1
-            acc = acc + self.parse_term() * self.field.element(sign)
+            if self.take() == "-":
+                acc = acc - self.parse_term()
+            else:
+                acc = acc + self.parse_term()
         return acc
 
     def parse_term(self) -> Poly:
@@ -115,8 +119,13 @@ class _PolyParser:
         if len(digits) > 4000:  # a degree too long to print
             raise TableSizeError(f"exponent of {len(digits)} digits exceeds "
                                  f"the parse bound {MAX_DEGREE}")
-        _check_degree(base.degree * int(digits))
-        return base ** int(digits)
+        e = int(digits)
+        _check_degree(base.degree * e)
+        if not any(base.coeffs[:-1]):  # a monomial: (c t^k)^e = c^e t^(ke)
+            F = self.field
+            return Poly._raw(F, [0] * (base.degree * e)
+                             + [F._kpow(base.coeffs[-1], e)])
+        return base ** e
 
     def parse_factor(self) -> Poly:
         tok = self.take()

@@ -3,10 +3,13 @@
 Places of the projective line over F_q are monic irreducible polynomials
 plus the place at infinity, whose uniformizer is fixed as 1/t.  The base
 field is required to be a prime field so residue fields F_q[t]/(pi) can be
-constructed directly as extensions of F_p.  A place is validated by building
-its residue field: FiniteField rejects a reducible pi, and its cache means
-each pi is tested once per process.  Over a non-prime base field a place is
-checked with Poly.is_irreducible and has no residue field.
+constructed directly as extensions of F_p.  A place built with Place(F, pi)
+is validated by building its residue field: FiniteField rejects a reducible
+pi, and its cache means each pi is tested once per process.  Over a non-prime
+base field such a place is checked with Poly.is_irreducible and has no
+residue field.  The places of a divisor (_divisor, support) are the factors
+Poly.factor returns, already proved irreducible, so they skip the re-proof
+and take their residue field from the same cache entry.
 """
 
 from __future__ import annotations
@@ -168,6 +171,17 @@ class Place:
         self._residue = residue
 
     @classmethod
+    def _proved(cls, field: FiniteField, poly: Poly) -> "Place":
+        """The place of a monic factor that Poly.factor has proved
+        irreducible, built without a second test."""
+        self = object.__new__(cls)
+        self.field, self.poly = field, poly
+        self._residue = (None if field.d != 1 else field if poly.degree == 1
+                         else FiniteField._proved(field.p, poly.degree,
+                                                  poly.coeffs))
+        return self
+
+    @classmethod
     def infinity(cls, field: FiniteField) -> "Place":
         return cls(field, None)
 
@@ -263,11 +277,18 @@ def degree_one_place(field: FiniteField, c) -> Place:
     return Place(field, Poly.gen(field) - field.element(c))
 
 
+def _divisor(f: RatFunc) -> dict:
+    """{P: v_P(f)} over the finite places where f has a zero or a pole, read
+    off factor() of the numerator (+multiplicity), then of the denominator
+    (-multiplicity)."""
+    div = {}
+    for part, sign in ((f.num, 1), (f.den, -1)):
+        if part.degree > 0:
+            for g, mult in part.factor():
+                div[Place._proved(f.field, g)] = sign * mult
+    return div
+
+
 def support(f: RatFunc):
     """Finite places where f has a zero or a pole."""
-    places = []
-    for part in (f.num, f.den):
-        if part.degree > 0:
-            for g, _ in part.factor():
-                places.append(Place(f.field, g))
-    return places
+    return list(_divisor(f))

@@ -5,9 +5,15 @@ Two independent residue computations live here: the tame-symbol formula
     res_P((a,b)_n) = chi( (-1)^(v(a)v(b)) * a^v(b) * b^(-v(a)) mod P )
 
 and the Cech-cocycle route through the n-th root cover, which computes the
-residue of pi^j-by-unit symbols from the epsilon cocycle.  Both read each
-argument at P once, as its valuation and reduced unit (ratfunc._local_unit),
-and form the tame unit in kappa(P).  The sign normalization is pinned by
+residue of pi^j-by-unit symbols from the epsilon cocycle.  Both form the
+tame unit in kappa(P) from each argument's valuation and reduced unit
+(ratfunc._local_unit).  The tame unit is 1 where both arguments are units,
+so the whole-sum maps (ramification_divisor, reciprocity_sum) factor each
+argument once into its divisor and evaluate a term at a finite place only
+if the place is in the divisor of one of its arguments, with the
+valuations read off the divisors; infinity is evaluated for every term.
+An argument is reduced only where its unit enters, at a place where the
+other argument has nonzero valuation.  The sign normalization is pinned by
 res((pi, u)_n) = -[u].
 """
 
@@ -19,7 +25,7 @@ from functools import lru_cache
 from .cohomology import epsilon_cocycle, verify_coboundary_identity
 from .finitefield import (FiniteField, ResidueClass, corestrict,
                           power_residue_character)
-from .ratfunc import Place, RatFunc, _local_unit, support
+from .ratfunc import Place, RatFunc, _divisor, _local_unit, valuation
 
 
 @dataclass(frozen=True)
@@ -98,13 +104,14 @@ class RamificationDivisor:
         return "{" + inner + "}"
 
 
-def _tame_unit(a: RatFunc, b: RatFunc, P: Place):
-    """(-1)^(v(a)v(b)) * a^v(b) * b^(-v(a)) in kappa(P), from local units."""
-    va, ua = _local_unit(a, P)
-    vb, ub = _local_unit(b, P)
-    if ua is None:
-        P.residue_field()  # raises NotImplementedError: no kappa(P) here
-    unit = ua ** vb * ub ** -va
+def _tame_unit(a: RatFunc, b: RatFunc, P: Place, va: int, vb: int):
+    """(-1)^(va*vb) * a^vb * b^(-va) in kappa(P), for va = v_P(a) and
+    vb = v_P(b): a's unit is reduced only when vb != 0, b's when va != 0."""
+    unit = P.residue_field().one()  # NotImplementedError: no kappa(P) here
+    if vb:
+        unit = _local_unit(a, P)[1] ** vb
+    if va:
+        unit = unit * _local_unit(b, P)[1] ** -va
     return -unit if (va * vb) % 2 else unit
 
 
@@ -116,7 +123,8 @@ def tame_residue(alpha: SymbolClass, P: Place) -> ResidueClass:
         raise ValueError(f"n={n} must divide |kappa(P)|-1={kappa.order - 1}")
     total = 0
     for a, b, m in alpha.terms:
-        total += m * power_residue_character(_tame_unit(a, b, P), n).value
+        unit = _tame_unit(a, b, P, valuation(a, P), valuation(b, P))
+        total += m * power_residue_character(unit, n).value
     return ResidueClass(n, total, kappa.zeta(n))
 
 
@@ -144,27 +152,53 @@ def _epsilon_edge(n: int, j: int) -> int:
     return sum(eps[(b, 1 % n)].pi_steps for b in range(n)) // n
 
 
+def _sorted_places(divisors):
+    """The finite places of the divisors, sorted by Place.key."""
+    return sorted({P for div in divisors for P in div}, key=Place.key)
+
+
 def _candidate_places(alpha: SymbolClass):
+    """Every place where some symbol argument has a zero or a pole, then
+    infinity; none for the zero class."""
     if alpha.field is None:
         return []
-    seen = {}
-    for a, b, _ in alpha.terms:
-        for f in (a, b):
-            for P in support(f):
-                seen[P] = True
-    places = sorted(seen, key=lambda P: P.key())
-    places.append(Place.infinity(alpha.field))
-    return places
+    return (_sorted_places(_divisor(f) for a, b, _ in alpha.terms
+                           for f in (a, b))
+            + [Place.infinity(alpha.field)])
+
+
+def _tame_units(alpha: SymbolClass):
+    """(P, [(m, tame unit)]) at each candidate place in order: at a finite
+    P the terms with a zero or pole there, at infinity, last, every term.
+    Each argument is factored once."""
+    terms = [(a, b, m, _divisor(a), _divisor(b)) for a, b, m in alpha.terms]
+    for P in _sorted_places(div for *_, da, db in terms for div in (da, db)):
+        units = []
+        for a, b, m, da, db in terms:
+            va, vb = da.get(P, 0), db.get(P, 0)
+            if va or vb:
+                units.append((m, _tame_unit(a, b, P, va, vb)))
+        yield P, units
+    inf = Place.infinity(alpha.field)
+    yield inf, [(m, _tame_unit(a, b, inf, valuation(a, inf),
+                               valuation(b, inf)))
+                for a, b, m, *_ in terms]
 
 
 def ramification_divisor(alpha: SymbolClass) -> RamificationDivisor:
     """Residues at every place in the support of the arguments, plus infinity.
 
-    Places where both arguments are units are provably unramified and are
-    skipped; zero residues are omitted.
+    A term is evaluated only at the zeros and poles of its arguments and at
+    infinity, since its tame unit is 1 where both are units; zero residues
+    are omitted.
     """
-    return RamificationDivisor(
-        {P: tame_residue(alpha, P) for P in _candidate_places(alpha)})
+    n, entries = alpha.n, {}
+    if alpha.field is not None:
+        for P, units in _tame_units(alpha):
+            total = sum(m * power_residue_character(u, n).value
+                        for m, u in units)
+            entries[P] = ResidueClass(n, total, P.residue_field().zeta(n))
+    return RamificationDivisor(entries)
 
 
 def is_unramified_at(alpha: SymbolClass, P: Place) -> bool:
@@ -184,7 +218,7 @@ def reciprocity_sum(alpha: SymbolClass) -> ResidueClass:
         raise ValueError("empty symbol has no base field")
     zeta = field.zeta(n)
     total = 0
-    for P in _candidate_places(alpha):
-        for a, b, m in alpha.terms:
-            total += m * corestrict(_tame_unit(a, b, P), n).value
+    for _, units in _tame_units(alpha):
+        for m, u in units:
+            total += m * corestrict(u, n).value
     return ResidueClass(n, total, zeta)

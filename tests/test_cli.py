@@ -202,6 +202,10 @@ def test_parse_degree_bound(capsys):
                        "--symbol", "(t^1000, 2)_2", "--place", "t")
     assert code == 0
     assert out.startswith("0 ")
+    code, out, err = run(capsys, "residue", "--q", "5", "--n", "2",
+                         "--symbol", "(t^1001, 2)_2", "--place", "t")
+    assert (code, out) == (4, "")
+    assert err.startswith("size guard")
 
 
 def test_cohomology_size_guard_before_building(capsys):

@@ -176,6 +176,7 @@ def test_point_count_reads_no_square_class(monkeypatch):
         monkeypatch.setattr(module, "power_residue_character", refuse)
     monkeypatch.setattr(conic, "component_torsor", refuse)
     monkeypatch.setattr(conic, "_SQRT_COUNTS", {})
+    monkeypatch.setattr(conic, "_SMOOTH_SUMS", {})
     F7 = FiniteField(7)
     t = Poly.gen(F7)
     quad = Place(F7, next(t ** 2 + c for c in range(7)
@@ -208,6 +209,8 @@ def test_point_count_reads_no_square_class(monkeypatch):
                 seen.add((P in degenerate, n))
     assert {(True, 1), (True, 2 * 7 + 1), (True, 2 * 49 + 1),
             (False, 7 + 1), (False, 49 + 1)} <= seen
+    # the smooth counts share one table per (p, d)
+    assert set(conic._SMOOTH_SUMS) == {(7, 1), (7, 2)}
 
 
 def test_smooth_fiber_guard_raises_before_enumeration():
@@ -217,10 +220,10 @@ def test_smooth_fiber_guard_raises_before_enumeration():
     P = Place(F13, pi)
     C = ConicBundle(RatFunc.gen(F13), RatFunc.constant(F13, 2))
     assert P not in degenerate_places(C)
-    tables = set(conic._SQRT_COUNTS)
+    tables = set(conic._SQRT_COUNTS), set(conic._SMOOTH_SUMS)
     with pytest.raises(TableSizeError, match="2197"):
         count_fiber_points(C, P)
-    assert set(conic._SQRT_COUNTS) == tables
+    assert (set(conic._SQRT_COUNTS), set(conic._SMOOTH_SUMS)) == tables
 
 
 def test_degenerate_fiber_guard_raises_before_any_build():
@@ -278,10 +281,12 @@ def test_point_count_tables_one_per_field(monkeypatch):
     monkeypatch.setattr(Poly, "roots",
                         lambda f: root_calls.append(f) or roots(f))
     monkeypatch.setattr(conic, "_SQRT_COUNTS", {})
+    monkeypatch.setattr(conic, "_SMOOTH_SUMS", {})
     for P in places:
         monkeypatch.setattr(P.residue_field(), "_roots", {})
     counts = [count_fiber_points(C, P) for P in places]
-    assert set(conic._SQRT_COUNTS) == {(13, 4)}
+    # degenerate counts build no smooth-count table
+    assert set(conic._SQRT_COUNTS) == {(13, 4)} and not conic._SMOOTH_SUMS
     assert len(root_calls) == 2
     assert [count_fiber_points(C, P) for P in places] == counts
     assert len(root_calls) == 2

@@ -31,6 +31,21 @@ def test_parse_poly_basic():
     assert parse_poly("2(t+1) - t", F5) == 2 * (t + 1) - t
 
 
+def test_parse_poly_signs_and_monomial_powers_match_poly_arithmetic():
+    F25 = FiniteField(5, 2)
+    s = Poly.gen(F25)
+    cases = {
+        "+t": t, "-t + 1": -t + 1, "-(t+1)^2 - t": -(t + 1) ** 2 - t,
+        "t^0": Poly.one(F5), "(t)^3": t * t * t, "0*t^5": Poly.zero(F5),
+        "3t^2": 3 * t * t, "(2t)^3 - 3": 8 * t * t * t - 3,
+        "t - t": Poly.zero(F5), "t^1000": Poly(F5, [0] * 1000 + [1]),
+    }
+    for text, want in cases.items():
+        assert parse_poly(text, F5) == want, text
+    assert parse_poly("(2t)^7 - t^2", F25) == 2 ** 7 * s ** 7 - s * s
+    assert parse_poly("-(t^2)^3", F7) == -Poly.gen(F7) ** 6
+
+
 def test_parse_poly_errors():
     for bad in ("", "t +", "t^", "(t", "t^-2", "x+1"):
         with pytest.raises(ParseError):

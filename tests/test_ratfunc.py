@@ -2,7 +2,7 @@ import pytest
 
 from brauer import (FiniteField, ParseError, Place, Poly, RatFunc,
                     parse_place, reduce_at, valuation)
-from brauer.ratfunc import _local_unit, degree_one_place, support
+from brauer.ratfunc import _divisor, _local_unit, degree_one_place, support
 
 from conftest import local_test_places, random_place, random_ratfunc
 
@@ -163,6 +163,47 @@ def test_support():
     assert Place(F5, Poly.gen(F5) ** 2 + 2) in places
     assert Place.infinity(F5) not in places  # degree num == degree den
     assert places == sorted(places, key=lambda P: P.key())
+
+
+def test_support_places_match_public_places(rng):
+    # the places of a divisor skip the irreducibility re-proof, but equal
+    # the checked ones, in factor order, with the very same kappa(P)
+    for F in (F5, F7, FiniteField(13)):
+        for _ in range(8):
+            pi = random_place(rng, F, 3).uniformizer()
+            f = random_ratfunc(rng, F, 5) * pi ** rng.randrange(1, 4)
+            public = [(Place(F, g), sign * m)
+                      for part, sign in ((f.num, 1), (f.den, -1))
+                      if part.degree > 0 for g, m in part.factor()]
+            assert support(f) == [P for P, _ in public]
+            assert list(_divisor(f).items()) == public
+            for P, Q in zip(support(f), (P for P, _ in public)):
+                assert P.residue_field() is Q.residue_field()
+                assert _divisor(f)[P] == valuation(f, Q)
+    F25 = FiniteField(5, 2)
+    t = RatFunc.gen(F25)
+    (P, v), = _divisor((t + 1) ** 3).items()
+    assert v == 3 and P == Place(F25, Poly.gen(F25) + 1)
+    with pytest.raises(NotImplementedError):
+        P.residue_field()
+
+
+def test_proved_places_leave_reducible_moduli_rejected():
+    # t^4 + 1 = (t^2 + 2)(t^2 + 3) over F_5: its factors' fields are built
+    # without a second test, and the product is still refused everywhere
+    t = Poly.gen(F5)
+    quartic = (t ** 2 + 2) * (t ** 2 + 3)
+    assert quartic == t ** 4 + 1
+    assert [P.residue_field().order for P in support(RatFunc(quartic))] \
+        == [25, 25]
+    with pytest.raises(ValueError, match="irreducible"):
+        Place(F5, quartic)
+    with pytest.raises(ValueError, match="irreducible"):
+        FiniteField(5, 4, quartic.coeffs)
+    with pytest.raises(ParseError, match="irreducible"):
+        parse_place("t^4+1", F5)
+    assert FiniteField(5, 2, (2, 0, 1)) is support(RatFunc(quartic))[0] \
+        .residue_field()
 
 
 def test_degree_one_place():

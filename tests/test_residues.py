@@ -13,9 +13,11 @@ from brauer import (
     tame_residue,
 )
 from brauer import residues
+from brauer.finitefield import corestrict, power_residue_character
 from brauer.cohomology import verify_coboundary_identity
 from brauer.ratfunc import reduce_at, valuation
-from brauer.residues import _tame_unit, is_unramified_at
+from brauer.residues import (RamificationDivisor, _tame_unit,
+                             is_unramified_at)
 
 from conftest import (local_test_places, random_place, random_ratfunc,
                       random_unit_at)
@@ -159,7 +161,7 @@ def test_tame_unit_matches_ratfunc_reference(rng):
                 va, vb = valuation(a, P), valuation(b, P)
                 sign = -1 if (va * vb) % 2 else 1
                 ref = sign * a ** vb * b ** -va
-                assert _tame_unit(a, b, P) == reduce_at(ref, P)
+                assert _tame_unit(a, b, P, va, vb) == reduce_at(ref, P)
 
 
 def test_cocycle_route_checks_epsilon_identity_once_per_key(monkeypatch):
@@ -203,3 +205,75 @@ def test_places_without_residue_field_raise_not_implemented():
     # only infinity is a candidate place for constants
     two, three = RatFunc.constant(F25, 2), RatFunc.constant(F25, 3)
     assert reciprocity_sum(SymbolClass.symbol(two, three, n=2)).is_zero()
+
+
+def _reference_unit(a, b, P):
+    """The tame unit built in F_q(t) at every place and reduced once."""
+    va, vb = valuation(a, P), valuation(b, P)
+    return reduce_at((-1 if (va * vb) % 2 else 1) * a ** vb * b ** -va, P)
+
+
+def _divisor_route_sums(rng):
+    """Seeded symbol sums over F_5, F_7 and F_13 whose arguments share
+    places of degree 1 to 3 to multiplicities up to 3, with constants."""
+    for F, ns in ((F5, (2, 4)), (FiniteField(7), (3, 6)), (F13, (4, 12))):
+        shared = [P.uniformizer() for P in local_test_places(rng, F)[:-1]]
+        for _ in range(4):
+            def argument():
+                if rng.random() < 0.2:
+                    return RatFunc.constant(F, rng.randrange(1, F.p))
+                f = random_ratfunc(rng, F, 2)
+                for pi in rng.sample(shared, 2):
+                    f = f * pi ** rng.randrange(-3, 4)
+                return f
+
+            terms = [(argument(), argument(), rng.randrange(1, 4))
+                     for _ in range(rng.randrange(2, 5))]
+            yield SymbolClass(rng.choice(ns), terms)
+
+
+def test_divisor_route_matches_every_term_at_every_place(rng):
+    seen = set()
+    for alpha in _divisor_route_sums(rng):
+        F, n = alpha.field, alpha.n
+        # the candidate places as public, checked places, then infinity
+        finite = {Place(F, g) for a, b, _ in alpha.terms for f in (a, b)
+                  for part in (f.num, f.den) if part.degree > 0
+                  for g, _ in part.factor()}
+        places = sorted(finite, key=Place.key) + [Place.infinity(F)]
+        assert residues._candidate_places(alpha) == places
+        expected, total = {}, 0
+        for P in places:
+            expected[P] = tame_residue(alpha, P)
+            units = [(m, _reference_unit(a, b, P)) for a, b, m in alpha.terms]
+            assert expected[P] == sum(
+                (m * power_residue_character(u, n) for m, u in units),
+                ResidueClass(n, 0, P.residue_field().zeta(n)))
+            total += sum(m * corestrict(u, n).value for m, u in units)
+            vals = [(valuation(a, P), valuation(b, P))
+                    for a, b, _ in alpha.terms]
+            seen.add(("degree", P.degree))
+            seen.add(("repeated", max(abs(v) for vv in vals for v in vv) > 1))
+            seen.add(("shared", sum(vv != (0, 0) for vv in vals) > 1))
+        assert ramification_divisor(alpha) == RamificationDivisor(expected)
+        assert reciprocity_sum(alpha) == ResidueClass(n, total, F.zeta(n))
+        assert reciprocity_sum(alpha).is_zero()
+        seen.add(("constant", any(f.is_constant() for a, b, _ in alpha.terms
+                                  for f in (a, b))))
+    assert {("degree", 2), ("degree", 3), ("repeated", True),
+            ("shared", True), ("constant", True)} <= seen
+
+
+def test_divisor_route_raises_not_implemented_at_first_finite_place():
+    F25 = FiniteField(5, 2)
+    t = RatFunc.gen(F25)
+    for alpha in (SymbolClass.symbol(t + 1, t + 2, n=2),
+                  SymbolClass(2, [(RatFunc.constant(F25, 2), t + 3),
+                                  (t, t + 1)])):
+        for whole_sum in (ramification_divisor, reciprocity_sum):
+            with pytest.raises(NotImplementedError):
+                whole_sum(alpha)
+    two, three = RatFunc.constant(F25, 2), RatFunc.constant(F25, 3)
+    alpha = SymbolClass.symbol(two, three, n=2)
+    assert ramification_divisor(alpha) == RamificationDivisor(
+        {Place.infinity(F25): tame_residue(alpha, Place.infinity(F25))})
