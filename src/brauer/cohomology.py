@@ -1,22 +1,27 @@
 """Explicit cohomology of finite abelian groups with Z/m coefficients.
 
-Everything is inhomogeneous-cochain linear algebra in one numbering: a
-cochain G^k -> Z/m is the tuple of its values in tuple-product order, an
-element's position read from its group's index, and the differential, the
-integer one for the trivial action, is written once, as the cached sparse
-rows of coboundary_matrix over those positions.  Coboundaries apply those
-rows; ranks and cohomologous-ness eliminate them over Z/p^e for each prime
-power p^e of m.  The multiplicative group mu_n is written additively as Z/n
-throughout, via the canonical primitive root of the ambient field.
+Cochains are inhomogeneous, in one numbering: a cochain G^k -> Z/m is the
+tuple of its values in tuple-product order, an element's position read
+from its group's index, and the bar differential, the integer one for the
+trivial action, is written once, as the cached sparse rows of
+coboundary_matrix over those positions.  Coboundaries apply those rows;
+cohomologous-ness and the edge map eliminate them over Z/p^e for each prime
+power p^e of m.  Ranks need no cochain: they are eliminated the same way on
+the small complex Hom(P, Z), P the tensor product of the cyclic factors'
+periodic resolutions, with C(k+r-1, r-1) coordinates in degree k for r
+nontrivial factors, where the bar complex has |G|^k.  The multiplicative
+group mu_n is written additively as Z/n throughout, via the canonical
+primitive root of the ambient field.
 
 Also here: the formal-unit calculus for the Cech coboundary identity on the
 n-th root cover of a DVR, and the factor set of the monomial-matrix central
 extension of mu_n x Z/n (scalars, the n-cycle permutation, and the diagonal
 of successive root-of-unity powers), each element held as the column and
 entry of each row.  A formal unit holds its pi-exponent as an int count of
-1/n steps, so the identity is checked in integer arithmetic.  TableSizeError
-and its bound TABLE_GUARD, shared by every size check in the package, live
-here; each check of this module runs before its table is listed.
+1/n steps, so the identity is checked in integer arithmetic, at beta = 0
+and 1 for each pair (b, b').  TableSizeError and its bound TABLE_GUARD,
+shared by every size check in the package, live here; each check of this
+module runs before its table is listed.
 """
 
 from __future__ import annotations
@@ -204,22 +209,59 @@ def coboundary_matrix(group: FiniteAbelianGroup, k: int):
     return tuple(rows)
 
 
+def _compositions(k: int, r: int):
+    """The r-tuples of ints >= 0 summing to k, in lexicographic order."""
+    if r == 0:
+        return [()] if k == 0 else []
+    return [(j,) + rest for j in range(k + 1)
+            for rest in _compositions(k - j, r - 1)]
+
+
+def _resolution_differential(factors, k: int):
+    """d_k : C^k -> C^{k+1} of Hom(P, Z), P the tensor product of the
+    periodic resolutions of the cyclic factors Z/a > 1, trivial action.
+
+    C^k has one coordinate per multi-index s with sum k, in the order of
+    ``_compositions``; rows are indexed by C^{k+1}, as (column,
+    coefficient) pairs like coboundary_matrix's.  Dual to T - 1 the
+    differential of one factor is 0, dual to the norm it is a, so e_s goes
+    to the sum over the i with s_i odd of (-1)^(s_1+..+s_{i-1}) a_i
+    e_{s+e_i}.  Returns (rows, number of columns)."""
+    factors = [a for a in factors if a > 1]
+    cols = _compositions(k, len(factors))
+    index = {s: j for j, s in enumerate(cols)}
+    rows = []
+    for t in _compositions(k + 1, len(factors)):
+        row, sign = [], 1
+        for i, (ti, a) in enumerate(zip(t, factors)):
+            if ti and ti % 2 == 0:  # t = s + e_i with s_i odd
+                row.append((index[t[:i] + (ti - 1,) + t[i + 1:]], sign * a))
+            if ti % 2:
+                sign = -sign
+        rows.append(tuple(row))
+    return tuple(rows), len(cols)
+
+
 def cohomology_rank(group: FiniteAbelianGroup, modulus: int, degree: int):
     """Invariant factors of H^degree(group, Z/modulus), trivial action.
 
-    The integer cochain complex splits into pieces Z and Z --(x d)--> Z, so
-    it is tensored with Z/p^e piece by piece: each pivot p^a of d_k or
-    d_{k-1} under elimination mod p^e adds Z/p^a, every other coordinate of
-    C^k adds Z/p^e.  Returned ascending, factors equal to 1 omitted.
+    Read off the small complex of _resolution_differential, whose degree-k
+    term has C(k+r-1, r-1) coordinates for r nontrivial factors.  That
+    integer complex splits into pieces Z and Z --(x d)--> Z, so it is
+    tensored with Z/p^e piece by piece: each pivot p^a of d_k or d_{k-1}
+    under elimination mod p^e adds Z/p^a, every other coordinate of C^k
+    adds Z/p^e.  Returned ascending, factors equal to 1 omitted.  Inputs
+    whose bar cochain tables exceed TABLE_GUARD raise TableSizeError.
     """
     if degree < 0:
         raise ValueError(f"cohomology degree must be >= 0, got {degree}")
     if modulus < 1:
         raise ValueError(f"coefficient modulus must be >= 1, got {modulus}")
-    mats = [coboundary_matrix(group, degree)]
+    _check_size(group.size, degree + 1, "cochain table")
+    d_k, N = _resolution_differential(group.factors, degree)
+    mats = [d_k]
     if degree > 0:
-        mats.append(coboundary_matrix(group, degree - 1))
-    N = group.size ** degree
+        mats.append(_resolution_differential(group.factors, degree - 1)[0])
     primary = []  # per prime p, the exponents a of its factors Z/p^a
     for p, e in prime_powers(modulus):
         vals = [a for M in mats
@@ -303,26 +345,28 @@ def verify_coboundary_identity(n: int, power: int = 1) -> bool:
 
     The Cech coboundary of the 1-cochain indexed by (beta, b) is evaluated
     with the torsor translation: restricting the second index along the
-    first multiplies the n-th root of pi by zeta^beta.  It walks n^3
-    triples, so n^3 > TABLE_GUARD raises TableSizeError.
+    first multiplies the n-th root of pi by zeta^beta.  Both sides'
+    zeta-exponents are affine in beta mod n, so they agree for every beta
+    once they agree at beta = 0 and 1: the walk is over the n^2 pairs
+    (b, b').  Its bound is still that of the n^3 triples, so n^3 >
+    TABLE_GUARD raises TableSizeError.
     """
     _check_size(n, 3, "coboundary check")
     eps = epsilon_cocycle(n, power)
-    zetas = [FormalUnit(0, k, n) for k in range(n)]
-    # the value at ((beta, b), (beta', b')) is independent of beta':
-    # the cochain depends only on b and the translation only on beta
+    roots = [FormalUnit(power * b, 0, n) for b in range(n)]
+    inverses = [u.inverse() for u in roots]
+    # the value at ((beta, b), (beta', b')) is independent of beta': the
+    # cochain depends only on b and the translation only on beta.  The
+    # identity reads c_{g+g'}^-1 c_g eps = (c_{g'} translated by g)^-1
+    # zeta^(power*beta*b'), whose right side depends on b' and beta only
     for b2 in range(n):
         # c_{g'} translated by g: the root picks up the factor zeta^beta
-        translated = [FormalUnit(power * b2, power * beta * b2, n)
-                      for beta in range(n)]
+        targets = [FormalUnit(power * b2, power * beta * b2, n).inverse()
+                   * FormalUnit(0, power * beta * b2, n) for beta in (0, 1)]
         for b in range(n):
-            c_g = FormalUnit(power * b, 0, n)
-            c_gg2 = FormalUnit(power * ((b + b2) % n), 0, n)
-            rest, eps_inv = c_gg2.inverse() * c_g, eps[(b, b2)].inverse()
-            for beta in range(n):
-                if (translated[beta] * rest
-                        != eps_inv * zetas[power * beta * b2 % n]):
-                    return False
+            d = inverses[(b + b2) % n] * roots[b] * eps[(b, b2)]
+            if d != targets[0] or d != targets[1]:
+                return False
     return True
 
 
