@@ -15,11 +15,12 @@ primitive root of the ambient field.
 
 Also here: the formal-unit calculus for the Cech coboundary identity on the
 n-th root cover of a DVR, and the factor set of the monomial-matrix central
-extension of mu_n x Z/n (scalars, the n-cycle permutation, and the diagonal
-of successive root-of-unity powers), each element held as the column and
-entry of each row.  A formal unit holds its pi-exponent as an int count of
-1/n steps, so the identity is checked in integer arithmetic, at beta = 0
-and 1 for each pair (b, b').  TableSizeError and its bound TABLE_GUARD,
+extension of mu_n x Z/n (scalars, the n-cycle permutation C, and the
+diagonal D of successive root-of-unity powers), read off the section
+S_(beta,b) = D^beta C^b, each matrix held as the column and entry of each
+row.  A formal unit holds its pi-exponent as an int count of 1/n steps,
+so the identity is checked in integer arithmetic, at beta = 0 and 1 for
+each pair (b, b').  TableSizeError and its bound TABLE_GUARD,
 shared by every size check in the package, live here; each check of this
 module runs before its table is listed.
 """
@@ -97,6 +98,9 @@ class Cochain:
         if degree < 0:
             raise ValueError("negative cochain degree")
         _check_size(group.size, degree, "cochain table")
+        # the trivial group passes the table check at any degree: bound the
+        # one argument tuple that it has
+        _check_size(degree, 1, "cochain argument tuple")
         self.group = group
         self.degree = degree
         self.modulus = modulus
@@ -187,6 +191,7 @@ def coboundary_matrix(group: FiniteAbelianGroup, k: int):
     + (-1)^(k+1) c(g_0..g_{k-1}), merged, zeros dropped: at most k+2
     pairs.  Immutable tuples, cached per (group, k)."""
     _check_size(group.size, k + 1, "cochain table")
+    _check_size(k + 2, 1, "coboundary row")  # and the trivial group's row
     elements = group.elements()
     n = len(elements)
     # n^2 <= n^(k+1) entries; d_0 merges no faces, so needs none
@@ -419,46 +424,21 @@ def lhs_edge_map(c: Cochain) -> Cochain:
 # ---------------------------------------------------------------------------
 # the monomial-matrix central extension and its factor set
 
-def _gamma_group(n: int, q_field: FiniteField):
-    """Closure of {zeta*I, n-cycle permutation, diag of zeta powers}.  Each
-    element is monomial, held as (cols, entries): row i has the field key
-    entries[i] in column cols[i], so a product is O(n).  Sorted by the rows'
-    (-column, entry), which is the order of the dense matrices."""
-    F = q_field
-    zeta = F.zeta(n).key()
-    ident = tuple(range(n))
-    gens = [(ident, (zeta,) * n),
-            (ident, tuple(F._kpow(zeta, i) for i in range(n))),
-            (tuple((i + 1) % n for i in range(n)), (1,) * n)]
-    seen = {(ident, (1,) * n)}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for cols, entries in frontier:
-            for g_cols, g_entries in gens:
-                # row i of A*g is row cols[i] of g scaled by entries[i]
-                B = (tuple(g_cols[c] for c in cols),
-                     tuple(F._kmul(e, g_entries[c])
-                           for c, e in zip(cols, entries)))
-                if B not in seen:
-                    seen.add(B)
-                    nxt.append(B)
-        frontier = nxt
-    return sorted(seen, key=lambda A: [(-c, e) for c, e in zip(*A)])
-
-
 def extension_factor_set(n: int, q: int) -> Cochain:
     """Factor set of the scalar extension of mu_n x Z/n inside GL_n(F_q).
 
-    A group element projects to (beta, b) by the ratio of its first two
-    entries and the column of the entry in the first row; the factor set
-    of a deterministic set-theoretic section S lands in the central
-    scalars, S_g S_h = lambda(g,h) S_{g+h}, and lambda is read as the ratio
-    of the row-0 entry of S_g S_h to that of S_{g+h}.  It is returned
-    additively, as a 2-cochain on Z/n x Z/n with values in Z/n.  Its class
-    is that of ((beta,b),(beta',b')) -> beta'*b, the negative of the box
-    product.  Its n^4 values are checked against TABLE_GUARD before the
-    group is built.
+    Gamma is generated by zeta*I, D = diag(1, zeta, ..., zeta^(n-1)) and
+    the n-cycle C, so its n^3 elements are zeta^a D^beta C^b.  Each is
+    monomial, held as (cols, entries): row i has the field key entries[i]
+    in column cols[i].  It projects to (beta, b), the ratio of its first
+    two entries and the column of the entry in the first row, and the
+    section is S_(beta,b) = D^beta C^b, the preimage with row-0 entry 1.
+    Its factor set lands in the central scalars, S_g S_h = lambda(g,h)
+    S_{g+h}, and lambda is read as the ratio of the row-0 entry of S_g S_h
+    to that of S_{g+h}.  It is returned additively, as a 2-cochain on
+    Z/n x Z/n with values in Z/n.  Its class is that of
+    ((beta,b),(beta',b')) -> beta'*b, the negative of the box product.
+    Its n^4 values are checked against TABLE_GUARD before S is built.
     """
     F = FiniteField(q) if isinstance(q, int) else q
     if (F.order - 1) % n != 0:
@@ -467,14 +447,21 @@ def extension_factor_set(n: int, q: int) -> Cochain:
     _check_size(G.size, 2, "cochain table")
     zeta = F.zeta(n)
 
-    def project(A):
-        cols, entries = A
-        ratio = F._kmul(entries[1], F._kinv(entries[0])) if n > 1 else 1
-        return (zeta_log(ratio, zeta, n), cols[0])
+    def mul(A, B):
+        # row i of A*B is row cols[i] of B scaled by entries[i]
+        (cols, entries), (b_cols, b_entries) = A, B
+        return (tuple(b_cols[c] for c in cols),
+                tuple(F._kmul(e, b_entries[c]) for c, e in zip(cols, entries)))
 
-    section = {}
-    for A in _gamma_group(n, F):  # sorted, so the preimages are deterministic
-        section.setdefault(project(A), A)
+    ident = tuple(range(n))
+    D = (ident, tuple(F._kpow(zeta.key(), i) for i in range(n)))
+    C = (tuple((i + 1) % n for i in range(n)), (1,) * n)
+    D_pows, C_pows = [(ident, (1,) * n)], [(ident, (1,) * n)]
+    for _ in range(n - 1):
+        D_pows.append(mul(D_pows[-1], D))
+        C_pows.append(mul(C_pows[-1], C))
+    section = {(beta, b): mul(D_pows[beta], C_pows[b])
+               for beta in range(n) for b in range(n)}
 
     def value(g, h):
         # row 0 of S_g S_h is row cols_g[0] of S_h scaled by entries_g[0]
@@ -484,7 +471,3 @@ def extension_factor_set(n: int, q: int) -> Cochain:
         return zeta_log(F._kmul(entry, F._kinv(entries_gh[0])), zeta, n)
 
     return Cochain(G, 2, n, value)
-
-
-def gamma_group_order(n: int, q: int) -> int:
-    return len(_gamma_group(n, FiniteField(q)))

@@ -218,7 +218,7 @@ def test_parse_degree_bound(capsys):
 
 
 def test_cohomology_size_guard_before_building(capsys):
-    # the group, the Gamma closure and a 2^(10^9) table size are all
+    # the group, the Gamma section and a 2^(10^9) table size are all
     # refused before anything is listed, built or multiplied out
     for argv in (["rank", "--n", "2", "--factors", "100000,100000", "--m",
                   "2", "--degree", "1"],

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,6 @@ from brauer.cohomology import (
     cup_product_boxtimes,
     epsilon_cocycle,
     extension_factor_set,
-    gamma_group_order,
     identity_character,
     is_cocycle,
     lhs_edge_map,
@@ -356,6 +356,22 @@ def test_cohomology_rank_builds_no_bar_matrix():
         cohomology_rank(FiniteAbelianGroup((2,)), 2, 10 ** 9)
 
 
+def test_trivial_group_degree_guard():
+    # |G|^k is 1 for the trivial group, so the degree alone is bounded:
+    # neither the k + 2 faces of the one row nor a 10^9-tuple is built
+    T = FiniteAbelianGroup((1,))
+    for build in (lambda: coboundary_matrix(T, 10 ** 9),
+                  lambda: Cochain(T, 10 ** 9, 2, lambda *args: 0),
+                  lambda: Cochain(T, 10 ** 9, 2)):
+        start = time.perf_counter()
+        with pytest.raises(cohomology.TableSizeError):
+            build()
+        assert time.perf_counter() - start < 1
+    # below the bound it still answers
+    assert coboundary_matrix(T, 3) == (((0, 1),),)
+    assert Cochain(T, 3, 2, lambda *args: 1).values == (1,)
+
+
 def test_boxtimes_is_cocycle():
     for n in (2, 3, 4, 5):
         assert is_cocycle(cup_product_boxtimes(n))
@@ -506,34 +522,72 @@ def test_edge_map_rejects_nonvanishing_class():
         lhs_edge_map(bad)
 
 
-def test_gamma_group_order():
-    assert gamma_group_order(2, 5) == 8
-    assert gamma_group_order(3, 7) == 27
+GAMMA_CASES = ((2, FiniteField(5)), (3, FiniteField(7)), (4, FiniteField(13)),
+               (3, FiniteField(5, 2)), (4, FiniteField(3, 2)))
 
 
-def test_gamma_group_sorted_as_dense_matrices():
-    # the monomial form sorts like the dense matrices, so the section that
-    # extension_factor_set picks from the sorted group is the dense one's
-    for n, F in ((2, FiniteField(5)), (3, FiniteField(7)),
-                 (4, FiniteField(13)), (3, FiniteField(5, 2))):
-        dense = [tuple(tuple(e if j == c else 0 for j in range(n))
-                       for c, e in zip(cols, entries))
-                 for cols, entries in cohomology._gamma_group(n, F)]
-        assert len(set(dense)) == n ** 3
-        assert dense == sorted(dense)
+def _dense_mul(A, B):
+    n = len(A)
+    return tuple(tuple(sum((A[i][k] * B[k][j] for k in range(n)), A[0][0] * 0)
+                       for j in range(n)) for i in range(n))
+
+
+def test_gamma_is_the_section_times_scalars():
+    # Gamma from its definition, as dense matrices over F: the section
+    # S_(beta,b) = D^beta C^b and its scalar multiples zeta^a S
+    for n, F in GAMMA_CASES:
+        zeta, one, zero = F.zeta(n), F.one(), F.zero()
+        D = tuple(tuple(zeta ** i if j == i else zero for j in range(n))
+                  for i in range(n))
+        C = tuple(tuple(one if j == (i + 1) % n else zero for j in range(n))
+                  for i in range(n))
+        ident = tuple(tuple(one if j == i else zero for j in range(n))
+                      for i in range(n))
+        D_pows, C_pows = [ident], [ident]
+        for _ in range(n - 1):
+            D_pows.append(_dense_mul(D_pows[-1], D))
+            C_pows.append(_dense_mul(C_pows[-1], C))
+        S = {(beta, b): _dense_mul(D_pows[beta], C_pows[b])
+             for beta in range(n) for b in range(n)}
+        gamma = {tuple(tuple(zeta ** a * e for e in row) for row in A)
+                 for A in S.values() for a in range(n)}
+        assert len(gamma) == n ** 3
+        # gamma holds I and lies in <zeta I, D, C>; closed under those three
+        # on the right, it is that whole group, so closed under products
+        zeta_I = tuple(tuple(zeta * e for e in row) for row in ident)
+        assert all(_dense_mul(A, B) in gamma
+                   for A in gamma for B in (zeta_I, D, C))
+
+        def entry(row):  # the one nonzero entry of a monomial row
+            (j, e), = ((j, e) for j, e in enumerate(row) if not e.is_zero())
+            return j, e
+
+        for (beta, b), A in S.items():
+            # the projection: ratio of the first two entries, and the
+            # column of the entry in the first row
+            assert entry(A[1])[1] / entry(A[0])[1] == zeta ** beta
+            assert entry(A[0])[0] == b
+        G = FiniteAbelianGroup((n, n))
+        for g, h in itertools.product(G.elements(), repeat=2):
+            prod, target = _dense_mul(S[g], S[h]), S[G.add(g, h)]
+            # one scalar lambda(g, h), the same in every row
+            lam = entry(prod[0])[1] / entry(target[0])[1]
+            assert prod == tuple(tuple(lam * e for e in row)
+                                 for row in target), (n, F, g, h)
 
 
 def test_extension_factor_set_class():
-    # over F_25, zeta(3) is not in F_5 and the section is chosen among
-    # matrices of keys that are not residues mod p
-    for n, q in ((2, 5), (3, 7), (3, FiniteField(5, 2)), (4, 13)):
+    # over F_25 and F_9, zeta(3) and zeta(4) lie outside the prime field
+    for n, q in GAMMA_CASES:
         c = extension_factor_set(n, q)
         assert is_cocycle(c)
         box = cup_product_boxtimes(n)
         zero = Cochain(box.group, 2, n, lambda *args: 0)
         assert cocycles_cohomologous(c, -box)
         assert not cocycles_cohomologous(c, zero)
-    # the exact representative, not only its class: (g, h) -> b*beta' for
-    # g = (beta, b), h = (beta', b'), in tuple-product order
+        # the exact representative, not only its class: (g, h) -> b*beta'
+        # for g = (beta, b), h = (beta', b')
+        assert c == Cochain(c.group, 2, n, lambda g, h: h[0] * g[1])
+    # in tuple-product order
     assert extension_factor_set(2, 5).values == (
         0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 1, 1)
