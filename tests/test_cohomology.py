@@ -532,31 +532,61 @@ def _dense_mul(A, B):
                        for j in range(n)) for i in range(n))
 
 
-def test_gamma_is_the_section_times_scalars():
-    # Gamma from its definition, as dense matrices over F: the section
-    # S_(beta,b) = D^beta C^b and its scalar multiples zeta^a S
+def _dense_gamma(n, F):
+    """Gamma from its definition, as dense matrices over F: the generators
+    D and C, and the section S_(beta,b) = D^beta C^b."""
+    zeta, one, zero = F.zeta(n), F.one(), F.zero()
+    D = tuple(tuple(zeta ** i if j == i else zero for j in range(n))
+              for i in range(n))
+    C = tuple(tuple(one if j == (i + 1) % n else zero for j in range(n))
+              for i in range(n))
+    ident = tuple(tuple(one if j == i else zero for j in range(n))
+                  for i in range(n))
+    D_pows, C_pows = [ident], [ident]
+    for _ in range(n - 1):
+        D_pows.append(_dense_mul(D_pows[-1], D))
+        C_pows.append(_dense_mul(C_pows[-1], C))
+    S = {(beta, b): _dense_mul(D_pows[beta], C_pows[b])
+         for beta in range(n) for b in range(n)}
+    return ident, D, C, S
+
+
+def _scaled(A, c):
+    return tuple(tuple(c * e for e in row) for row in A)
+
+
+def test_gamma_group_order():
+    # the section and its scalar multiples zeta^a S are all of Gamma
     for n, F in GAMMA_CASES:
-        zeta, one, zero = F.zeta(n), F.one(), F.zero()
-        D = tuple(tuple(zeta ** i if j == i else zero for j in range(n))
-                  for i in range(n))
-        C = tuple(tuple(one if j == (i + 1) % n else zero for j in range(n))
-                  for i in range(n))
-        ident = tuple(tuple(one if j == i else zero for j in range(n))
-                      for i in range(n))
-        D_pows, C_pows = [ident], [ident]
-        for _ in range(n - 1):
-            D_pows.append(_dense_mul(D_pows[-1], D))
-            C_pows.append(_dense_mul(C_pows[-1], C))
-        S = {(beta, b): _dense_mul(D_pows[beta], C_pows[b])
-             for beta in range(n) for b in range(n)}
-        gamma = {tuple(tuple(zeta ** a * e for e in row) for row in A)
-                 for A in S.values() for a in range(n)}
+        zeta = F.zeta(n)
+        ident, D, C, S = _dense_gamma(n, F)
+        gamma = {_scaled(A, zeta ** a) for A in S.values() for a in range(n)}
         assert len(gamma) == n ** 3
         # gamma holds I and lies in <zeta I, D, C>; closed under those three
         # on the right, it is that whole group, so closed under products
-        zeta_I = tuple(tuple(zeta * e for e in row) for row in ident)
         assert all(_dense_mul(A, B) in gamma
-                   for A in gamma for B in (zeta_I, D, C))
+                   for A in gamma for B in (_scaled(ident, zeta), D, C))
+
+
+def test_gamma_group_sorted_as_dense_matrices():
+    # sorted as dense matrices of field keys, each fiber zeta^a S_(beta,b)
+    # of the projection starts with S_(beta,b), the matrix with row-0 entry
+    # 1: D^beta C^b is the section that the first preimage in sort order is
+    for n, F in GAMMA_CASES:
+        zeta = F.zeta(n)
+        S = _dense_gamma(n, F)[3]
+        for A in S.values():
+            fiber = sorted(tuple(tuple(e.key() for e in row)
+                                 for row in _scaled(A, zeta ** a))
+                           for a in range(n))
+            assert len(set(fiber)) == n
+            assert fiber[0] == tuple(tuple(e.key() for e in row) for row in A)
+
+
+def test_gamma_is_the_section_times_scalars():
+    for n, F in GAMMA_CASES:
+        zeta = F.zeta(n)
+        S = _dense_gamma(n, F)[3]
 
         def entry(row):  # the one nonzero entry of a monomial row
             (j, e), = ((j, e) for j, e in enumerate(row) if not e.is_zero())
@@ -572,8 +602,7 @@ def test_gamma_is_the_section_times_scalars():
             prod, target = _dense_mul(S[g], S[h]), S[G.add(g, h)]
             # one scalar lambda(g, h), the same in every row
             lam = entry(prod[0])[1] / entry(target[0])[1]
-            assert prod == tuple(tuple(lam * e for e in row)
-                                 for row in target), (n, F, g, h)
+            assert prod == _scaled(target, lam), (n, F, g, h)
 
 
 def test_extension_factor_set_class():
