@@ -327,25 +327,32 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
+# (exception, stderr prefix, JSON kind, exit code), most specific first; the
+# first four are ValueErrors too
+_ERRORS = ((ParseError, "parse error", "parse", EXIT_PARSE),
+           (ConstraintError, "constraint violation", "constraint",
+            EXIT_CONSTRAINT),
+           (TableSizeError, "size guard", "size", EXIT_SIZE),
+           (ConicModelError, "conic model", "conic", EXIT_CONIC),
+           ((ValueError, ZeroDivisionError), "constraint violation",
+            "constraint", EXIT_CONSTRAINT))
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ConstraintError as exc:
-        print(f"constraint violation: {exc}", file=sys.stderr)
-        return EXIT_CONSTRAINT
-    except TableSizeError as exc:
-        print(f"size guard: {exc}", file=sys.stderr)
-        return EXIT_SIZE
-    except ConicModelError as exc:
-        print(f"conic model: {exc}", file=sys.stderr)
-        return EXIT_CONIC
     except (ValueError, ZeroDivisionError) as exc:
-        print(f"constraint violation: {exc}", file=sys.stderr)
-        return EXIT_CONSTRAINT
+        prefix, kind, code = next(rest for cls, *rest in _ERRORS
+                                  if isinstance(exc, cls))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        if args.format == "json":
+            command = args.command + (f" {args.subcommand}"
+                                      if args.command == "cohomology" else "")
+            print(json.dumps({"command": command,
+                              "error": {"kind": kind, "message": str(exc)},
+                              "exit": code}, indent=2))
+        return code
 
 
 if __name__ == "__main__":

@@ -35,7 +35,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .finitefield import FiniteField, prime_powers, zeta_log
+from .finitefield import FiniteField, prime_powers
 from .snf import _eliminate, solve_mod
 
 TABLE_GUARD = 10 ** 6  # the one work bound on tables, matrices and parsing
@@ -463,11 +463,17 @@ def extension_factor_set(n: int, q: int) -> Cochain:
     section = {(beta, b): mul(D_pows[beta], C_pows[b])
                for beta in range(n) for b in range(n)}
 
+    # D's entries are the keys of zeta^0, ..., zeta^(n-1): their logs
+    log = {k: i for i, k in enumerate(D[1])}
+
     def value(g, h):
         # row 0 of S_g S_h is row cols_g[0] of S_h scaled by entries_g[0]
         (cols_g, entries_g), (_, entries_h) = section[g], section[h]
         entry = F._kmul(entries_g[0], entries_h[cols_g[0]])
         _, entries_gh = section[G.add(g, h)]
-        return zeta_log(F._kmul(entry, F._kinv(entries_gh[0])), zeta, n)
+        try:
+            return log[F._kmul(entry, F._kinv(entries_gh[0]))]
+        except KeyError:
+            raise ValueError("element is not a power of zeta") from None
 
     return Cochain(G, 2, n, value)

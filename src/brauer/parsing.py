@@ -16,7 +16,7 @@ import re
 
 from .cohomology import TABLE_GUARD, TableSizeError
 from .finitefield import FiniteField
-from .poly import Poly
+from .poly import Poly, _add, _mul, _neg, _pow, _sub
 from .ratfunc import Place, RatFunc
 from .residues import SymbolClass
 
@@ -64,6 +64,9 @@ def _tokenize(s: str):
 
 
 class _PolyParser:
+    """Recursive descent over the tokens; every production returns a key
+    list (poly's kernels), and parse_poly builds the one Poly."""
+
     def __init__(self, tokens, field: FiniteField):
         self.tokens = tokens
         self.i = 0
@@ -77,21 +80,20 @@ class _PolyParser:
         self.i += 1
         return tok
 
-    def parse_expr(self) -> Poly:
+    def parse_expr(self) -> list:
+        F = self.field
         negate = self.peek() == "-"
         if self.peek() in ("+", "-"):
             self.take()
         acc = self.parse_term()
         if negate:
-            acc = -acc
+            acc = _neg(F, acc)
         while self.peek() in ("+", "-"):
-            if self.take() == "-":
-                acc = acc - self.parse_term()
-            else:
-                acc = acc + self.parse_term()
+            op = _sub if self.take() == "-" else _add
+            acc = op(F, acc, self.parse_term())
         return acc
 
-    def parse_term(self) -> Poly:
+    def parse_term(self) -> list:
         acc = self.parse_factor()
         while True:
             nxt = self.peek()
@@ -100,10 +102,10 @@ class _PolyParser:
             elif nxt not in ("t", "("):  # these juxtapose: 3t, 2(t+1)
                 return acc
             factor = self.parse_factor()
-            _check_degree(acc.degree + factor.degree)
-            acc = acc * factor
+            _check_degree(len(acc) + len(factor) - 2)
+            acc = _mul(self.field, acc, factor)
 
-    def _power(self, base: Poly) -> Poly:
+    def _power(self, base: list) -> list:
         """base, raised to the exponent that follows it if there is one."""
         if self.peek() != "^":
             return base
@@ -111,23 +113,23 @@ class _PolyParser:
         tok = self.take()
         if tok is None or not tok.isdigit():
             raise ParseError("exponent must be an integer")
-        if base.degree < 1:
+        F = self.field
+        if len(base) < 2:
             # a constant has c^e = c^e' for e, e' >= 1 with e = e' mod q - 1
-            m = self.field.order - 1
-            return base ** (_read_int(tok, m) or (m if tok.strip("0") else 0))
+            m = F.order - 1
+            e = _read_int(tok, m) or (m if tok.strip("0") else 0)
+            return _pow(F, base, e)
         digits = tok.lstrip("0") or "0"
         if len(digits) > 4000:  # a degree too long to print
             raise TableSizeError(f"exponent of {len(digits)} digits exceeds "
                                  f"the parse bound {MAX_DEGREE}")
-        e = int(digits)
-        _check_degree(base.degree * e)
-        if not any(base.coeffs[:-1]):  # a monomial: (c t^k)^e = c^e t^(ke)
-            F = self.field
-            return Poly._raw(F, [0] * (base.degree * e)
-                             + [F._kpow(base.coeffs[-1], e)])
-        return base ** e
+        e, degree = int(digits), len(base) - 1
+        _check_degree(degree * e)
+        if not any(base[:-1]):  # a monomial: (c t^k)^e = c^e t^(ke)
+            return [0] * (degree * e) + [F._kpow(base[-1], e)]
+        return _pow(F, base, e)
 
-    def parse_factor(self) -> Poly:
+    def parse_factor(self) -> list:
         tok = self.take()
         if tok is None:
             raise ParseError("unexpected end of input")
@@ -137,10 +139,10 @@ class _PolyParser:
                 raise ParseError("expected ')'")
             return self._power(inner)
         if tok == "t":
-            return self._power(Poly.gen(self.field))
+            return self._power([0, 1])
         if tok.isdigit():
-            return self._power(
-                Poly.constant(self.field, _read_int(tok, self.field.p)))
+            c = _read_int(tok, self.field.p)
+            return self._power([c] if c else [])
         raise ParseError(f"unexpected token {tok!r} in polynomial")
 
 
@@ -150,7 +152,7 @@ def parse_poly(s: str, field: FiniteField) -> Poly:
     out = p.parse_expr()
     if p.i != len(tokens):
         raise ParseError(f"trailing input {' '.join(tokens[p.i:])!r}")
-    return out
+    return Poly._raw(field, out)
 
 
 def parse_ratfunc(s: str, field: FiniteField) -> RatFunc:

@@ -1,12 +1,19 @@
 """Univariate polynomials over a finite field, with full factorization.
 
-Coefficients are the field's int keys (key = sum c_i p^i, so over F_p the
-residue mod p), and every operation is one loop over them through the
-field's key ops (FiniteField._kadd, _kmul, ...), which are plain ints mod p
-over a prime field.  Factorization is squarefree decomposition followed by
-distinct-degree and Cantor-Zassenhaus equal-degree splitting (odd
-characteristic).  Splitting uses a polynomial-derived seed so results are
-deterministic.
+Every algorithm is one private kernel on a key list: the int keys of the
+coefficients (key = sum c_i p^i, so over F_p the residue mod p), low
+degree first and trimmed, with the empty list for zero.  Kernels take the
+field first, never change their inputs and step through the field's key
+ops (FiniteField._kadd, _kmul, ...), which are plain ints mod p over a
+prime field, so F_p and F_{p^d} run the same code.  Factorization is
+squarefree decomposition followed by distinct-degree and Cantor-Zassenhaus
+equal-degree splitting (odd characteristic), after von zur Gathen and
+Gerhard, Modern Computer Algebra, ch. 14; splitting uses a
+polynomial-derived seed so results are deterministic.
+
+Poly is the boundary type: each method wraps one kernel, so a chain of
+steps (a factorization, a parse, the divide-by-pi loop of ratfunc) builds
+a Poly only for what it returns.
 """
 
 from __future__ import annotations
@@ -14,6 +21,208 @@ from __future__ import annotations
 import random
 
 from .finitefield import FieldElement, FiniteField
+
+
+# -- kernels on key lists -----------------------------------------------------
+
+
+def _trim(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _add(F, a, b) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    add, out = F._kadd, list(a)
+    for i, c in enumerate(b):
+        out[i] = add(out[i], c)
+    return _trim(out)
+
+
+def _sub(F, a, b) -> list:
+    sub, out = F._ksub, list(a) + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] = sub(out[i], c)
+    return _trim(out)
+
+
+def _neg(F, a) -> list:
+    neg = F._kneg
+    return [neg(c) for c in a]
+
+
+def _mul(F, a, b) -> list:
+    if not a or not b:
+        return []
+    add, mul = F._kadd, F._kmul
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] = add(out[j], mul(x, y))
+    return out
+
+
+def _pow(F, a, e: int) -> list:
+    out = [1]
+    while e:
+        if e & 1:
+            out = _mul(F, out, a)
+        e >>= 1
+        if e:
+            a = _mul(F, a, a)
+    return out
+
+
+def _divmod(F, a, b):
+    """(quotient, remainder) of a by b, schoolbook from the top."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    nb, rem = len(b) - 1, list(a)
+    dq = len(rem) - nb - 1
+    if dq < 0:
+        return [], rem
+    sub, mul = F._ksub, F._kmul
+    # a monic b (pi, or f in a reduction mod f) needs no product by inv
+    low, inv = b[:-1], 1 if b[-1] == 1 else F._kinv(b[-1])
+    quo = [0] * (dq + 1)
+    for i in range(dq, -1, -1):
+        c = quo[i] = rem[i + nb] if inv == 1 else mul(rem[i + nb], inv)
+        if c:  # rem[i + nb] becomes 0 and is cut below
+            for j, y in enumerate(low, i):
+                rem[j] = sub(rem[j], mul(c, y))
+    del rem[nb:]
+    return quo, _trim(rem)
+
+
+def _monic(F, a) -> list:
+    """a over its leading coefficient, always a new list: factor's pieces
+    are lists, never the caller's tuple, and sort against each other."""
+    if not a or a[-1] == 1:
+        return list(a)
+    mul, inv = F._kmul, F._kinv(a[-1])
+    return [mul(c, inv) for c in a]
+
+
+def _gcd(F, a, b) -> list:
+    """The monic gcd ([] for two zeros), by Euclid's remainders."""
+    while b:
+        a, b = b, _divmod(F, a, b)[1]
+    return _monic(F, a)
+
+
+def _powmod(F, a, e: int, m) -> list:
+    out, a = _divmod(F, [1], m)[1], _divmod(F, a, m)[1]
+    while e:
+        if e & 1:
+            out = _divmod(F, _mul(F, out, a), m)[1]
+        e >>= 1
+        if e:
+            a = _divmod(F, _mul(F, a, a), m)[1]
+    return out
+
+
+def _deriv(F, a) -> list:
+    mul, p = F._kmul, F.p  # the integer i is the key i mod p
+    return _trim([mul(i % p, a[i]) for i in range(1, len(a))])
+
+
+def _pth_root(F, a) -> list:
+    # f with f' = 0 is g(t^p); recover g coefficientwise, c -> c^(q/p)
+    # being the inverse of Frobenius
+    kpow, e = F._kpow, F.order // F.p
+    return _trim([kpow(c, e) for c in a[::F.p]])
+
+
+def _squarefree(F, a) -> list:
+    """[(squarefree monic factor, multiplicity)] of a nonzero a."""
+    out, p = [], F.p
+
+    def recurse(f, mult):
+        d = _deriv(F, f)
+        if not d:
+            recurse(_pth_root(F, f), mult * p)
+            return
+        g = _gcd(F, f, d)
+        w = _divmod(F, f, g)[0]
+        i = 1
+        while len(w) > 1:
+            y = _gcd(F, w, g)
+            piece = _divmod(F, w, y)[0]
+            if len(piece) > 1:
+                out.append((piece, i * mult))
+            w, g = y, _divmod(F, g, y)[0]
+            i += 1
+        if len(g) > 1:
+            recurse(_pth_root(F, g), mult * p)
+
+    f = _monic(F, a)
+    if len(f) > 1:
+        recurse(f, 1)
+    return out
+
+
+def _distinct_degree(F, f) -> list:
+    """[(product, degree)] pieces of a squarefree monic f: each piece is the
+    product of f's irreducible factors of that degree."""
+    q, t = F.order, [0, 1]
+    out, h, d = [], _divmod(F, t, f)[1], 1
+    while len(f) > 2 * d:
+        h = _powmod(F, h, q, f)
+        g = _gcd(F, f, _sub(F, h, t))
+        if len(g) > 1:
+            out.append((g, d))
+            f = _divmod(F, f, g)[0]
+            h = _divmod(F, h, f)[1]
+        d += 1
+    if len(f) > 1:
+        out.append((f, len(f) - 1))
+    return out
+
+
+def _equal_degree(F, f, d: int) -> list:
+    """Cantor-Zassenhaus split of a product of degree-d irreducibles."""
+    if F.order % 2 == 0:
+        raise NotImplementedError(
+            "equal-degree splitting implemented for odd order only")
+    if len(f) - 1 == d:
+        return [f]
+    g = _split(F, f, d)
+    return _equal_degree(F, g, d) + _equal_degree(F, _divmod(F, f, g)[0], d)
+
+
+def _split(F, f, d: int) -> list:
+    """A proper monic factor of a product f of at least two degree-d
+    irreducibles over a field of odd order, from random draws seeded by
+    f."""
+    q, n = F.order, len(f) - 1
+    # a tuple of ints hashes the same in every process
+    rng = random.Random(hash((F.p, F.d, F.modulus, tuple(f), d)))
+    exp = (q ** d - 1) // 2
+    while True:
+        a = _trim([rng.randrange(q) for _ in range(n)])
+        if len(a) < 2:
+            continue
+        g = _gcd(F, f, a)
+        if not 1 < len(g) <= n:
+            g = _gcd(F, f, _sub(F, _powmod(F, a, exp, f), [1]))
+        if 1 < len(g) <= n:
+            return g
+
+
+def _factor(F, a) -> list:
+    """[(monic irreducible, multiplicity)] of a nonzero a, sorted by
+    (degree, keys from the top down)."""
+    out = [(irr, mult) for sqf, mult in _squarefree(F, a)
+           for piece, d in _distinct_degree(F, sqf)
+           for irr in _equal_degree(F, piece, d)]
+    out.sort(key=lambda fm: (len(fm[0]), fm[0][::-1]))
+    return out
+
+
+# -- the boundary type ----------------------------------------------------------
 
 
 class Poly:
@@ -37,16 +246,11 @@ class Poly:
                 cs.append(c % field.p)
             else:
                 cs.append(field.element(c).key())
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        self.coeffs = tuple(_trim(cs))
 
     @classmethod
     def _raw(cls, field: FiniteField, keys) -> "Poly":
-        """The polynomial with these int keys, trimmed and not checked."""
-        keys = list(keys)
-        while keys and not keys[-1]:
-            keys.pop()
+        """The polynomial with this key list, trimmed and not checked."""
         self = object.__new__(cls)
         self.field, self.coeffs = field, tuple(keys)
         return self
@@ -100,46 +304,33 @@ class Poly:
         """Deterministic sort key: (degree, coefficients from the top down)."""
         return (self.degree, self.coeffs[::-1])
 
-    # -- arithmetic -----------------------------------------------------------
+    # -- arithmetic: each a wrap of its kernel --------------------------------
 
     def _coerce(self, other):
         if isinstance(other, Poly):
             if other.field is not self.field:
                 raise ValueError("polynomials over different fields")
-            return other
+            return other.coeffs
         if isinstance(other, (int, FieldElement)):
-            return Poly(self.field, (other,))
+            return Poly(self.field, (other,)).coeffs
         return NotImplemented
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        add = self.field._kadd
-        a, b = self.coeffs, o.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = add(out[i], c)
-        return Poly._raw(self.field, out)
+        return Poly._raw(self.field, _add(self.field, self.coeffs, o))
 
     __radd__ = __add__
 
     def __neg__(self):
-        neg = self.field._kneg
-        return Poly._raw(self.field, [neg(c) for c in self.coeffs])
+        return Poly._raw(self.field, _neg(self.field, self.coeffs))
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        sub = self.field._ksub
-        a, b = self.coeffs, o.coeffs
-        out = list(a) + [0] * (len(b) - len(a))
-        for i, c in enumerate(b):
-            out[i] = sub(out[i], c)
-        return Poly._raw(self.field, out)
+        return Poly._raw(self.field, _sub(self.field, self.coeffs, o))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -148,17 +339,7 @@ class Poly:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        F = self.field
-        if self.is_zero() or o.is_zero():
-            return Poly.zero(F)
-        add, mul = F._kadd, F._kmul
-        a, b = self.coeffs, o.coeffs
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    out[j] = add(out[j], mul(x, y))
-        return Poly._raw(F, out)
+        return Poly._raw(self.field, _mul(self.field, self.coeffs, o))
 
     __rmul__ = __mul__
 
@@ -166,23 +347,8 @@ class Poly:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        if o.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
         F = self.field
-        sub, mul = F._ksub, F._kmul
-        rem, b = list(self.coeffs), o.coeffs
-        dq = len(rem) - len(b)
-        if dq < 0:
-            return Poly.zero(F), self
-        quo = [0] * (dq + 1)
-        lead_inv = F._kinv(b[-1])
-        for i in range(dq, -1, -1):
-            c = mul(rem[i + len(b) - 1], lead_inv)
-            if c:
-                quo[i] = c
-                for j, y in enumerate(b, i):
-                    rem[j] = sub(rem[j], mul(c, y))
-        return Poly._raw(F, quo), Poly._raw(F, rem)
+        return tuple(Poly._raw(F, r) for r in _divmod(F, self.coeffs, o))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -193,24 +359,11 @@ class Poly:
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly.one(self.field)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return Poly._raw(self.field, _pow(self.field, self.coeffs, e))
 
     def pow_mod(self, e: int, mod: "Poly") -> "Poly":
-        result = Poly.one(self.field) % mod
-        base = self % mod
-        while e:
-            if e & 1:
-                result = (result * base) % mod
-            base = (base * base) % mod
-            e >>= 1
-        return result
+        return Poly._raw(self.field,
+                         _powmod(self.field, self.coeffs, e, mod.coeffs))
 
     def __eq__(self, other):
         if isinstance(other, (int, FieldElement)):
@@ -224,22 +377,14 @@ class Poly:
     # -- algebra --------------------------------------------------------------
 
     def monic(self) -> "Poly":
-        if self.is_zero() or self.is_monic():
-            return self
-        F = self.field
-        inv = F._kinv(self.coeffs[-1])
-        return Poly._raw(F, [F._kmul(c, inv) for c in self.coeffs])
+        return Poly._raw(self.field, _monic(self.field, self.coeffs))
 
     def gcd(self, other: "Poly") -> "Poly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
+        return Poly._raw(self.field,
+                         _gcd(self.field, self.coeffs, other.coeffs))
 
     def derivative(self) -> "Poly":
-        F = self.field  # the integer i is the key i mod p
-        return Poly._raw(F, [F._kmul(i % F.p, c)
-                             for i, c in enumerate(self.coeffs)][1:])
+        return Poly._raw(self.field, _deriv(self.field, self.coeffs))
 
     def evaluate(self, x: FieldElement) -> FieldElement:
         F = self.field
@@ -253,97 +398,17 @@ class Poly:
     def is_irreducible(self) -> bool:
         """Squarefree, and the distinct-degree split that factor() runs
         finds no factor of degree below its own."""
-        if self.degree < 1:
-            return False
-        f = self.monic()
-        return (f.gcd(f.derivative()).degree == 0
-                and f._distinct_degree() == [(f, f.degree)])
-
-    def _pth_root(self) -> "Poly":
-        # f with f' = 0 is g(t^p); recover g coefficientwise
-        F = self.field
-        p = F.p
-        root_exp = F.order // p  # c -> c^(q/p) is the inverse of Frobenius
-        return Poly._raw(F, [F._kpow(c, root_exp)
-                             for c in self.coeffs[::p]])
+        F, f = self.field, _monic(self.field, self.coeffs)
+        return (len(f) > 1 and len(_gcd(F, f, _deriv(F, f))) == 1
+                and [d for _, d in _distinct_degree(F, f)] == [len(f) - 1])
 
     def squarefree_decomposition(self):
         """List of (squarefree monic factor, multiplicity)."""
-        f = self.monic()
-        if f.degree < 1:
-            return []
-        p = self.field.p
-        out = []
-
-        def recurse(f, mult):
-            d = f.derivative()
-            if d.is_zero():
-                recurse(f._pth_root(), mult * p)
-                return
-            g = f.gcd(d)
-            w = f // g
-            i = 1
-            while w.degree > 0:
-                y = w.gcd(g)
-                piece = w // y
-                if piece.degree > 0:
-                    out.append((piece, i * mult))
-                w, g = y, g // y
-                i += 1
-            if g.degree > 0:
-                recurse(g._pth_root(), mult * p)
-
-        recurse(f, 1)
-        return out
-
-    def _distinct_degree(self):
-        """Split a squarefree monic poly into (product, degree) pieces."""
-        f = self
-        q = self.field.order
-        t = Poly.gen(self.field)
-        out = []
-        h = t % f
-        d = 1
-        while f.degree >= 2 * d:
-            h = h.pow_mod(q, f)
-            g = f.gcd(h - t)
-            if g.degree > 0:
-                out.append((g, d))
-                f = f // g
-                h = h % f
-            d += 1
-        if f.degree > 0:
-            out.append((f, f.degree))
-        return out
-
-    def _equal_degree(self, d: int):
-        """Cantor-Zassenhaus split of a product of degree-d irreducibles."""
-        if self.field.order % 2 == 0:
-            raise NotImplementedError(
-                "equal-degree splitting implemented for odd order only")
-        if self.degree == d:
-            return [self]
-        g = self._split(d)
-        return g._equal_degree(d) + (self // g)._equal_degree(d)
+        return [(Poly._raw(self.field, g), m)
+                for g, m in _squarefree(self.field, self.coeffs)]
 
     def _split(self, d: int) -> "Poly":
-        """A proper monic factor of a product of at least two degree-d
-        irreducibles over a field of odd order, from random draws seeded by
-        the polynomial."""
-        F, f = self.field, self
-        q = F.order
-        # a tuple of ints hashes the same in every process
-        rng = random.Random(hash((F.p, F.d, F.modulus, f.coeffs, d)))
-        exp = (q ** d - 1) // 2
-        while True:
-            a = Poly._raw(F, [rng.randrange(q) for _ in range(f.degree)])
-            if a.degree < 1:
-                continue
-            g = f.gcd(a)
-            if not 0 < g.degree < f.degree:
-                g = f.gcd(a.pow_mod(exp, f) - Poly.one(F))
-            if 0 < g.degree < f.degree:
-                return g
+        return Poly._raw(self.field, _split(self.field, self.coeffs, d))
 
     def factor(self):
         """Monic irreducible factors with multiplicities, sorted by key.
@@ -353,13 +418,8 @@ class Poly:
         """
         if self.is_zero():
             raise ValueError("cannot factor zero")
-        out = []
-        for sqf, mult in self.squarefree_decomposition():
-            for piece, d in sqf._distinct_degree():
-                for irr in piece._equal_degree(d):
-                    out.append((irr, mult))
-        out.sort(key=lambda fm: fm[0].key())
-        return out
+        return [(Poly._raw(self.field, g), m)
+                for g, m in _factor(self.field, self.coeffs)]
 
     def roots(self):
         """Roots in the coefficient field, without multiplicity."""

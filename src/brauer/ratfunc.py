@@ -15,7 +15,7 @@ and take their residue field from the same cache entry.
 from __future__ import annotations
 
 from .finitefield import FieldElement, FiniteField
-from .poly import Poly
+from .poly import Poly, _divmod
 
 
 class RatFunc:
@@ -224,22 +224,24 @@ class Place:
 
 def _divide_out_pi(f: RatFunc, P: Place):
     """(v, rn, rd) with f = pi^v * g, g a unit at P, from the one divide-by-pi
-    loop: at a finite place rn and rd are the first nonzero remainders of num
-    and den (g mod pi = rn/rd), at infinity the leading coefficients."""
+    loop on key lists: at a finite place rn and rd are the key lists of the
+    first nonzero remainders of num and den (g mod pi = rn/rd), at infinity
+    the leading coefficients."""
     if f.is_zero():
         raise ValueError("valuation of zero")
     if P.is_infinity:
         return (f.den.degree - f.num.degree, f.num.leading_coefficient(),
                 f.den.leading_coefficient())
+    F, pi = f.field, P.poly.coeffs
 
-    def split(g: Poly):
-        m, (q, r) = 0, divmod(g, P.poly)
-        while r.is_zero():
-            m, (q, r) = m + 1, divmod(q, P.poly)
+    def split(g):
+        m, (q, r) = 0, _divmod(F, g, pi)
+        while not r:
+            m, (q, r) = m + 1, _divmod(F, q, pi)
         return m, r
 
     # num and den are coprime, so at most one of the counts is nonzero
-    (mn, rn), (md, rd) = split(f.num), split(f.den)
+    (mn, rn), (md, rd) = split(f.num.coeffs), split(f.den.coeffs)
     return mn - md, rn, rd
 
 
@@ -253,7 +255,7 @@ def _local_unit(f: RatFunc, P: Place):
     if kappa is None:
         return v, None
     # the F_p keys of a remainder mod pi are the digits of its kappa(P) key
-    un, ud = (kappa.from_key(kappa._key(r.coeffs)) for r in (rn, rd))
+    un, ud = (kappa.from_key(kappa._key(r)) for r in (rn, rd))
     return v, un / ud
 
 

@@ -3,6 +3,7 @@ import time
 
 from brauer import cli
 from brauer.cli import main
+from brauer.conic import ConicModelError
 
 
 def run(capsys, *argv):
@@ -271,6 +272,37 @@ def test_tokens_past_int_string_limit(capsys):
 def test_exit_code_conic_model(capsys):
     code, _, err = run(capsys, "conic", "--q", "5", "--a", "0", "--b", "t")
     assert code == 2  # zero coefficient is caught at parse level
+
+
+def test_json_error_payloads(capsys, monkeypatch):
+    # one input per exit code 2-5: stdout carries the payload under
+    # --format json, and the stderr line and exit code match text output
+    cases = [
+        (["ramification", "--q", "5", "--n", "2", "--symbol", "(t,,2)_2"],
+         "ramification", "parse", 2),
+        (["residue", "--q", "5", "--n", "3", "--symbol", "(t, 2)_3",
+          "--place", "t"], "residue", "constraint", 3),
+        (["cohomology", "gamma", "--n", "32", "--q", "97"],
+         "cohomology gamma", "size", 4),
+        (["conic", "--q", "5", "--a", "t", "--b", "2"], "conic", "conic", 5),
+    ]
+
+    def smooth(C):
+        raise ConicModelError("fiber is smooth")
+
+    # a ramified place always has a degenerate fiber, so no CLI input
+    # reaches exit 5; the model error is raised in check_artin's place
+    monkeypatch.setattr(cli, "check_artin", smooth)
+    for argv, command, kind, code in cases:
+        text = run(capsys, *argv)
+        got, out, err = run(capsys, *argv, "--format", "json")
+        assert (got, err) == (text[0], text[2]) == (code, err), argv
+        assert text[1] == ""
+        _, message = err.rstrip("\n").split(": ", 1)
+        assert json.loads(out) == {"command": command,
+                                   "error": {"kind": kind,
+                                             "message": message},
+                                   "exit": code}
 
 
 def test_parser_built_once_per_process(capsys):

@@ -114,3 +114,60 @@ def test_symbol_sum_repr_round_trip(rng):
             alpha = SymbolClass(n, terms)
             if alpha.terms:
                 assert parse_symbol_sum(repr(alpha), F) == alpha
+
+
+def _random_expr(rng, F, depth):
+    """(text, Poly) of a random expression tree over F: a sum or difference
+    of terms, the first maybe signed, the Poly built by Poly arithmetic."""
+    sign = rng.choice(("", "", "-", "+"))
+    text, val = _random_term(rng, F, depth)
+    text, val = sign + text, -val if sign == "-" else val
+    for _ in range(rng.randrange(3) if depth else 0):
+        more, v = _random_term(rng, F, depth)
+        if rng.random() < 0.5:
+            text, val = f"{text} + {more}", val + v
+        else:
+            text, val = f"{text}-{more}", val - v
+    return text, val
+
+
+def _random_term(rng, F, depth):
+    """A product of factors, by `*` or by juxtaposition before t or `(`."""
+    text, val = _random_factor(rng, F, depth)
+    for _ in range(rng.randrange(3) if depth else 0):
+        more, v = _random_factor(rng, F, depth)
+        glue = (rng.choice(("", " ")) if more[0] in "t(" and rng.random() < 0.5
+                else rng.choice(("*", " * ")))
+        text, val = text + glue + more, val * v
+    return text, val
+
+
+def _random_factor(rng, F, depth):
+    """t, a constant (zero, reduced or not) or a parenthesized expression,
+    maybe raised to a power: any exponent >= 0 on a constant, up to q - 1
+    and past it, and 0 to 3 on the others, some with leading zeros."""
+    kind = rng.choice(("t", "const", "paren") if depth else ("t", "const"))
+    if kind == "t":
+        text, val = "t", Poly.gen(F)
+    elif kind == "const":
+        c = 0 if rng.random() < 0.1 else rng.randrange(1, 3 * F.p)
+        text, val = str(c), Poly.constant(F, c)
+    else:
+        inner, val = _random_expr(rng, F, depth - 1)
+        text = f"({inner})"
+    if rng.random() < 0.4:
+        q = F.order
+        e = (rng.choice((0, 1, q - 2, q - 1, q, rng.randrange(q, 4 * q)))
+             if val.degree < 1 else rng.randrange(4))
+        text, val = f"{text}^{rng.choice(('', '', '', '0', '00'))}{e}", val ** e
+    return text, val
+
+
+@pytest.mark.parametrize("field", [FiniteField(5), FiniteField(13),
+                                   FiniteField(5, 2)], ids=repr)
+def test_parse_poly_matches_random_expression_trees(rng, field):
+    for _ in range(150):
+        text, want = _random_expr(rng, field, 2)
+        got = parse_poly(text, field)
+        assert got == want, text
+        assert not got.coeffs or got.coeffs[-1], text  # trimmed
