@@ -24,7 +24,7 @@ from .conic import (ConicBundle, ConicModelError, check_artin,
 from .finitefield import FiniteField, ResidueClass, prime_powers
 from .parsing import ParseError, parse_place, parse_ratfunc, parse_symbol_sum
 from .residues import (SymbolClass, ramification_divisor, reciprocity_sum,
-                       tame_residue)
+                       residue_cocycle_route, tame_residue)
 
 EXIT_CHECK_FAILED = 1
 EXIT_PARSE = 2
@@ -204,15 +204,18 @@ def cmd_conic(args) -> int:
 
 def cmd_selftest(args) -> int:
     from .poly import Poly
-    from .ratfunc import RatFunc
+    from .ratfunc import RatFunc, _divisor, valuation
     if args.rounds < 1:
         raise ConstraintError(f"--rounds must be >= 1, got {args.rounds}")
     seed = int(os.environ.get("BRAUER_SEED", "0"))
     rng = random.Random(seed)
+    # the route checks draw from their own stream, so the symbols and
+    # bundles drawn for a seed do not depend on them
+    route_rng = random.Random(f"route:{seed}")
     failures = []
     lines = []
 
-    def rand_ratfunc(F, q, max_deg=4):
+    def rand_ratfunc(F, q, max_deg=4, rng=rng):
         while True:
             num = Poly(F, [rng.randrange(q) for _ in range(rng.randrange(1, max_deg + 2))])
             den = Poly(F, [rng.randrange(q) for _ in range(rng.randrange(1, max_deg + 2))])
@@ -228,6 +231,18 @@ def cmd_selftest(args) -> int:
             a, b = rand_ratfunc(F, q), rand_ratfunc(F, q)
             if not reciprocity_sum(SymbolClass.symbol(a, b, n)).is_zero():
                 failures.append(f"reciprocity ({a},{b})_{n} over F_{q}")
+            # the norm route (tame_residue) against the kappa(P) route
+            # (residue_cocycle_route) at a place of degree 1-3 of a or b
+            places = [P for f in (a, b) for P in _divisor(f) if P.degree <= 3]
+            if places:
+                P = route_rng.choice(places)
+                j = route_rng.randrange(n)
+                u = rand_ratfunc(F, q, rng=route_rng)
+                while valuation(u, P):
+                    u = rand_ratfunc(F, q, rng=route_rng)
+                pi_j = SymbolClass.symbol(RatFunc(P.poly) ** j, u, n)
+                if tame_residue(pi_j, P) != residue_cocycle_route(j, u, P, n):
+                    failures.append(f"route (({P})^{j}, {u})_{n} over F_{q}")
             if a != 1 and not (1 - a).is_zero():
                 if ramification_divisor(
                         SymbolClass.symbol(a, 1 - a, n)).entries:

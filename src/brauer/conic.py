@@ -22,7 +22,7 @@ from operator import getitem, mul
 from .cohomology import TABLE_GUARD, TableSizeError
 from .finitefield import FiniteField, ResidueClass, power_residue_character
 from .poly import Poly
-from .ratfunc import Place, RatFunc, _local_unit, valuation
+from .ratfunc import Place, RatFunc, _local_norm, _local_unit, valuation
 from .residues import SymbolClass, _candidate_places, ramification_divisor
 
 
@@ -91,13 +91,22 @@ def component_torsor(C: ConicBundle, P: Place) -> ResidueClass:
     """Square class of the unit coefficient of the degenerate fiber at P.
 
     The fiber u*X^2 = Z^2 factors into two lines over kappa(P)(sqrt(u));
-    the torsor of its components is the class of u.  Errors if the fiber
-    at P is a smooth conic.
+    the torsor of its components is the class of u, read as the quadratic
+    character of its norm to F_q: N(bbar) or N(abar) where one valuation is
+    odd, and (-1)^deg P * N(abar) * N(bbar) for u = -abar*bbar where both
+    are.  Errors if the fiber at P is a smooth conic.
     """
-    abar, bbar = _reduced_fiber(C, P)
-    if not abar.is_zero() and not bbar.is_zero():
+    kappa, F = P.residue_field(), C.field
+    (va, na), (vb, nb) = _local_norm(C.a, P), _local_norm(C.b, P)
+    if va % 2 and vb % 2:
+        norm = F._kmul(na, nb)
+        norm = F._kneg(norm) if P.degree % 2 else norm
+    elif va % 2 or vb % 2:
+        norm = nb if va % 2 else na
+    else:
         raise ConicModelError("fiber is smooth")
-    return power_residue_character(abar if bbar.is_zero() else bbar, 2)
+    chi = power_residue_character(F.from_key(norm), 2)
+    return ResidueClass(2, chi.value, kappa.zeta(2))
 
 
 def degenerate_places(C: ConicBundle):

@@ -113,6 +113,26 @@ def _gcd(F, a, b) -> list:
     return _monic(F, a)
 
 
+def _resultant(F, a, b) -> int:
+    """Res(a, b) = lc(a)^deg b * prod of b over the roots of a, a key of F,
+    by Euclid's remainders: Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a -
+    deg r) Res(b, r) for r = a mod b, Res(a, c) = c^deg a for a constant c,
+    and 0 when a and b share a factor or one of them is zero.  For a monic
+    a it is the norm of b mod a from F[t]/(a) to F."""
+    if not a or not b:
+        return 0
+    mul, kpow, res = F._kmul, F._kpow, 1
+    while len(b) > 1:
+        r = _divmod(F, a, b)[1]
+        if not r:
+            return 0
+        res = mul(res, kpow(b[-1], len(a) - len(r)))
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            res = F._kneg(res)
+        a, b = b, r
+    return mul(res, kpow(b[0], len(a) - 1))
+
+
 def _powmod(F, a, e: int, m) -> list:
     out, a = _divmod(F, [1], m)[1], _divmod(F, a, m)[1]
     while e:

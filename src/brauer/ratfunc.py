@@ -15,7 +15,7 @@ and take their residue field from the same cache entry.
 from __future__ import annotations
 
 from .finitefield import FieldElement, FiniteField
-from .poly import Poly, _divmod
+from .poly import Poly, _divmod, _resultant
 
 
 class RatFunc:
@@ -257,6 +257,20 @@ def _local_unit(f: RatFunc, P: Place):
     # the F_p keys of a remainder mod pi are the digits of its kappa(P) key
     un, ud = (kappa.from_key(kappa._key(r)) for r in (rn, rd))
     return v, un / ud
+
+
+def _local_norm(f: RatFunc, P: Place):
+    """(v, N) with f = pi^v * g, g a unit at P, and N the key of the norm of
+    g mod P from kappa(P) to the base field, read off the same remainders
+    as _local_unit: Res(pi, rn) / Res(pi, rd) for the monic pi, with no
+    kappa(P) arithmetic.  At infinity N = lc(num)/lc(den).  Raises
+    NotImplementedError where kappa(P) is not built."""
+    v, rn, rd = _divide_out_pi(f, P)
+    if P.is_infinity:
+        return v, (rn / rd).key()
+    P.residue_field()  # raises NotImplementedError: no kappa(P) here
+    F, pi = f.field, P.poly.coeffs
+    return v, F._kmul(_resultant(F, pi, rn), F._kinv(_resultant(F, pi, rd)))
 
 
 def valuation(f: RatFunc, P: Place) -> int:

@@ -5,14 +5,21 @@ Two independent residue computations live here: the tame-symbol formula
     res_P((a,b)_n) = chi( (-1)^(v(a)v(b)) * a^v(b) * b^(-v(a)) mod P )
 
 and the Cech-cocycle route through the n-th root cover, which computes the
-residue of pi^j-by-unit symbols from the epsilon cocycle.  Both form the
-tame unit in kappa(P) from each argument's valuation and reduced unit
-(ratfunc._local_unit).  The tame unit is 1 where both arguments are units,
-so the whole-sum maps (ramification_divisor, reciprocity_sum) factor each
+residue of pi^j-by-unit symbols from the epsilon cocycle.  Since n | q - 1,
+the tame formula is read in F_q: for u in kappa(P), of order Q = q^deg P,
+u^((Q-1)/n) = N(u)^((q-1)/n) with N the norm to F_q, and kappa(P).zeta(n)
+is F_q's zeta, so the residue is the character of the norm of the tame
+unit on F_q, the same number as its corestriction.  That norm is
+(-1)^(v(a)v(b)deg P) N(a)^v(b) N(b)^(-v(a)), and each argument's norm is a
+resultant of pi and the argument's remainder (ratfunc._local_norm), with
+no kappa(P) arithmetic.  The cocycle route still reduces its unit into
+kappa(P) (ratfunc._local_unit), so route agreement compares two readings
+of the unit.  The tame unit is 1 where both arguments are units, so the
+whole-sum maps (ramification_divisor, reciprocity_sum) factor each
 argument once into its divisor and evaluate a term at a finite place only
 if the place is in the divisor of one of its arguments, with the
 valuations read off the divisors; infinity is evaluated for every term.
-An argument is reduced only where its unit enters, at a place where the
+An argument's norm is read only where it enters, at a place where the
 other argument has nonzero valuation.  The sign normalization is pinned by
 res((pi, u)_n) = -[u].
 """
@@ -23,9 +30,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .cohomology import epsilon_cocycle, verify_coboundary_identity
-from .finitefield import (FiniteField, ResidueClass, corestrict,
-                          power_residue_character)
-from .ratfunc import Place, RatFunc, _divisor, _local_unit, valuation
+from .finitefield import FiniteField, ResidueClass, power_residue_character
+from .ratfunc import (Place, RatFunc, _divisor, _local_norm, _local_unit,
+                      valuation)
 
 
 @dataclass(frozen=True)
@@ -104,27 +111,34 @@ class RamificationDivisor:
         return "{" + inner + "}"
 
 
-def _tame_unit(a: RatFunc, b: RatFunc, P: Place, va: int, vb: int):
-    """(-1)^(va*vb) * a^vb * b^(-va) in kappa(P), for va = v_P(a) and
-    vb = v_P(b): a's unit is reduced only when vb != 0, b's when va != 0."""
-    unit = P.residue_field().one()  # NotImplementedError: no kappa(P) here
+def _tame_norm(a: RatFunc, b: RatFunc, P: Place, va: int, vb: int) -> int:
+    """The key of the norm to F_q of the tame unit (-1)^(va*vb) * a^vb *
+    b^(-va) mod P, for va = v_P(a) and vb = v_P(b): (-1)^(va*vb*deg P) *
+    N(a)^vb * N(b)^(-va), a's norm read only when vb != 0, b's when va != 0."""
+    F, norm = a.field, 1
     if vb:
-        unit = _local_unit(a, P)[1] ** vb
+        norm = F._kpow(_local_norm(a, P)[1], vb)
     if va:
-        unit = unit * _local_unit(b, P)[1] ** -va
-    return -unit if (va * vb) % 2 else unit
+        norm = F._kmul(norm, F._kpow(_local_norm(b, P)[1], -va))
+    return F._kneg(norm) if (va * vb * P.degree) % 2 else norm
+
+
+def _character(F: FiniteField, norm: int, n: int) -> int:
+    """The n-th power residue character of a norm key on F_q, as an int."""
+    return power_residue_character(F.from_key(norm), n).value
 
 
 def tame_residue(alpha: SymbolClass, P: Place) -> ResidueClass:
-    """Residue of a symbol sum at P via the tame-symbol formula."""
+    """Residue of a symbol sum at P via the tame-symbol formula, read from
+    the norm of each term's tame unit."""
     n = alpha.n
     kappa = P.residue_field()
     if (kappa.order - 1) % n != 0:
         raise ValueError(f"n={n} must divide |kappa(P)|-1={kappa.order - 1}")
     total = 0
     for a, b, m in alpha.terms:
-        unit = _tame_unit(a, b, P, valuation(a, P), valuation(b, P))
-        total += m * power_residue_character(unit, n).value
+        norm = _tame_norm(a, b, P, valuation(a, P), valuation(b, P))
+        total += m * _character(P.field, norm, n)
     return ResidueClass(n, total, kappa.zeta(n))
 
 
@@ -153,7 +167,7 @@ def _epsilon_edge(n: int, j: int) -> int:
 
 
 def _sorted_places(divisors):
-    """The finite places of the divisors, sorted by Place.key."""
+    """The places of the divisors, sorted by Place.key (infinity last)."""
     return sorted({P for div in divisors for P in div}, key=Place.key)
 
 
@@ -167,22 +181,24 @@ def _candidate_places(alpha: SymbolClass):
             + [Place.infinity(alpha.field)])
 
 
-def _tame_units(alpha: SymbolClass):
-    """(P, [(m, tame unit)]) at each candidate place in order: at a finite
-    P the terms with a zero or pole there, at infinity, last, every term.
-    Each argument is factored once."""
-    terms = [(a, b, m, _divisor(a), _divisor(b)) for a, b, m in alpha.terms]
+def _residue_values(alpha: SymbolClass):
+    """(P, residue value as an int) at each candidate place in order, from
+    the terms with a zero or pole at P, one character of a tame norm per
+    term.  Each argument is factored once into its divisor, to which its
+    valuation at infinity, last in the order, is added."""
+    F, n, inf = alpha.field, alpha.n, Place.infinity(alpha.field)
+    terms = []
+    for a, b, m in alpha.terms:
+        da, db = _divisor(a), _divisor(b)
+        da[inf], db[inf] = valuation(a, inf), valuation(b, inf)
+        terms.append((a, b, m, da, db))
     for P in _sorted_places(div for *_, da, db in terms for div in (da, db)):
-        units = []
+        total = 0
         for a, b, m, da, db in terms:
             va, vb = da.get(P, 0), db.get(P, 0)
             if va or vb:
-                units.append((m, _tame_unit(a, b, P, va, vb)))
-        yield P, units
-    inf = Place.infinity(alpha.field)
-    yield inf, [(m, _tame_unit(a, b, inf, valuation(a, inf),
-                               valuation(b, inf)))
-                for a, b, m, *_ in terms]
+                total += m * _character(F, _tame_norm(a, b, P, va, vb), n)
+        yield P, total
 
 
 def ramification_divisor(alpha: SymbolClass) -> RamificationDivisor:
@@ -194,10 +210,8 @@ def ramification_divisor(alpha: SymbolClass) -> RamificationDivisor:
     """
     n, entries = alpha.n, {}
     if alpha.field is not None:
-        for P, units in _tame_units(alpha):
-            total = sum(m * power_residue_character(u, n).value
-                        for m, u in units)
-            entries[P] = ResidueClass(n, total, P.residue_field().zeta(n))
+        for P, value in _residue_values(alpha):
+            entries[P] = ResidueClass(n, value, P.residue_field().zeta(n))
     return RamificationDivisor(entries)
 
 
@@ -208,17 +222,14 @@ def is_unramified_at(alpha: SymbolClass, P: Place) -> bool:
 def reciprocity_sum(alpha: SymbolClass) -> ResidueClass:
     """Sum over all places of the corestricted residues; always zero.
 
-    Each per-place residue is corestricted to the base field through the
-    field norm before summing, so places of every degree contribute in the
-    same group.
+    A residue is the character of its tame unit's norm to the base field,
+    so it is its own corestriction, and places of every degree contribute
+    in the same group.
     """
     n = alpha.n
     field = alpha.field
     if field is None:
         raise ValueError("empty symbol has no base field")
     zeta = field.zeta(n)
-    total = 0
-    for _, units in _tame_units(alpha):
-        for m, u in units:
-            total += m * corestrict(u, n).value
+    total = sum(value for _, value in _residue_values(alpha))
     return ResidueClass(n, total, zeta)

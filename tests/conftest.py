@@ -12,12 +12,29 @@ def pytest_terminal_summary(terminalreporter):
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
 
-from brauer import Place, Poly, RatFunc, valuation
+from brauer import FiniteField, Place, Poly, RatFunc, valuation
 
 
 @pytest.fixture
 def rng():
     return random.Random(20260826)
+
+
+@pytest.fixture
+def wide_key_ops(monkeypatch):
+    """A list that records (op name, field) for every _kmul, _kpow and _kinv
+    call on a field of degree > 1 while the test runs."""
+    seen = []
+    for name in ("_kmul", "_kpow", "_kinv"):
+        op = getattr(FiniteField, name)
+
+        def watched(self, *args, op=op, name=name):
+            if self.d > 1:
+                seen.append((name, self))
+            return op(self, *args)
+
+        monkeypatch.setattr(FiniteField, name, watched)
+    return seen
 
 
 def random_poly(rng, F, max_deg=4, nonzero=True):

@@ -1,7 +1,7 @@
 import json
 import time
 
-from brauer import cli
+from brauer import ResidueClass, cli, residue_cocycle_route
 from brauer.cli import main
 from brauer.conic import ConicModelError
 
@@ -173,6 +173,26 @@ def test_selftest_checks_ramified_point_counts(capsys, monkeypatch):
     assert len(failures) == sum(e == 2 for _, e in calls)
     assert all(k * k <= cli.TABLE_GUARD for k, e in calls if e == 2)
     assert any(k * k > cli.TABLE_GUARD for k, e in calls)
+
+
+def test_selftest_checks_the_norm_route_against_kappa(capsys, monkeypatch):
+    # a cocycle route one off fails every route check, and only those; the
+    # checks visit places of degree 1 to 3 of the drawn symbols
+    degrees = []
+
+    def off_by_one(j, u, P, n):
+        degrees.append(P.degree)
+        r = residue_cocycle_route(j, u, P, n)
+        return r + ResidueClass(n, 1, r.zeta)
+
+    monkeypatch.setattr(cli, "residue_cocycle_route", off_by_one)
+    monkeypatch.delenv("BRAUER_SEED", raising=False)
+    code, out, _ = run(capsys, "selftest", "--rounds", "4", "--format", "json")
+    failures = json.loads(out)["results"]["failures"]
+    assert code == 1
+    assert len(failures) == len(degrees) >= 6
+    assert all(f.startswith("route ") for f in failures)
+    assert set(degrees) <= {1, 2, 3} and max(degrees) > 1
 
 
 def test_selftest_rejects_rounds_below_one(capsys):

@@ -17,11 +17,11 @@ from brauer import (
 )
 from brauer import conic, finitefield
 from brauer.conic import degenerate_places, discriminant_places, minimize_at
-from brauer.finitefield import _FIELD_CACHE
+from brauer.finitefield import _FIELD_CACHE, power_residue_character
 from brauer.ratfunc import reduce_at, valuation
 
 from conftest import (local_test_places, random_place, random_poly,
-                      random_ratfunc)
+                      random_ratfunc, random_unit_at)
 
 
 F5 = FiniteField(5)
@@ -349,3 +349,54 @@ def test_reduced_fiber_matches_minimize_at(rng):
                     kappa.zero() if valuation(c, P) == 1 else reduce_at(c, P)
                     for c in (a0, b0))
                 assert conic._reduced_fiber(C, P) == expected, (C, P)
+
+
+def _conics_at_places(rng):
+    """Seeded bundles over F_5, F_7 and F_13, each with its places: one
+    random place of each degree 1 to 4, then infinity.  At each finite
+    place there is a bundle for each parity of the two valuations."""
+    for F in (F5, FiniteField(7), FiniteField(13)):
+        places = local_test_places(rng, F, (1, 2, 3, 4))
+        for P in places[:-1]:
+            pi = P.uniformizer()
+            for ea, eb in itertools.product((0, 1), repeat=2):
+                a, b = (random_unit_at(rng, F, P, 2)
+                        * pi ** (e + 2 * rng.randrange(-1, 2))
+                        for e in (ea, eb))
+                yield ConicBundle(a, b), places
+
+
+def test_torsor_matches_kappa_oracle(rng):
+    # the oracle reads the square class of the reduced fiber's unit in
+    # kappa(P); component_torsor reads it from a norm in F_q
+    seen = set()
+    for C, places in _conics_at_places(rng):
+        for P in places:
+            abar, bbar = conic._reduced_fiber(C, P)
+            parity = (valuation(C.a, P) % 2, valuation(C.b, P) % 2)
+            seen.add(("inf" if P.is_infinity else P.degree, parity))
+            if parity == (0, 0):
+                with pytest.raises(ConicModelError, match="smooth"):
+                    component_torsor(C, P)
+                continue
+            want = power_residue_character(
+                abar if bbar.is_zero() else bbar, 2)
+            got = component_torsor(C, P)
+            assert got == want and got.zeta == want.zeta
+    assert {d for d, _ in seen} == {1, 2, 3, 4, "inf"}
+    assert {parity for _, parity in seen} == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    assert {d for d, parity in seen if parity == (1, 1)} >= {1, 2, 3, 4}
+
+
+def test_torsor_runs_no_arithmetic_in_kappa(wide_key_ops, rng):
+    bundles = [(C, [P for P in places if P.degree >= 2])
+               for C, places in _conics_at_places(rng)]
+    wide_key_ops.clear()
+    checked = 0
+    for C, places in bundles:
+        for P in places:
+            if valuation(C.a, P) % 2 or valuation(C.b, P) % 2:
+                component_torsor(C, P)
+                checked += 1
+        check_artin(C)
+    assert checked and wide_key_ops == []

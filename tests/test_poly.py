@@ -6,6 +6,7 @@ import pytest
 
 from brauer import FiniteField, Poly
 from brauer.finitefield import prime_powers
+from brauer.poly import _resultant
 
 
 F5 = FiniteField(5)
@@ -234,6 +235,75 @@ def test_arithmetic_matches_int_schoolbook(rng, p):
         assert list(A.gcd(B).coeffs) == _int_gcd(a, b, p)
         e = rng.randrange(0, p ** 3)
         assert list(A.pow_mod(e, B).coeffs) == _int_pow_mod(a, e, b, p)
+
+
+def _int_sylvester_resultant(a, b, p):
+    """det of the Sylvester matrix of a and b mod p: deg b rows of a's
+    coefficients and deg a rows of b's, top degree first, each shifted one
+    column right of the row above; eliminated with a sign per swap."""
+    m, k = len(a) - 1, len(b) - 1
+    rows = ([[0] * i + a[::-1] + [0] * (k - 1 - i) for i in range(k)]
+            + [[0] * i + b[::-1] + [0] * (m - 1 - i) for i in range(m)])
+    det = 1
+    for col in range(m + k):
+        pivot = next((r for r in range(col, m + k) if rows[r][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            rows[col], rows[pivot], det = rows[pivot], rows[col], -det
+        det = det * rows[col][col] % p
+        inv = pow(rows[col][col], -1, p)
+        for r in range(col + 1, m + k):
+            c = rows[r][col] * inv % p
+            rows[r] = [(x - c * y) % p for x, y in zip(rows[r], rows[col])]
+    return det % p
+
+
+@pytest.mark.parametrize("p", [5, 13])
+def test_resultant_matches_sylvester_determinant(rng, p):
+    F = FiniteField(p)
+    t = [0, 1]
+    cases = [
+        (t, [1, 2, 0, 1]),  # deg a * deg b = 3: the sign (-1)^(deg a deg b)
+        ([2, 1, 1], [3, 0, 4, 1, 2]),  # 2 * 4
+        ([1, 0, 3, 1], [4, 1, 0, 2]),  # 3 * 3 = 9, odd
+        ([1, 2, 0, 1], [3]),  # a constant b: Res = b^deg a
+        ([3], [1, 2, 0, 1]),  # a constant a: Res = a^deg b
+        (_int_mul([1, 1], [2, 0, 1], p), _int_mul([1, 1], [3, 1], p)),
+    ]
+    for _ in range(60):
+        cases.append((_random_ints(rng, p, 7) or [1],
+                      _random_ints(rng, p, 7) or [2]))
+    odd = 0
+    for a, b in cases:
+        want = _int_sylvester_resultant(a, b, p)
+        assert _resultant(F, a, b) == want, (a, b)
+        odd += (len(a) - 1) * (len(b) - 1) % 2
+    # a shared factor gives 0, and so does a zero argument
+    assert _resultant(F, *cases[5]) == 0
+    assert _resultant(F, [], [1, 1]) == _resultant(F, [1, 1], []) == 0
+    assert odd >= 2
+
+
+def test_resultant_over_p2_is_product_over_roots(rng):
+    # over F_25, Res(c * prod (t - r_i), b) = c^deg b * prod b(r_i): the
+    # kernel steps through F_25's key ops, so it is the norm to F_25
+    F = FiniteField(5, 2)
+    for _ in range(30):
+        roots = [F.from_key(rng.randrange(F.order))
+                 for _ in range(rng.randrange(1, 5))]
+        c = F.from_key(rng.randrange(1, F.order))
+        a = Poly.constant(F, c)
+        for r in roots:
+            a = a * (t(F) - r)
+        b = Poly(F, [F.from_key(rng.randrange(F.order))
+                     for _ in range(rng.randrange(1, 6))])
+        if b.is_zero():
+            continue
+        want = c ** b.degree
+        for r in roots:
+            want = want * b.evaluate(r)
+        assert _resultant(F, a.coeffs, b.coeffs) == want.key()
 
 
 def _element_mul(a, b, F):

@@ -2,7 +2,9 @@ import pytest
 
 from brauer import (FiniteField, ParseError, Place, Poly, RatFunc,
                     parse_place, reduce_at, valuation)
-from brauer.ratfunc import _divisor, _local_unit, degree_one_place, support
+from brauer.finitefield import norm_to_prime_field
+from brauer.ratfunc import (_divisor, _local_norm, _local_unit,
+                            degree_one_place, support)
 
 from conftest import local_test_places, random_place, random_ratfunc
 
@@ -79,6 +81,10 @@ def test_places_over_non_prime_base_field():
         reduce_at(T + 2, P)
     inf = Place.infinity(F25)
     assert reduce_at((2 * T + 1) / (T + 3), inf) == F25.element(2)
+    # the norm needs kappa(P) as well, but not at infinity
+    with pytest.raises(NotImplementedError):
+        _local_norm(T + 2, P)
+    assert _local_norm((2 * T + 1) / (T + 3), inf) == (0, 2)
 
 
 def test_place_degrees():
@@ -240,3 +246,16 @@ def test_local_unit_matches_valuation_and_reduction(rng):
                     # g is a unit at P exactly when neither part vanishes
                     # at the root of pi, and its image is the quotient
                     assert u == _at_root(g.num, P) / _at_root(g.den, P)
+
+
+def test_local_norm_is_norm_of_local_unit(rng):
+    # the norm of the unit in kappa(P), by a power there, against the
+    # resultants of pi and the remainders in F_q
+    for F in (F5, F7, FiniteField(13)):
+        for P in local_test_places(rng, F, (1, 2, 3, 4)):
+            pi = P.uniformizer()
+            for _ in range(8):
+                k = rng.randrange(-3, 4)
+                f = random_ratfunc(rng, F, max_deg=5) * pi ** k
+                v, u = _local_unit(f, P)
+                assert _local_norm(f, P) == (v, norm_to_prime_field(u).key())

@@ -13,11 +13,11 @@ from brauer import (
     tame_residue,
 )
 from brauer import residues
-from brauer.finitefield import corestrict, power_residue_character
+from brauer.finitefield import (corestrict, norm_to_prime_field,
+                                power_residue_character)
 from brauer.cohomology import verify_coboundary_identity
-from brauer.ratfunc import reduce_at, valuation
-from brauer.residues import (RamificationDivisor, _tame_unit,
-                             is_unramified_at)
+from brauer.ratfunc import _local_unit, reduce_at, valuation
+from brauer.residues import RamificationDivisor, _tame_norm, is_unramified_at
 
 from conftest import (local_test_places, random_place, random_ratfunc,
                       random_unit_at)
@@ -151,7 +151,8 @@ def test_cocycle_route_rejects_non_unit():
 
 
 def test_tame_unit_matches_ratfunc_reference(rng):
-    # the reference builds the tame unit in F_q(t) and reduces it once
+    # the reference builds the tame unit in F_q(t), reduces it once into
+    # kappa(P) and takes its norm there; _tame_norm reads it in F_q
     for F in (F5, FiniteField(7), F13):
         for P in local_test_places(rng, F):
             pi = P.uniformizer()
@@ -161,7 +162,8 @@ def test_tame_unit_matches_ratfunc_reference(rng):
                 va, vb = valuation(a, P), valuation(b, P)
                 sign = -1 if (va * vb) % 2 else 1
                 ref = sign * a ** vb * b ** -va
-                assert _tame_unit(a, b, P, va, vb) == reduce_at(ref, P)
+                assert _tame_norm(a, b, P, va, vb) == \
+                    norm_to_prime_field(reduce_at(ref, P)).key()
 
 
 def test_cocycle_route_checks_epsilon_identity_once_per_key(monkeypatch):
@@ -277,3 +279,82 @@ def test_divisor_route_raises_not_implemented_at_first_finite_place():
     alpha = SymbolClass.symbol(two, three, n=2)
     assert ramification_divisor(alpha) == RamificationDivisor(
         {Place.infinity(F25): tame_residue(alpha, Place.infinity(F25))})
+
+
+def _kappa_tame_unit(a, b, P, va, vb):
+    """The tame unit (-1)^(va*vb) a^vb b^(-va) in kappa(P), each argument's
+    unit reduced there: the kappa(P) computation that the norm route
+    replaced, kept as its oracle."""
+    unit = P.residue_field().one()
+    if vb:
+        unit = _local_unit(a, P)[1] ** vb
+    if va:
+        unit = unit * _local_unit(b, P)[1] ** -va
+    return -unit if (va * vb) % 2 else unit
+
+
+def _oracle_sums(rng):
+    """Seeded symbol sums over F_5, F_7 and F_13 whose arguments have zeros
+    and poles at places of degree 1 to 4, with the places: one random
+    place of each degree, then infinity."""
+    for F, ns in ((F5, (2, 4)), (FiniteField(7), (2, 3, 6)),
+                  (F13, (2, 4, 12))):
+        places = local_test_places(rng, F, (1, 2, 3, 4))
+        pis = [P.uniformizer() for P in places[:-1]]
+        for _ in range(3):
+            def argument():
+                if rng.random() < 0.2:
+                    return RatFunc.constant(F, rng.randrange(1, F.p))
+                f = random_ratfunc(rng, F, 2)
+                for pi in rng.sample(pis, 2):
+                    f = f * pi ** rng.randrange(-2, 3)
+                return f
+
+            n = rng.choice(ns)
+            terms = [(argument(), argument(), rng.randrange(1, n))
+                     for _ in range(rng.randrange(1, 4))]
+            yield SymbolClass(n, terms), places
+
+
+def test_norm_route_matches_kappa_oracle(rng):
+    seen = set()
+    for alpha, places in _oracle_sums(rng):
+        F, n = alpha.field, alpha.n
+        candidates = residues._candidate_places(alpha)
+        expected, total = {}, 0
+        for P in sorted(set(places) | set(candidates), key=Place.key):
+            kappa = P.residue_field()
+            units = [(m, _kappa_tame_unit(a, b, P, valuation(a, P),
+                                          valuation(b, P)))
+                     for a, b, m in alpha.terms]
+            want = ResidueClass(n, sum(m * power_residue_character(u, n).value
+                                       for m, u in units), kappa.zeta(n))
+            got = tame_residue(alpha, P)
+            assert got == want and got.zeta == want.zeta
+            if P in candidates:
+                expected[P] = want
+                total += sum(m * corestrict(u, n).value for m, u in units)
+            for a, b, _ in alpha.terms:
+                vals = (valuation(a, P), valuation(b, P))
+                seen.add(("degree", "inf" if P.is_infinity else P.degree))
+                seen.add(("valuations", sum(v != 0 for v in vals)))
+        assert ramification_divisor(alpha) == RamificationDivisor(expected)
+        assert reciprocity_sum(alpha) == ResidueClass(n, total, F.zeta(n))
+    assert {("degree", d) for d in (1, 2, 3, 4, "inf")} | {
+        ("valuations", k) for k in (0, 1, 2)} <= seen
+
+
+def test_residue_paths_run_no_arithmetic_in_kappa(wide_key_ops, rng):
+    sums = [(alpha, [P for P in places if P.degree >= 2])
+            for alpha, places in _oracle_sums(rng)]
+    wide_key_ops.clear()
+    for alpha, places in sums:
+        for P in places:
+            tame_residue(alpha, P)
+        ramification_divisor(alpha)
+        reciprocity_sum(alpha)
+    assert wide_key_ops == []
+    # the watch sees kappa(P) arithmetic where it happens
+    P = sums[0][1][0]
+    residue_cocycle_route(1, RatFunc.constant(P.field, 2), P, 2)
+    assert wide_key_ops
