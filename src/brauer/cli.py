@@ -121,6 +121,8 @@ def cmd_cohomology(args) -> int:
     # rank with both --factors and --m never reads n
     uses_n = not (args.subcommand == "rank" and args.factors is not None
                   and args.m is not None)
+    if uses_n and n is None:
+        raise ParseError(f"--n is required for cohomology {args.subcommand}")
     if uses_n and n < 2:
         raise ConstraintError("n must be >= 2")
     results: dict = {}
@@ -314,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cohomology", help="cocycle-level verifications")
     p.add_argument("subcommand", choices=("edge", "epsilon", "gamma", "rank"))
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int,
+                   help="required unless rank has --factors and --m")
     p.add_argument("--q", type=int, dest="gamma_q")
     p.add_argument("--factors", help="cyclic factors for rank, e.g. 2,2")
     p.add_argument("--m", type=int, help="coefficient modulus for rank")

@@ -5,13 +5,14 @@ tuple of its values in tuple-product order, an element's position read
 from its group's index, and the bar differential, the integer one for the
 trivial action, is written once, as the cached sparse rows of
 coboundary_matrix over those positions.  Coboundaries apply those rows;
-cohomologous-ness and the edge map eliminate them over Z/p^e for each prime
-power p^e of m.  Ranks need no cochain: they are eliminated the same way on
-the small complex Hom(P, Z), P the tensor product of the cyclic factors'
-periodic resolutions, with C(k+r-1, r-1) coordinates in degree k for r
-nontrivial factors, where the bar complex has |G|^k.  The multiplicative
-group mu_n is written additively as Z/n throughout, via the canonical
-primitive root of the ambient field.
+cohomologous-ness and the edge map's fiber check replay an elimination of
+them over Z/p^e for each prime power p^e of m, made once per (group,
+degree, p^e) and cached.  Ranks need no cochain: they are eliminated the
+same way on the small complex Hom(P, Z), P the tensor product of the
+cyclic factors' periodic resolutions, with C(k+r-1, r-1) coordinates in
+degree k for r nontrivial factors, where the bar complex has |G|^k.  The
+multiplicative group mu_n is written additively as Z/n throughout, via the
+canonical primitive root of the ambient field.
 
 Also here: the formal-unit calculus for the Cech coboundary identity on the
 n-th root cover of a DVR, and the factor set of the monomial-matrix central
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .finitefield import FiniteField, prime_powers
-from .snf import _eliminate, solve_mod
+from .snf import _eliminate, _replay
 
 TABLE_GUARD = 10 ** 6  # the one work bound on tables, matrices and parsing
 
@@ -270,7 +271,7 @@ def cohomology_rank(group: FiniteAbelianGroup, modulus: int, degree: int):
     primary = []  # per prime p, the exponents a of its factors Z/p^a
     for p, e in prime_powers(modulus):
         vals = [a for M in mats
-                for _, _, a in _eliminate(M, p, e, [0] * len(M))[1]]
+                for _, _, a in _eliminate(M, p, e)[1]]
         exps = [a for a in vals if a] + [e] * (N - len(vals))
         primary.append((p, sorted(exps, reverse=True)))
     # the i-th largest invariant factor gathers the i-th largest p-parts
@@ -279,14 +280,27 @@ def cohomology_rank(group: FiniteAbelianGroup, modulus: int, degree: int):
             for i in reversed(range(size))]
 
 
+@functools.lru_cache(maxsize=16)
+def _coboundary_elimination(group: FiniteAbelianGroup, k: int, p: int,
+                            e: int):
+    """The pivots and row operations of d_k eliminated mod p^e, cached per
+    (group, k, p, e): every later check on d_k replays them."""
+    return _eliminate(coboundary_matrix(group, k), p, e)[1:]
+
+
+def _is_coboundary(group: FiniteAbelianGroup, k: int, values, m: int) -> bool:
+    """Whether the (k+1)-cochain ``values`` mod m is d_k of a k-cochain,
+    decided for each prime power p^e of m by replaying d_k's elimination."""
+    return all(_replay(*_coboundary_elimination(group, k, p, e), values, p, e)
+               is not None for p, e in prime_powers(m))
+
+
 def cocycles_cohomologous(c1: Cochain, c2: Cochain) -> bool:
     """Whether c1 - c2 is a coboundary, by modular linear algebra."""
     b = (c1 - c2).values
     if c1.degree == 0:
         return not any(b)
-    G, k = c1.group, c1.degree - 1
-    return solve_mod(coboundary_matrix(G, k), b, c1.modulus,
-                     G.size ** k) is not None
+    return _is_coboundary(c1.group, c1.degree - 1, b, c1.modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -387,9 +401,10 @@ def lhs_edge_map(c: Cochain) -> Cochain:
     """Edge-map value of a 2-cochain on mu_n x Z/n killed on the fiber.
 
     The restriction of c to the mu_n factor must be a coboundary, which one
-    solve checks; the pairing b -> (beta -> c((beta,0),(0,b))
-    - c((0,b),(beta,0))) is then read off c as a homomorphism
-    mu_n -> Z/n, i.e. an element of Z/n.  Returns a 1-cochain on Z/n.
+    replay of d_1's cached elimination checks; the pairing
+    b -> (beta -> c((beta,0),(0,b)) - c((0,b),(beta,0))) is then read off
+    c as a homomorphism mu_n -> Z/n, i.e. an element of Z/n.  Returns a
+    1-cochain on Z/n.
     """
     G = c.group
     if len(G.factors) != 2 or G.factors[0] != G.factors[1]:
@@ -400,9 +415,9 @@ def lhs_edge_map(c: Cochain) -> Cochain:
     m = c.modulus
     Zn = FiniteAbelianGroup((n,))
 
-    # solve d(phi) = c restricted to the mu_n x mu_n face
+    # d(phi) = c restricted to the mu_n x mu_n face must have a solution
     b = [c((x, 0), (y, 0)) for x in range(n) for y in range(n)]
-    if solve_mod(coboundary_matrix(Zn, 1), b, m, n) is None:
+    if not _is_coboundary(Zn, 1, b, m):
         raise ValueError("class does not vanish on fiber")
 
     # G is abelian, so df(g,h) = df(h,g) for every 1-cochain f: c and c

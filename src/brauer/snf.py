@@ -9,7 +9,9 @@ by the Chinese remainder theorem.  Over Z/p^e, row elimination that always
 pivots on an entry of least p-adic valuation reaches the Smith form up to
 column operations, so the pivot valuations are the elementary divisors
 (Storjohann and Mulders, "Fast algorithms for linear algebra modulo N",
-ESA 1998).
+ESA 1998).  The elimination reads only the matrix and records its row
+operations, so one elimination serves every right-hand side: `_replay`
+applies them to b and decides whether A x = b has a solution.
 """
 
 from __future__ import annotations
@@ -133,23 +135,27 @@ def smith_normal_form(A):
     return D, U, V
 
 
-def _eliminate(A, p, e, rhs):
+def _eliminate(A, p, e):
     """Row-reduce the pair rows A modulo q = p^e, pivoting on entries of
-    least valuation.
+    least valuation, and record the row operations.
 
     Pass a = 0, 1, ... goes column by column and pivots on an entry u * p^a
     (u a unit) of the shortest row having one; no entry left has a smaller
     valuation, so every entry stays divisible by p^a.  Rows are copied into
     dicts {column: value} reduced mod q, so A is left as it is; pivot rows
-    are scaled to pivot p^a, and ``rhs`` is carried along in place.
-    Returns (rows, pivots), pivots as (row, column, a) in order: a pivot
-    row is zero in earlier pivot columns and every other row ends zero.
+    are scaled to pivot p^a.  Returns (rows, pivots, steps), pivots as
+    (row, column, a) in order: a pivot row is zero in earlier pivot
+    columns and every other row ends zero.  steps[t] is pivots[t]'s
+    operation on a right-hand side, (row, unit, others, multiples): scale
+    the pivot row by the unit, then subtract each multiple of it from the
+    row beside it in others.  Pivots are chosen from A alone, so _replay
+    applies the steps to any right-hand side.
     """
     q = p ** e
     rows = [{j: v % q for j, v in r if v % q} for r in A]
     free = list(range(len(rows)))
     cols = sorted({j for r in rows for j in r})
-    pivots = []
+    pivots, steps = [], []
     for a in range(e):
         d = p ** a
         rest = []
@@ -162,10 +168,9 @@ def _eliminate(A, p, e, rhs):
                 continue
             u = pow(rows[piv][j] // d, -1, q)
             row = rows[piv] = {c: v * u % q for c, v in rows[piv].items()}
-            rhs[piv] = rhs[piv] * u % q
+            hits.remove(piv)
+            ks = []
             for i in hits:
-                if i == piv:
-                    continue
                 ri = rows[i]
                 k = ri[j] // d
                 for c, v in row.items():
@@ -174,11 +179,32 @@ def _eliminate(A, p, e, rhs):
                         ri[c] = w
                     else:
                         ri.pop(c, None)
-                rhs[i] = (rhs[i] - k * rhs[piv]) % q
+                ks.append(k)
             free.remove(piv)
             pivots.append((piv, j, a))
+            steps.append((piv, u, hits, ks))
         cols = rest
-    return rows, pivots
+    return rows, pivots, steps
+
+
+def _replay(pivots, steps, b, p, e):
+    """b mod p^e under the row operations of _eliminate, or None when the
+    eliminated system has no solution: a row that is not a pivot row is
+    nonzero, or the pivot row of pass a is not 0 mod p^a.  That pivot
+    row's entries are all divisible by p^a, so back substitution then
+    divides exactly."""
+    q = p ** e
+    rhs = [v % q for v in b]
+    for piv, u, others, ks in steps:
+        r = rhs[piv] = rhs[piv] * u % q
+        if r:
+            for i, k in zip(others, ks):
+                rhs[i] = (rhs[i] - k * r) % q
+    pivot_rows = {i for i, _, _ in pivots}
+    if (any(v for i, v in enumerate(rhs) if i not in pivot_rows)
+            or any(rhs[i] % p ** a for i, _, a in pivots)):
+        return None
+    return rhs
 
 
 def solve_mod(A, b, m, cols):
@@ -189,17 +215,14 @@ def solve_mod(A, b, m, cols):
     x, M = [0] * cols, 1
     for p, e in prime_powers(m):
         q = p ** e
-        rhs = [v % q for v in b]
-        rows, pivots = _eliminate(A, p, e, rhs)
-        pivot_rows = {i for i, _, _ in pivots}
-        if any(v for i, v in enumerate(rhs) if i not in pivot_rows):
+        rows, pivots, steps = _eliminate(A, p, e)
+        rhs = _replay(pivots, steps, b, p, e)
+        if rhs is None:
             return None
         # back-substitute, free coordinates 0; row i reads p^a x_j + ... = rhs
         y = [0] * len(x)
         for i, j, a in reversed(pivots):
             s = rhs[i] - sum(v * y[c] for c, v in rows[i].items() if c != j)
-            if s % p ** a:
-                return None
             y[j] = s % q // p ** a
         t = pow(M, -1, q)
         x = [xi + M * ((yi - xi) * t % q) for xi, yi in zip(x, y)]

@@ -140,6 +140,28 @@ def test_cohomology_rank_checks_n_only_where_used(capsys):
     assert "n must be >= 2" in err
 
 
+def test_cohomology_n_is_required_only_where_read(capsys):
+    code, out, _ = run(capsys, "cohomology", "rank", "--factors", "2,2",
+                       "--m", "2", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["params"]["n"] is None
+    assert payload["results"]["invariant_factors"] == [2, 2, 2]
+    cases = [("rank", "--factors", "2,2"), ("rank", "--m", "2"), ("rank",),
+             ("edge",), ("epsilon",), ("gamma", "--q", "5")]
+    for sub, *extra in cases:
+        text = run(capsys, "cohomology", sub, *extra)
+        code, out, err = run(capsys, "cohomology", sub, *extra,
+                             "--format", "json")
+        message = f"--n is required for cohomology {sub}"
+        assert text == (2, "", f"parse error: {message}\n"), sub
+        assert (code, err) == (2, text[2])
+        assert json.loads(out) == {"command": f"cohomology {sub}",
+                                   "error": {"kind": "parse",
+                                             "message": message},
+                                   "exit": 2}
+
+
 def test_conic(capsys):
     code, out, _ = run(capsys, "conic", "--q", "5", "--a", "t", "--b", "2",
                        "--format", "json")

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -123,15 +124,36 @@ def test_coboundary_matches_face_formula(rng):
                 assert coboundary(c) == _face_coboundary(c), (factors, k)
 
 
-def test_coboundary_matrix_is_cached_and_left_unchanged():
+def test_coboundary_matrix_is_cached_and_left_unchanged(monkeypatch):
     G = FiniteAbelianGroup((2, 3))
     rows = coboundary_matrix(G, 1)
     snapshot = [list(row) for row in rows]
-    _eliminate(rows, 2, 1, [0] * len(rows))
+    _eliminate(rows, 2, 1)
     solve_mod(rows, [1] * len(rows), 6, G.size)
     assert coboundary_matrix(G, 1) is rows
     assert coboundary_matrix(FiniteAbelianGroup((2, 3)), 1) is rows
     assert [list(row) for row in rows] == snapshot
+    # a second check on the same (group, degree, modulus) replays the
+    # cached elimination: no _eliminate call, the rows still unchanged
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1:])
+        return _eliminate(*args)
+
+    monkeypatch.setattr(cohomology, "_eliminate", counted)
+    cohomology._coboundary_elimination.cache_clear()
+    c = Cochain.random(G, 2, 6, random.Random(5))
+    shift = coboundary(Cochain.random(G, 1, 6, random.Random(6)))
+    first = cocycles_cohomologous(c, c + shift)
+    assert first and sorted(calls) == [(2, 1), (3, 1)]
+    assert cocycles_cohomologous(c + shift, c) == first
+    assert not cocycles_cohomologous(c, c + Cochain(G, 2, 6, [1] + [0] * 35))
+    assert len(calls) == 2
+    assert coboundary_matrix(G, 1) is rows
+    assert [list(row) for row in rows] == snapshot
+    for cached in (coboundary_matrix, cohomology._coboundary_elimination):
+        assert cached.cache_info().maxsize is not None
 
 
 def test_coboundaries_are_cocycles(rng):
@@ -243,8 +265,8 @@ def test_cohomology_rank_matches_integer_elementary_divisors():
 def _bar_pivots(group, j, p, e):
     """Pivot valuations of the bar differential d_j under elimination mod
     p^e, kept across the grid: d_{k-1} serves degrees k - 1 and k."""
-    rows = coboundary_matrix(group, j)
-    return tuple(a for _, _, a in _eliminate(rows, p, e, [0] * len(rows))[1])
+    return tuple(a for _, _, a in
+                 _eliminate(coboundary_matrix(group, j), p, e)[1])
 
 
 def _bar_rank(group, modulus, degree):
@@ -389,6 +411,62 @@ def test_cocycles_cohomologous_detects_shift(rng):
     c = cup_product_boxtimes(3)
     shift = coboundary(Cochain.random(c.group, 1, 3, rng))
     assert cocycles_cohomologous(c, c + shift)
+
+
+def test_cohomologous_and_fiber_check_agree_with_solve_mod(rng):
+    # the replayed elimination against solve_mod, which eliminates afresh:
+    # coboundaries, coboundaries plus the box product, coboundaries with
+    # one entry changed (non-cocycles) and random cochains
+    answers = set()
+    for factors in ((4,), (6,), (8,), (2, 4), (3, 3), (4, 4), (2, 2, 2)):
+        G = FiniteAbelianGroup(factors)
+        for k in (1, 2, 3):
+            if G.size ** (k + 1) > 4096:
+                continue
+            rows = coboundary_matrix(G, k - 1)
+            for m in range(1, 13):
+                d = coboundary(Cochain.random(G, k - 1, m, rng))
+                changed = list(d.values)
+                changed[rng.randrange(len(changed))] += 1
+                cases = [d, Cochain(G, k, m, changed),
+                         Cochain.random(G, k, m, rng)]
+                if k == 2 and factors in ((3, 3), (4, 4)):
+                    box = cup_product_boxtimes(factors[0]).values
+                    cases.append(d + Cochain(G, 2, m, box))
+                for c in cases:
+                    x = solve_mod(rows, c.values, m, G.size ** (k - 1))
+                    want = x is not None
+                    if want:  # the oracle's own answer, checked
+                        assert coboundary(Cochain(G, k - 1, m, x)) == c
+                    got = cocycles_cohomologous(c, Cochain(G, k, m))
+                    assert got == want, (factors, k, m, c.values)
+                    answers.add((c is d, want))
+    assert answers == {(True, True), (False, True), (False, False)}
+    # lhs_edge_map's fiber check accepts exactly the cochains whose
+    # restriction to the mu_n x mu_n face solve_mod solves
+    verdicts = set()
+    for n in (2, 3, 4, 5, 6):
+        G, Zn = FiniteAbelianGroup((n, n)), FiniteAbelianGroup((n,))
+        box = cup_product_boxtimes(n).values
+        for m in range(1, 13):
+            d = coboundary(Cochain.random(G, 1, m, rng))
+            changed = list(d.values)
+            x, y = rng.randrange(n), rng.randrange(n)
+            changed[G.index[(x, 0)] * G.size + G.index[(y, 0)]] += 1
+            for c in (d + Cochain(G, 2, m, box), Cochain(G, 2, m, changed),
+                      Cochain(G, 2, m, lambda g, h: g[0] * h[0]),
+                      Cochain.random(G, 2, m, rng)):
+                face = [c((x, 0), (y, 0)) for x in range(n) for y in range(n)]
+                want = solve_mod(coboundary_matrix(Zn, 1), face, m,
+                                 n) is not None
+                try:
+                    lhs_edge_map(c)
+                    accepted = True
+                except ValueError as exc:
+                    accepted = "vanish" not in str(exc)
+                assert accepted == want, (n, m, c.values)
+                verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def test_formal_unit_arithmetic():
