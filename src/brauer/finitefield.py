@@ -87,15 +87,17 @@ class FiniteField:
             from .poly import Poly  # poly imports this module
             if d > 1 and not Poly(FiniteField(p), modulus).is_irreducible():
                 raise ValueError("modulus is not irreducible")
+        self = cls._proved(p, d, modulus)
         # a default-modulus field is also found under its explicit modulus
-        self = _FIELD_CACHE[key] = cls._proved(p, d, modulus)
+        _FIELD_CACHE[key] = _FIELD_CACHE[(p, d, modulus)] = self
         return self
 
     @classmethod
     def _proved(cls, p: int, d: int, modulus: tuple) -> "FiniteField":
         """F_p[x]/(modulus) for a monic modulus of degree d, reduced mod p,
         that is already proved irreducible (a factor from Poly.factor): the
-        cached field, else a new one built without a second test."""
+        cached field, else a new one built without a second test and left
+        out of the cache, which only __new__ fills."""
         self = _FIELD_CACHE.get((p, d, modulus))
         if self is not None:
             return self
@@ -117,7 +119,6 @@ class FiniteField:
             self._ksub = lambda a, b: (a - b) % p
             self._kneg = lambda a: -a % p
             self._kmul = lambda a, b: a * b % p
-        _FIELD_CACHE[(p, d, modulus)] = self
         return self
 
     # -- keys and coefficient tuples ---------------------------------------

@@ -1,12 +1,16 @@
-"""Text grammar for polynomials, rational functions, symbols and places.
+"""Text grammar for polynomials, rational functions, symbols and places:
 
-Polynomials use integer coefficients, `t`, `*` and `^` (e.g. `t^2+3*t+1`);
-rational functions are `num/den`; symbols are `(a,b)_n`, optionally with an
-integer multiplicity prefix `k*(a,b)_n`, joined by `+` or `-`.  No power or
-product of degree above MAX_DEGREE is built: TableSizeError is raised first.
-Digit tokens of any length are read without Python's int-string limit: a
-coefficient mod p, an exponent of a constant mod q - 1, and an exponent of
-more than 4000 digits on a nonconstant polynomial as over MAX_DEGREE.
+    sum := [sign] term {sign term}      sign := "+" | "-"
+    term := [INT "*"] "(" ratfunc "," ratfunc ")" "_" INT
+    ratfunc := expr ["/" expr]          expr := [sign] product {sign product}
+    product := factor {["*"] factor}    (no "*" needed before t or "(")
+    factor := ("t" | INT | "(" expr ")") ["^" INT]
+
+Whitespace may sit between any two tokens, and the first fault from the
+left is reported: ParseError, or TableSizeError before a power or product
+of degree above MAX_DEGREE is built.  Digit tokens of any length are read
+without Python's int-string limit: a coefficient mod p, an exponent of a
+constant mod q - 1, one of over 4000 digits on t as over MAX_DEGREE.
 """
 
 from __future__ import annotations
@@ -48,31 +52,32 @@ def _read_int(tok: str, m: int | None = None) -> int:
     return v
 
 
-_TOKEN = re.compile(r"\s*(\d+|t|\^|\*|\+|-|/|\(|\)|,)")
+_TOKEN = re.compile(r"\s*(\d+|t|\^|\*|\+|-|/|\(|\)|,|_)")
 
 
 def _tokenize(s: str):
-    out = []
-    pos = 0
-    while pos < len(s):
-        m = _TOKEN.match(s, pos)
-        if not m:
-            raise ParseError(f"unexpected character at {s[pos:]!r}")
+    """The tokens of s, and the text from the first character that starts
+    no token (None when only whitespace is left)."""
+    out, pos = [], 0
+    while m := _TOKEN.match(s, pos):
         out.append(m.group(1))
         pos = m.end()
-    return out
+    return out, s[pos:] if s[pos:].strip() else None
 
 
-class _PolyParser:
-    """Recursive descent over the tokens; every production returns a key
-    list (poly's kernels), and parse_poly builds the one Poly."""
+class _Parser:
+    """Recursive descent over one string's tokens, a method per production;
+    the polynomial ones return key lists (poly's kernels)."""
 
-    def __init__(self, tokens, field: FiniteField):
-        self.tokens = tokens
+    def __init__(self, s: str, field: FiniteField, n: int | None = None):
+        self.tokens, self.rest = _tokenize(s)
         self.i = 0
         self.field = field
+        self.n = n  # a symbol sum's modulus
 
     def peek(self):
+        if self.i == len(self.tokens) and self.rest is not None:
+            raise ParseError(f"unexpected character at {self.rest!r}")
         return self.tokens[self.i] if self.i < len(self.tokens) else None
 
     def take(self):
@@ -80,20 +85,74 @@ class _PolyParser:
         self.i += 1
         return tok
 
+    def expect(self, want: str):
+        if self.take() != want:
+            raise ParseError(f"expected {want!r}")
+
+    def take_int(self, what: str) -> str:
+        tok = self.take()
+        if tok is None or not tok.isdigit():
+            raise ParseError(f"{what} must be an integer")
+        return tok
+
+    def parse_sum(self):
+        """(n, terms); empty input is the zero class of a given n."""
+        if self.peek() is None and self.n is not None:
+            return self.n, []
+        terms = []
+        sign = self.take() if self.peek() in ("+", "-") else "+"
+        while self.peek() not in ("+", "-", None):
+            a, b, mult = self.parse_term()
+            terms.append((a, b, -mult if sign == "-" else mult))
+            if self.peek() not in ("+", "-"):
+                return self.n, terms
+            sign = self.take()
+        if not self.tokens:
+            raise ParseError("cannot infer n from an empty symbol sum")
+        raise ParseError("dangling or doubled sign in symbol sum")
+
+    def parse_term(self):
+        mult = 1
+        if self.peek().isdigit():
+            mult = _read_int(self.take())
+            self.expect("*")
+        self.expect("(")
+        a = self.parse_ratfunc()
+        self.expect(",")
+        b = self.parse_ratfunc()
+        self.expect(")")
+        self.expect("_")
+        n = _read_int(self.take_int("a symbol modulus"))
+        if self.n is None:
+            self.n = n
+        elif n != self.n:
+            raise ParseError(f"symbol modulus {n} does not match n={self.n}")
+        if a.is_zero() or b.is_zero():
+            raise ParseError("symbol arguments must be nonzero")
+        return a, b, mult
+
+    def parse_ratfunc(self) -> RatFunc:
+        num = Poly._raw(self.field, self.parse_expr())
+        if self.peek() != "/":
+            return RatFunc(num)
+        self.take()
+        den = self.parse_expr()
+        if not den:
+            raise ParseError("zero denominator")
+        return RatFunc(num, Poly._raw(self.field, den))
+
     def parse_expr(self) -> list:
         F = self.field
-        negate = self.peek() == "-"
-        if self.peek() in ("+", "-"):
-            self.take()
-        acc = self.parse_term()
-        if negate:
+        sign = self.take() if self.peek() in ("+", "-") else "+"
+        acc = self.parse_product()
+        if sign == "-":
             acc = _neg(F, acc)
         while self.peek() in ("+", "-"):
             op = _sub if self.take() == "-" else _add
-            acc = op(F, acc, self.parse_term())
+            acc = op(F, acc, self.parse_product())
         return acc
 
-    def parse_term(self) -> list:
+    def parse_product(self) -> list:
         acc = self.parse_factor()
         while True:
             nxt = self.peek()
@@ -110,9 +169,7 @@ class _PolyParser:
         if self.peek() != "^":
             return base
         self.take()
-        tok = self.take()
-        if tok is None or not tok.isdigit():
-            raise ParseError("exponent must be an integer")
+        tok = self.take_int("exponent")
         F = self.field
         if len(base) < 2:
             # a constant has c^e = c^e' for e, e' >= 1 with e = e' mod q - 1
@@ -135,8 +192,7 @@ class _PolyParser:
             raise ParseError("unexpected end of input")
         if tok == "(":
             inner = self.parse_expr()
-            if self.take() != ")":
-                raise ParseError("expected ')'")
+            self.expect(")")
             return self._power(inner)
         if tok == "t":
             return self._power([0, 1])
@@ -146,25 +202,21 @@ class _PolyParser:
         raise ParseError(f"unexpected token {tok!r} in polynomial")
 
 
+def _parse(s: str, field: FiniteField, production, n: int | None = None):
+    """production's value on all of s."""
+    p = _Parser(s, field, n)
+    out = production(p)
+    if p.peek() is not None:
+        raise ParseError(f"trailing input {' '.join(p.tokens[p.i:])!r}")
+    return out
+
+
 def parse_poly(s: str, field: FiniteField) -> Poly:
-    tokens = _tokenize(s)
-    p = _PolyParser(tokens, field)
-    out = p.parse_expr()
-    if p.i != len(tokens):
-        raise ParseError(f"trailing input {' '.join(tokens[p.i:])!r}")
-    return Poly._raw(field, out)
+    return Poly._raw(field, _parse(s, field, _Parser.parse_expr))
 
 
 def parse_ratfunc(s: str, field: FiniteField) -> RatFunc:
-    parts = s.split("/")
-    if len(parts) == 1:
-        return RatFunc(parse_poly(s, field))
-    if len(parts) == 2:
-        den = parse_poly(parts[1], field)
-        if den.is_zero():
-            raise ParseError("zero denominator")
-        return RatFunc(parse_poly(parts[0], field), den)
-    raise ParseError("at most one '/' allowed")
+    return _parse(s, field, _Parser.parse_ratfunc)
 
 
 def parse_place(s: str, field: FiniteField) -> Place:
@@ -181,61 +233,8 @@ def parse_place(s: str, field: FiniteField) -> Place:
         raise ParseError(f"{f} is not irreducible") from None
 
 
-_SYMBOL = re.compile(r"^\s*(?:(\d+)\s*\*\s*)?\((.*)\)\s*_\s*(\d+)\s*$")
-
-
-def _split_top_level(s: str, seps: str):
-    """Split on separators outside parentheses: a list of (separator, part)
-    pairs, the first with separator "", blank parts kept."""
-    parts = [["", ""]]
-    depth = 0
-    for ch in s:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ParseError("unbalanced parentheses")
-        if depth == 0 and ch in seps:
-            parts.append([ch, ""])
-        else:
-            parts[-1][1] += ch
-    if depth != 0:
-        raise ParseError("unbalanced parentheses")
-    return parts
-
-
 def parse_symbol_sum(s: str, field: FiniteField, n: int | None = None
                      ) -> SymbolClass:
     """A `+`/`-` separated list of `(a,b)_n` terms; empty input is the zero
     class.  When n is omitted it is inferred from the first term."""
-    s = s.strip()
-    if not s:
-        if n is None:
-            raise ParseError("cannot infer n from an empty symbol sum")
-        return SymbolClass(n, [])
-    chunks = _split_top_level(s, "+-")
-    if not chunks[0][1].strip():  # a leading sign
-        chunks = chunks[1:]
-    terms = []
-    for sep, chunk in chunks:
-        if not chunk.strip():
-            raise ParseError(f"dangling or doubled sign in {s!r}")
-        m = _SYMBOL.match(chunk)
-        if not m:
-            raise ParseError(f"cannot parse symbol term {chunk.strip()!r}")
-        mult = _read_int(m.group(1)) if m.group(1) else 1
-        if n is None:
-            n = _read_int(m.group(3))
-        if _read_int(m.group(3)) != n:
-            raise ParseError(
-                f"symbol modulus {m.group(3)} does not match n={n}")
-        inner = _split_top_level(m.group(2), ",")
-        if len(inner) != 2:
-            raise ParseError("a symbol needs exactly two arguments")
-        a = parse_ratfunc(inner[0][1], field)
-        b = parse_ratfunc(inner[1][1], field)
-        if a.is_zero() or b.is_zero():
-            raise ParseError("symbol arguments must be nonzero")
-        terms.append((a, b, -mult if sep == "-" else mult))
-    return SymbolClass(n, terms)
+    return SymbolClass(*_parse(s, field, _Parser.parse_sum, n))

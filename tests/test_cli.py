@@ -3,6 +3,7 @@ import time
 
 from brauer import ResidueClass, cli, residue_cocycle_route
 from brauer.cli import main
+from brauer.cohomology import TABLE_GUARD
 from brauer.conic import ConicModelError
 
 
@@ -179,12 +180,15 @@ def test_selftest(capsys):
 
 def test_selftest_checks_ramified_point_counts(capsys, monkeypatch):
     # a count that is right over kappa(P) but wrong over its quadratic
-    # extension fails exactly the places small enough for the e = 2 check
-    calls = []
+    # extension fails exactly the places small enough for the e = 2 check:
+    # the real count's size guard decides which those are
+    calls, counted, real = [], [], cli.count_fiber_points
 
     def count(C, P, e=1):
         calls.append((C.field.p ** P.degree, e))
-        return 1 if e == 1 else 0
+        points = real(C, P, e)  # raises TableSizeError past the guard
+        counted.append(calls[-1])
+        return points if e == 1 else 0
 
     monkeypatch.setattr(cli, "count_fiber_points", count)
     monkeypatch.delenv("BRAUER_SEED", raising=False)
@@ -192,9 +196,9 @@ def test_selftest_checks_ramified_point_counts(capsys, monkeypatch):
     failures = json.loads(out)["results"]["failures"]
     assert code == 1
     assert failures and all(f.startswith("conic points") for f in failures)
-    assert len(failures) == sum(e == 2 for _, e in calls)
-    assert all(k * k <= cli.TABLE_GUARD for k, e in calls if e == 2)
-    assert any(k * k > cli.TABLE_GUARD for k, e in calls)
+    assert len(failures) == sum(e == 2 for _, e in counted)
+    assert all(k * k <= TABLE_GUARD for k, e in counted if e == 2)
+    assert any(k * k > TABLE_GUARD for k, e in calls if e == 2)
 
 
 def test_selftest_checks_the_norm_route_against_kappa(capsys, monkeypatch):
@@ -258,6 +262,22 @@ def test_parse_degree_bound(capsys):
                          "--symbol", "(t^1001, 2)_2", "--place", "t")
     assert (code, out) == (4, "")
     assert err.startswith("size guard")
+
+
+def test_whitespace_before_a_delimiter_parses_as_without(capsys):
+    # whitespace may sit between any two tokens, before `,`, `)` and `/`
+    # and at the end as much as after them
+    ramification = ("ramification", "--q", "5", "--n", "2", "--symbol")
+    cases = [(ramification + (spaced,), ramification + (plain,))
+             for spaced, plain in (("(t , 2)_2", "(t, 2)_2"),
+                                   ("(t, 2 )_2", "(t, 2)_2"),
+                                   ("(t+1 /t, 2)_2", "(t+1/t, 2)_2"))]
+    cases.append((("conic", "--q", "5", "--a", "t ", "--b", "2"),
+                  ("conic", "--q", "5", "--a", "t", "--b", "2")))
+    for spaced, plain in cases:
+        code, out, err = run(capsys, *spaced)
+        assert (code, err) == (0, ""), spaced
+        assert (code, out, err) == run(capsys, *plain), spaced
 
 
 def test_cohomology_size_guard_before_building(capsys):

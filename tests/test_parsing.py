@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from brauer import (
     FiniteField,
@@ -7,6 +8,7 @@ from brauer import (
     Poly,
     RatFunc,
     SymbolClass,
+    TableSizeError,
     parse_place,
     parse_poly,
     parse_ratfunc,
@@ -171,3 +173,109 @@ def test_parse_poly_matches_random_expression_trees(rng, field):
         got = parse_poly(text, field)
         assert got == want, text
         assert not got.coeffs or got.coeffs[-1], text  # trimmed
+
+
+# -- the grammar, by property ------------------------------------------------
+
+GRAMMAR = settings(derandomize=True, database=None, deadline=None,
+                   max_examples=80)
+N_FOR_Q = {5: (2, 4), 7: (2, 3, 6), 13: (2, 3, 4, 6, 12)}
+SPACES = ("", "", "", " ", "  ", "\t")
+
+
+def _poly_tokens(coeffs, q, layout):
+    """A nonzero polynomial's tokens as a signed sum of monomials c*t^k,
+    c t^k or t^k; layout (a Random) picks the optional tokens and signs."""
+    tokens = []
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
+        if not c:
+            continue
+        if layout.random() < 0.4:
+            tokens.append("-")
+            c = q - c
+        elif tokens or layout.random() < 0.2:
+            tokens.append("+")
+        if k == 0:
+            tokens.append(str(c))
+            continue
+        if c != 1 or layout.random() < 0.3:
+            tokens += [str(c)] + layout.choice(([], ["*"]))
+        tokens.append("t")
+        if k > 1 or layout.random() < 0.3:
+            tokens += ["^", str(k)]
+    return tokens
+
+
+def _polys(q):
+    """Nonzero coefficient lists of degree <= 6 over F_q."""
+    return st.builds(lambda low, lead: low + [lead],
+                     st.lists(st.integers(0, q - 1), max_size=6),
+                     st.integers(1, q - 1))
+
+
+@st.composite
+def symbol_sums(draw):
+    """(text, field, n, terms): one to three terms, each ((num[/den]),
+    (num[/den]))_n with a signed multiplicity, in a drawn layout of
+    optional tokens, parentheses and whitespace between any two tokens;
+    terms holds the (a, b, multiplicity) that the text stands for."""
+    q = draw(st.sampled_from(sorted(N_FOR_Q)))
+    n = draw(st.sampled_from(N_FOR_Q[q]))
+    F = FiniteField(q)
+    layout = draw(st.randoms(use_true_random=True))
+    tokens, terms = [], []
+    for i in range(draw(st.integers(1, 3))):
+        sign = draw(st.sampled_from(("+", "-") if i else ("", "+", "-")))
+        mult = draw(st.integers(1, 2 * n + 1))
+        args = []
+        for _ in range(2):
+            parts = draw(st.lists(_polys(q), min_size=1, max_size=2))
+            args.append((RatFunc(*(Poly(F, c) for c in parts)), [
+                tok for j, c in enumerate(parts)
+                for tok in ["/"] * j + (["(", *_poly_tokens(c, q, layout), ")"]
+                                        if layout.random() < 0.5
+                                        else _poly_tokens(c, q, layout))]))
+        tokens += [sign] if sign else []
+        tokens += [str(mult), "*"] if mult > 1 or layout.random() < 0.3 else []
+        tokens += ["(", *args[0][1], ",", *args[1][1], ")", "_", str(n)]
+        terms.append((args[0][0], args[1][0], -mult if sign == "-" else mult))
+    text = "".join(layout.choice(SPACES) + tok for tok in tokens)
+    return text + layout.choice(SPACES), F, n, terms
+
+
+@GRAMMAR
+@given(symbol_sums())
+def test_grammar_sums_parse_to_their_terms_and_repr_round_trips(case):
+    text, F, n, terms = case
+    want = SymbolClass(n, terms)
+    assert parse_symbol_sum(text, F) == want
+    assert parse_symbol_sum(text, F, n) == want
+    if want.terms:  # the zero class prints as 0_(n=...)
+        assert parse_symbol_sum(repr(want), F) == want
+
+
+TOKENS = ("t", "^", "*", "+", "-", "/", "(", ")", ",", "_", "0", "1", "2",
+          "3", "12", "600", "1001", "x")
+
+
+@settings(GRAMMAR, max_examples=200)
+@given(st.lists(st.tuples(st.sampled_from(SPACES), st.sampled_from(TOKENS)),
+                max_size=20))
+def test_token_strings_parse_or_raise_parse_or_size_errors(tokens):
+    text = "".join(w + tok for w, tok in tokens)
+    for parse in (parse_poly, parse_ratfunc,
+                  lambda s, F: parse_symbol_sum(s, F, 2)):
+        try:
+            parse(text, F5)
+        except (ParseError, TableSizeError):
+            pass
+    try:  # a place factors its polynomial: only a small one is tried
+        small = parse_poly(text, F5).degree <= 8
+    except (ParseError, TableSizeError):
+        small = False
+    if small:
+        try:
+            parse_place(text, F5)
+        except ParseError:
+            pass

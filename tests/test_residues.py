@@ -13,9 +13,10 @@ from brauer import (
     tame_residue,
 )
 from brauer import residues
-from brauer.finitefield import (corestrict, norm_to_prime_field,
+from brauer.finitefield import (_FIELD_CACHE, corestrict, norm_to_prime_field,
                                 power_residue_character)
 from brauer.cohomology import verify_coboundary_identity
+from brauer.parsing import parse_symbol_sum
 from brauer.ratfunc import _local_unit, reduce_at, valuation
 from brauer.residues import RamificationDivisor, _tame_norm, is_unramified_at
 
@@ -358,3 +359,26 @@ def test_residue_paths_run_no_arithmetic_in_kappa(wide_key_ops, rng):
     P = sums[0][1][0]
     residue_cocycle_route(1, RatFunc.constant(P.field, 2), P, 2)
     assert wide_key_ops
+
+
+def test_sums_with_fresh_factors_leave_the_field_cache_alone(rng):
+    # a place read off a factorization builds kappa(P) without caching it:
+    # only FiniteField() fills the cache, so new factors do not grow it
+    fresh = []
+    while len(fresh) < 6:
+        d = rng.randrange(2, 6)
+        pi = Poly(F13, [rng.randrange(13) for _ in range(d)] + [1])
+        if (13, d, pi.coeffs) not in _FIELD_CACHE and pi.is_irreducible():
+            fresh.append(pi)
+    size = len(_FIELD_CACHE)
+    text = (f"({fresh[0]}, ({fresh[1]})*({fresh[2]}))_4 "
+            f"- 3*(({fresh[3]})/({fresh[4]}), {fresh[5]})_4")
+    alpha = parse_symbol_sum(text, F13)
+    divisor = ramification_divisor(alpha)
+    assert reciprocity_sum(alpha).is_zero()
+    places = [P for P in divisor.entries if P.degree > 1]
+    assert {P.poly for P in places} <= set(fresh) and len(places) >= 3
+    for P in places:
+        assert tame_residue(alpha, P) == divisor[P]
+        assert P.residue_field().order == 13 ** P.degree
+    assert len(_FIELD_CACHE) == size
