@@ -5,12 +5,12 @@ tuple of its values in tuple-product order, an element's position read
 from its group's index, and the bar differential, the integer one for the
 trivial action, is written once, as the cached sparse rows of
 coboundary_matrix over those positions.  Coboundaries apply those rows;
-cohomologous-ness and the edge map's fiber check replay an elimination of
-them over Z/p^e for each prime power p^e of m, made once per (group,
-degree, p^e) and cached.  Ranks need no cochain: they are eliminated the
-same way on the small complex Hom(P, Z), P the tensor product of the
-cyclic factors' periodic resolutions, with C(k+r-1, r-1) coordinates in
-degree k for r nontrivial factors, where the bar complex has |G|^k.  The
+in degree 2, cohomologous-ness and the edge map's fiber check walk the
+generators for an f with df = b, other degrees call solve_mod.  Ranks
+need no cochain: they are read off an elimination over Z/p^e of the
+small complex Hom(P, Z), P the tensor product of the cyclic factors'
+periodic resolutions, with C(k+r-1, r-1) coordinates in degree k for r
+nontrivial factors, where the bar complex has |G|^k.  The
 multiplicative group mu_n is written additively as Z/n throughout, via the
 canonical primitive root of the ambient field.
 
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .finitefield import FiniteField, prime_powers
-from .snf import _eliminate, _replay
+from .snf import _eliminate, solve_mod
 
 TABLE_GUARD = 10 ** 6  # the one work bound on tables, matrices and parsing
 
@@ -75,9 +75,6 @@ class FiniteAbelianGroup:
     def add(self, g, h):
         return tuple((a + b) % m for a, b, m in zip(g, h, self.factors))
 
-    def neg(self, g):
-        return tuple((-a) % m for a, m in zip(g, self.factors))
-
     def __eq__(self, other):
         return isinstance(other, FiniteAbelianGroup) and self.factors == other.factors
 
@@ -114,7 +111,7 @@ class Cochain:
         elif isinstance(values, dict):
             raise TypeError("cochain values are a sequence in tuple-product "
                             "order, not a dict")
-        self.values = tuple(v % modulus for v in values)
+        self.values = tuple([v % modulus for v in values])
         if len(self.values) != size:
             raise ValueError(f"a degree-{degree} cochain on {group} has "
                              f"{size} values, got {len(self.values)}")
@@ -280,27 +277,42 @@ def cohomology_rank(group: FiniteAbelianGroup, modulus: int, degree: int):
             for i in reversed(range(size))]
 
 
-@functools.lru_cache(maxsize=16)
-def _coboundary_elimination(group: FiniteAbelianGroup, k: int, p: int,
-                            e: int):
-    """The pivots and row operations of d_k eliminated mod p^e, cached per
-    (group, k, p, e): every later check on d_k replays them."""
-    return _eliminate(coboundary_matrix(group, k), p, e)[1:]
+def _is_coboundary(group: FiniteAbelianGroup, values, m: int) -> bool:
+    """Whether the 2-cochain ``values`` mod m is df for a 1-cochain f.
 
-
-def _is_coboundary(group: FiniteAbelianGroup, k: int, values, m: int) -> bool:
-    """Whether the (k+1)-cochain ``values`` mod m is d_k of a k-cochain,
-    decided for each prime power p^e of m by replaying d_k's elimination."""
-    return all(_replay(*_coboundary_elimination(group, k, p, e), values, p, e)
-               is not None for p, e in prime_powers(m))
+    If so, f(0) = b(0, 0) and f(g + e_i) = f(g) + f(e_i) - b(g, e_i), so a
+    walk, a coordinate at a time, gives f from x_i = f(e_i); the sum of b
+    over the pairs (t e_i, e_i) is a_i x_i.  Two solutions x_i differ by a
+    homomorphism, whose df is 0, so any one serves; b = df is then checked."""
+    n = group.size
+    f = [values[0] % m]
+    for a in [a for a in reversed(group.factors) if a > 1]:
+        s = len(f)  # e_i sits at index s, t e_i at t * s
+        y = sum(values[t * s * n + s] for t in range(a))
+        g = math.gcd(a, m)
+        if y % g:
+            return False
+        x = y // g * pow(a // g, -1, m // g)
+        for r in range(s, a * s):
+            f.append((f[r - s] + x - values[(r - s) * n + s]) % m)
+    for row, v in zip(coboundary_matrix(group, 1), values):
+        total = -v
+        for j, a in row:
+            total += a * f[j]
+        if total % m:
+            return False
+    return True
 
 
 def cocycles_cohomologous(c1: Cochain, c2: Cochain) -> bool:
-    """Whether c1 - c2 is a coboundary, by modular linear algebra."""
-    b = (c1 - c2).values
-    if c1.degree == 0:
+    """Whether c1 - c2 is a coboundary; in degree 2 by _is_coboundary."""
+    b, k = (c1 - c2).values, c1.degree - 1
+    if k < 0:
         return not any(b)
-    return _is_coboundary(c1.group, c1.degree - 1, b, c1.modulus)
+    if k == 1:
+        return _is_coboundary(c1.group, b, c1.modulus)
+    return solve_mod(coboundary_matrix(c1.group, k), b, c1.modulus,
+                     c1.group.size ** k) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +412,8 @@ def identity_character(n: int) -> Cochain:
 def lhs_edge_map(c: Cochain) -> Cochain:
     """Edge-map value of a 2-cochain on mu_n x Z/n killed on the fiber.
 
-    The restriction of c to the mu_n factor must be a coboundary, which one
-    replay of d_1's cached elimination checks; the pairing
+    The restriction of c to the mu_n factor must be a coboundary, which
+    _is_coboundary's walk checks; the pairing
     b -> (beta -> c((beta,0),(0,b)) - c((0,b),(beta,0))) is then read off
     c as a homomorphism mu_n -> Z/n, i.e. an element of Z/n.  Returns a
     1-cochain on Z/n.
@@ -417,7 +429,7 @@ def lhs_edge_map(c: Cochain) -> Cochain:
 
     # d(phi) = c restricted to the mu_n x mu_n face must have a solution
     b = [c((x, 0), (y, 0)) for x in range(n) for y in range(n)]
-    if not _is_coboundary(Zn, 1, b, m):
+    if not _is_coboundary(Zn, b, m):
         raise ValueError("class does not vanish on fiber")
 
     # G is abelian, so df(g,h) = df(h,g) for every 1-cochain f: c and c

@@ -43,6 +43,8 @@ class SymbolClass:
     terms: tuple  # of (RatFunc, RatFunc, int)
 
     def __init__(self, n: int, terms):
+        if n < 2:
+            raise ValueError(f"symbol modulus n={n} must be >= 2")
         norm = []
         field = None
         for a, b, *m in terms:

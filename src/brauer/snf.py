@@ -10,8 +10,8 @@ pivots on an entry of least p-adic valuation reaches the Smith form up to
 column operations, so the pivot valuations are the elementary divisors
 (Storjohann and Mulders, "Fast algorithms for linear algebra modulo N",
 ESA 1998).  The elimination reads only the matrix and records its row
-operations, so one elimination serves every right-hand side: `_replay`
-applies them to b and decides whether A x = b has a solution.
+operations; `solve_mod` applies them to b, which decides whether A x = b
+has a solution, and reads one off by back substitution.
 """
 
 from __future__ import annotations
@@ -148,8 +148,8 @@ def _eliminate(A, p, e):
     columns and every other row ends zero.  steps[t] is pivots[t]'s
     operation on a right-hand side, (row, unit, others, multiples): scale
     the pivot row by the unit, then subtract each multiple of it from the
-    row beside it in others.  Pivots are chosen from A alone, so _replay
-    applies the steps to any right-hand side.
+    row beside it in others.  Pivots are chosen from A alone, so
+    solve_mod applies the steps to any right-hand side.
     """
     q = p ** e
     rows = [{j: v % q for j, v in r if v % q} for r in A]
@@ -187,26 +187,6 @@ def _eliminate(A, p, e):
     return rows, pivots, steps
 
 
-def _replay(pivots, steps, b, p, e):
-    """b mod p^e under the row operations of _eliminate, or None when the
-    eliminated system has no solution: a row that is not a pivot row is
-    nonzero, or the pivot row of pass a is not 0 mod p^a.  That pivot
-    row's entries are all divisible by p^a, so back substitution then
-    divides exactly."""
-    q = p ** e
-    rhs = [v % q for v in b]
-    for piv, u, others, ks in steps:
-        r = rhs[piv] = rhs[piv] * u % q
-        if r:
-            for i, k in zip(others, ks):
-                rhs[i] = (rhs[i] - k * r) % q
-    pivot_rows = {i for i, _, _ in pivots}
-    if (any(v for i, v in enumerate(rhs) if i not in pivot_rows)
-            or any(rhs[i] % p ** a for i, _, a in pivots)):
-        return None
-    return rhs
-
-
 def solve_mod(A, b, m, cols):
     """One solution x of A x = b (mod m), cols entries in [0, m), or None;
     A is rows of (column, value) pairs over columns 0 .. cols - 1."""
@@ -216,8 +196,17 @@ def solve_mod(A, b, m, cols):
     for p, e in prime_powers(m):
         q = p ** e
         rows, pivots, steps = _eliminate(A, p, e)
-        rhs = _replay(pivots, steps, b, p, e)
-        if rhs is None:
+        rhs = [v % q for v in b]  # under _eliminate's row operations
+        for piv, u, others, ks in steps:
+            r = rhs[piv] = rhs[piv] * u % q
+            if r:
+                for i, k in zip(others, ks):
+                    rhs[i] = (rhs[i] - k * r) % q
+        # no solution when a row that is not a pivot row is nonzero, or the
+        # pivot row of pass a, whose entries p^a divides, is not 0 mod p^a
+        pivot_rows = {i for i, _, _ in pivots}
+        if (any(v for i, v in enumerate(rhs) if i not in pivot_rows)
+                or any(rhs[i] % p ** a for i, _, a in pivots)):
             return None
         # back-substitute, free coordinates 0; row i reads p^a x_j + ... = rhs
         y = [0] * len(x)

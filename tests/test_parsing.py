@@ -98,6 +98,11 @@ def test_parse_symbol_sum_errors():
                 "(t,2)_4 + + (t+1,2)_4", "+ + (t,2)_4", "-"):
         with pytest.raises(ParseError, match="sign"):
             parse_symbol_sum(bad, F5)
+    # a symbol modulus below 2, read from the text or passed in
+    for text, n in (("(t,2)_0", None), ("(t,2)_1", None),
+                    ("(t,2)_1 + (t+1,3)_1", None), ("", 1), ("(t,2)_0", 0)):
+        with pytest.raises(ValueError, match=">= 2"):
+            parse_symbol_sum(text, F5, n)
     assert parse_symbol_sum("- (t,2)_4", F5) == SymbolClass(
         4, [(RatFunc(t), RatFunc(Poly.constant(F5, 2)), 3)])
 

@@ -36,6 +36,12 @@ def test_constructor_validation():
         SymbolClass.symbol(T5, T5 + 1, n=3)
     with pytest.raises(ValueError, match="nonzero"):
         SymbolClass.symbol(T5, RatFunc.zero(F5), n=2)
+    # a symbol modulus below 2 names no n-torsion class
+    for n in (0, 1, -2):
+        for build in (lambda: SymbolClass.symbol(T5, T5 + 1, n=n),
+                      lambda: SymbolClass(n, [])):
+            with pytest.raises(ValueError, match=">= 2"):
+                build()
 
 
 def test_tame_residue_examples():
