@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 all checks passed, 1 a verified identity failed, 2 parse
-error, 3 constraint violation (bad q/n combination), 4 size guard
-exceeded, 5 non-standard conic model.
+error, 3 constraint violation (bad q/n combination, or any other
+ValueError), 4 size guard exceeded.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from .cohomology import (FiniteAbelianGroup, Cochain, TableSizeError,
                          cup_product_boxtimes, epsilon_cocycle,
                          extension_factor_set, identity_character,
                          lhs_edge_map, verify_coboundary_identity)
-from .conic import (ConicBundle, ConicModelError, check_artin,
-                    count_fiber_points)
+from .conic import ConicBundle, check_artin, count_fiber_points
 from .finitefield import FiniteField, ResidueClass, prime_powers
 from .parsing import ParseError, parse_place, parse_ratfunc, parse_symbol_sum
 from .residues import (SymbolClass, ramification_divisor, reciprocity_sum,
@@ -30,7 +29,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_PARSE = 2
 EXIT_CONSTRAINT = 3
 EXIT_SIZE = 4
-EXIT_CONIC = 5
 
 
 class ConstraintError(ValueError):
@@ -347,12 +345,11 @@ _parser = functools.cache(build_parser)
 
 
 # (exception, stderr prefix, JSON kind, exit code), most specific first; the
-# first four are ValueErrors too
+# first three are ValueErrors too
 _ERRORS = ((ParseError, "parse error", "parse", EXIT_PARSE),
            (ConstraintError, "constraint violation", "constraint",
             EXIT_CONSTRAINT),
            (TableSizeError, "size guard", "size", EXIT_SIZE),
-           (ConicModelError, "conic model", "conic", EXIT_CONIC),
            ((ValueError, ZeroDivisionError), "constraint violation",
             "constraint", EXIT_CONSTRAINT))
 

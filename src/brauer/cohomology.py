@@ -21,9 +21,10 @@ diagonal D of successive root-of-unity powers), read off the section
 S_(beta,b) = D^beta C^b, each matrix held as the column and entry of each
 row.  A formal unit holds its pi-exponent as an int count of 1/n steps,
 so the identity is checked in integer arithmetic, at beta = 0 and 1 for
-each pair (b, b').  TableSizeError and its bound TABLE_GUARD,
-shared by every size check in the package, live here; each check of this
-module runs before its table is listed.
+each pair (b, b').  TableSizeError, its bound TABLE_GUARD and check_work,
+the one function that raises it, live here: every operation of the
+package that may build more than TABLE_GUARD entries passes its estimate
+of them to check_work before it builds anything.
 """
 
 from __future__ import annotations
@@ -43,21 +44,28 @@ TABLE_GUARD = 10 ** 6  # the one work bound on tables, matrices and parsing
 
 
 class TableSizeError(ValueError):
-    """Raised when a table, matrix or parsed polynomial exceeds TABLE_GUARD."""
+    """Raised by check_work when an operation would build more than
+    TABLE_GUARD entries."""
 
 
-def _check_size(base: int, power: int, what: str):
-    """Raise TableSizeError when base^power entries of ``what`` exceed
-    TABLE_GUARD; past bit_length(TABLE_GUARD) a base >= 2 always does."""
-    if base > 1 and (power >= TABLE_GUARD.bit_length()
-                     or base ** power > TABLE_GUARD):
-        raise TableSizeError(f"{what} with {base}^{power} entries exceeds "
-                             "guard")
+def check_work(what: str, base: int, power: int = 1, least: int = 0):
+    """Raise TableSizeError, stating the estimate, when building ``what``
+    takes more than TABLE_GUARD entries by the caller's estimate
+    max(base^power, least).  A base >= 2 to a power of
+    TABLE_GUARD.bit_length() or more exceeds the guard and is not formed."""
+    big = base > 1 and power >= TABLE_GUARD.bit_length()
+    if not big and base ** power <= TABLE_GUARD and least <= TABLE_GUARD:
+        return
+    shown = (f"{least}" if not big and least > base ** power
+             else f"{base}^{power}" if power != 1 else f"{base}")
+    raise TableSizeError(f"{what} of {shown} entries exceeds the guard "
+                         f"{TABLE_GUARD}")
 
 
 class FiniteAbelianGroup:
-    """Product of cyclic groups Z/m1 x ... x Z/mk; elements are tuples,
-    listed in tuple-product order, and ``index`` maps each to its position."""
+    """Product of cyclic groups Z/m1 x ... x Z/mk; elements are tuples in
+    tuple-product order, listed by the first call of ``elements``, which
+    also sets ``index``, mapping each to its position."""
 
     def __init__(self, factors):
         factors = tuple(int(m) for m in factors)
@@ -65,11 +73,14 @@ class FiniteAbelianGroup:
             raise ValueError("cyclic factors must be >= 1")
         self.factors = factors
         self.size = math.prod(factors)
-        _check_size(self.size, 1, "element list")
-        self._elements = list(itertools.product(*(range(m) for m in factors)))
-        self.index = {g: i for i, g in enumerate(self._elements)}
+        self._elements = None
 
     def elements(self):
+        if self._elements is None:
+            check_work("element list", self.size)
+            self._elements = list(itertools.product(*(range(m)
+                                                      for m in self.factors)))
+            self.index = {g: i for i, g in enumerate(self._elements)}
         return self._elements
 
     def add(self, g, h):
@@ -95,10 +106,12 @@ class Cochain:
                  values=None):
         if degree < 0:
             raise ValueError("negative cochain degree")
-        _check_size(group.size, degree, "cochain table")
-        # the trivial group passes the table check at any degree: bound the
-        # one argument tuple that it has
-        _check_size(degree, 1, "cochain argument tuple")
+        # |G|^degree values, or the trivial group's one degree-tuple; in a
+        # positive degree |G| is within that, and listing G sets the index
+        # that __call__ reads
+        check_work("cochain table", group.size, degree, least=degree)
+        if degree:
+            group.elements()
         self.group = group
         self.degree = degree
         self.modulus = modulus
@@ -188,8 +201,8 @@ def coboundary_matrix(group: FiniteAbelianGroup, k: int):
     (k+1)-tuple, c(g_1..g_k) + sum_i (-1)^(i+1) c(..g_i + g_{i+1}..)
     + (-1)^(k+1) c(g_0..g_{k-1}), merged, zeros dropped: at most k+2
     pairs.  Immutable tuples, cached per (group, k)."""
-    _check_size(group.size, k + 1, "cochain table")
-    _check_size(k + 2, 1, "coboundary row")  # and the trivial group's row
+    # |G|^(k+1) rows, or the trivial group's one row of k + 2 faces
+    check_work("coboundary matrix", group.size, k + 1, least=k + 2)
     elements = group.elements()
     n = len(elements)
     # n^2 <= n^(k+1) entries; d_0 merges no faces, so needs none
@@ -253,14 +266,20 @@ def cohomology_rank(group: FiniteAbelianGroup, modulus: int, degree: int):
     integer complex splits into pieces Z and Z --(x d)--> Z, so it is
     tensored with Z/p^e piece by piece: each pivot p^a of d_k or d_{k-1}
     under elimination mod p^e adds Z/p^a, every other coordinate of C^k
-    adds Z/p^e.  Returned ascending, factors equal to 1 omitted.  Inputs
-    whose bar cochain tables exceed TABLE_GUARD raise TableSizeError.
+    adds Z/p^e.  Returned ascending, factors equal to 1 omitted.
+
+    The estimate passed to check_work is n^j >= C(n, r), with n = k + 1 + r
+    and j = min(r, k + 1) for r factors above 1: C(n, r) counts the small
+    complex's coordinates in the degrees up to k + 1, and the recursive
+    calls of _compositions(k, r).  For one factor it is k + 2, linear in k.
+    No group element is listed.
     """
     if degree < 0:
         raise ValueError(f"cohomology degree must be >= 0, got {degree}")
     if modulus < 1:
         raise ValueError(f"coefficient modulus must be >= 1, got {modulus}")
-    _check_size(group.size, degree + 1, "cochain table")
+    r = sum(a > 1 for a in group.factors)
+    check_work("small complex", degree + 1 + r, min(r, degree + 1))
     d_k, N = _resolution_differential(group.factors, degree)
     mats = [d_k]
     if degree > 0:
@@ -379,10 +398,9 @@ def verify_coboundary_identity(n: int, power: int = 1) -> bool:
     first multiplies the n-th root of pi by zeta^beta.  Both sides'
     zeta-exponents are affine in beta mod n, so they agree for every beta
     once they agree at beta = 0 and 1: the walk is over the n^2 pairs
-    (b, b').  Its bound is still that of the n^3 triples, so n^3 >
-    TABLE_GUARD raises TableSizeError.
+    (b, b'), and n^2 > TABLE_GUARD raises TableSizeError before the walk.
     """
-    _check_size(n, 3, "coboundary check")
+    check_work("coboundary check", n, 2)
     eps = epsilon_cocycle(n, power)
     roots = [FormalUnit(power * b, 0, n) for b in range(n)]
     inverses = [u.inverse() for u in roots]
@@ -470,8 +488,8 @@ def extension_factor_set(n: int, q: int) -> Cochain:
     F = FiniteField(q) if isinstance(q, int) else q
     if (F.order - 1) % n != 0:
         raise ValueError(f"n={n} must divide q-1={F.order - 1}")
+    check_work("factor set", n, 4)
     G = FiniteAbelianGroup((n, n))
-    _check_size(G.size, 2, "cochain table")
     zeta = F.zeta(n)
 
     def mul(A, B):

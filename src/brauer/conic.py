@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import getitem, mul
 
-from .cohomology import TABLE_GUARD, TableSizeError
+from .cohomology import check_work
 from .finitefield import FiniteField, ResidueClass, power_residue_character
 from .poly import Poly
 from .ratfunc import Place, RatFunc, _local_norm, _local_unit, valuation
@@ -111,13 +111,10 @@ def component_torsor(C: ConicBundle, P: Place) -> ResidueClass:
 
 def degenerate_places(C: ConicBundle):
     """Places with a degenerate fiber (discriminant places and the split
-    degenerations with trivial torsor)."""
-    out = []
-    for P in _candidate_places(C.symbol()):
-        abar, bbar = _reduced_fiber(C, P)
-        if abar.is_zero() or bbar.is_zero():
-            out.append(P)
-    return out
+    degenerations with trivial torsor): those where v_P(a) or v_P(b) is
+    odd, the places where _reduced_fiber has a zero coefficient."""
+    return [P for P in _candidate_places(C.symbol())
+            if valuation(C.a, P) % 2 or valuation(C.b, P) % 2]
 
 
 def check_artin(C: ConicBundle):
@@ -207,20 +204,16 @@ def count_fiber_points(C: ConicBundle, P: Place, e: int = 1) -> int:
     rotation by log c, so the sum is 1 (w = 0) plus one dot product of the
     log-indexed counts with their rotation.  A smooth fiber sums cnt[u] *
     cnt[v] * cnt[A*u + B*v] over the squares u, v, with A*u and B*v read
-    off the same rotations.  Points are (solutions - 1)/(Q - 1).  Raises
-    TableSizeError, before L or any table is built, when a smooth fiber
-    has Q^2 > 10^6 pairs or a degenerate one Q > 10^6 points.
+    off the same rotations.  Points are (solutions - 1)/(Q - 1).  The
+    estimate, Q^2 pairs for a smooth fiber and Q points for a degenerate
+    one, goes to check_work before L or any table is built.
     """
     kappa = P.residue_field()
     abar, bbar = _reduced_fiber(C, P)
     Q = kappa.order ** e
     smooth = not abar.is_zero() and not bbar.is_zero()
-    if smooth and Q * Q > TABLE_GUARD:
-        raise TableSizeError(
-            f"smooth-fiber enumeration over {Q}^2 pairs exceeds guard")
-    if Q > TABLE_GUARD:
-        raise TableSizeError(
-            f"degenerate-fiber enumeration over {Q} points exceeds guard")
+    check_work(f"{'smooth' if smooth else 'degenerate'}-fiber enumeration",
+               Q, 2 if smooth else 1)
     L, embed = _extension_with_embedding(kappa, e)
     exp, log = L._log_tables()
     by_log = _sqrt_count_table(L.p, L.d)[1]

@@ -8,17 +8,19 @@
 
 Whitespace may sit between any two tokens, and the first fault from the
 left is reported: ParseError, or TableSizeError before a power or product
-of degree above MAX_DEGREE is built.  Digit tokens of any length are read
-without Python's int-string limit: a coefficient mod p, an exponent of a
-constant mod q - 1, one of over 4000 digits on t as over MAX_DEGREE.
+of degree d with d^2 > TABLE_GUARD is built (reading a degree-d argument
+at a place divides by pi up to d times, so the work is O(d^2)).  Digit
+tokens of any length are read without Python's int-string limit: a
+coefficient mod p, an exponent of a constant mod q - 1.  An exponent e of
+L digits on t is first bounded as e^2 >= 100^(L-1), so one too long for
+int() is refused before it is read.
 """
 
 from __future__ import annotations
 
-import math
 import re
 
-from .cohomology import TABLE_GUARD, TableSizeError
+from .cohomology import check_work
 from .finitefield import FiniteField
 from .poly import Poly, _add, _mul, _neg, _pow, _sub
 from .ratfunc import Place, RatFunc
@@ -27,17 +29,6 @@ from .residues import SymbolClass
 
 class ParseError(ValueError):
     pass
-
-
-# reading a degree-d argument at a place divides by pi up to d times, so the
-# work is O(d^2); holding d to isqrt(TABLE_GUARD) keeps d^2 within the guard
-MAX_DEGREE = math.isqrt(TABLE_GUARD)
-
-
-def _check_degree(degree: int):
-    if degree > MAX_DEGREE:
-        raise TableSizeError(f"polynomial of degree {degree} exceeds the "
-                             f"parse bound {MAX_DEGREE}")
 
 
 def _read_int(tok: str, m: int | None = None) -> int:
@@ -161,7 +152,7 @@ class _Parser:
             elif nxt not in ("t", "("):  # these juxtapose: 3t, 2(t+1)
                 return acc
             factor = self.parse_factor()
-            _check_degree(len(acc) + len(factor) - 2)
+            check_work("polynomial product", len(acc) + len(factor) - 2, 2)
             acc = _mul(self.field, acc, factor)
 
     def _power(self, base: list) -> list:
@@ -177,11 +168,11 @@ class _Parser:
             e = _read_int(tok, m) or (m if tok.strip("0") else 0)
             return _pow(F, base, e)
         digits = tok.lstrip("0") or "0"
-        if len(digits) > 4000:  # a degree too long to print
-            raise TableSizeError(f"exponent of {len(digits)} digits exceeds "
-                                 f"the parse bound {MAX_DEGREE}")
+        # the degree is at least e >= 10^(L-1): bounded before int() reads it
+        check_work(f"power to a {len(digits)}-digit exponent", 100,
+                   len(digits) - 1)
         e, degree = int(digits), len(base) - 1
-        _check_degree(degree * e)
+        check_work("polynomial power", degree * e, 2)
         if not any(base[:-1]):  # a monomial: (c t^k)^e = c^e t^(ke)
             return [0] * (degree * e) + [F._kpow(base[-1], e)]
         return _pow(F, base, e)

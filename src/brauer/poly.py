@@ -422,14 +422,6 @@ class Poly:
         return (len(f) > 1 and len(_gcd(F, f, _deriv(F, f))) == 1
                 and [d for _, d in _distinct_degree(F, f)] == [len(f) - 1])
 
-    def squarefree_decomposition(self):
-        """List of (squarefree monic factor, multiplicity)."""
-        return [(Poly._raw(self.field, g), m)
-                for g, m in _squarefree(self.field, self.coeffs)]
-
-    def _split(self, d: int) -> "Poly":
-        return Poly._raw(self.field, _split(self.field, self.coeffs, d))
-
     def factor(self):
         """Monic irreducible factors with multiplicities, sorted by key.
 

@@ -20,6 +20,27 @@ def rng():
     return random.Random(20260826)
 
 
+class GuardPassed(Exception):
+    """Raised in place of the build once the work guard lets a call pass."""
+
+
+@pytest.fixture
+def stop_past_guard(monkeypatch):
+    """Make a passing check_work raise GuardPassed, so that a call at its
+    bound passes the guard but builds nothing; one past the bound still
+    raises TableSizeError.  Not a ValueError, so the CLI does not catch it."""
+    from brauer import cohomology, conic, parsing
+    real = cohomology.check_work
+
+    def check(*args, **kwargs):
+        real(*args, **kwargs)
+        raise GuardPassed(args)
+
+    for module in (cohomology, conic, parsing):
+        monkeypatch.setattr(module, "check_work", check)
+    return GuardPassed
+
+
 @pytest.fixture
 def wide_key_ops(monkeypatch):
     """A list that records (op name, field) for every _kmul, _kpow and _kinv

@@ -1,9 +1,12 @@
 import json
 import time
 
-from brauer import ResidueClass, cli, residue_cocycle_route
+import pytest
+
+from brauer import (Cochain, FiniteAbelianGroup, ResidueClass, TableSizeError,
+                    cli, residue_cocycle_route)
 from brauer.cli import main
-from brauer.cohomology import TABLE_GUARD
+from brauer.cohomology import TABLE_GUARD, coboundary_matrix
 from brauer.conic import ConicModelError
 
 
@@ -68,9 +71,11 @@ def test_cohomology_edge(capsys):
 
 
 def test_cohomology_epsilon(capsys):
-    code, out, _ = run(capsys, "cohomology", "epsilon", "--n", "4")
-    assert code == 0
-    assert "PASS" in out
+    # n = 101 has n^3 triples past the guard but walks n^2 pairs within it
+    for n in ("4", "101"):
+        code, out, _ = run(capsys, "cohomology", "epsilon", "--n", n)
+        assert code == 0
+        assert "PASS" in out
 
 
 def test_cohomology_gamma(capsys):
@@ -262,6 +267,12 @@ def test_parse_degree_bound(capsys):
                          "--symbol", "(t^1001, 2)_2", "--place", "t")
     assert (code, out) == (4, "")
     assert err.startswith("size guard")
+    # an exponent of L digits is at least 10^(L-1): refused before int()
+    # reads it when 100^(L-1) > 10^6
+    code, out, err = run(capsys, "residue", "--q", "5", "--n", "2",
+                         "--symbol", "(t^10000, 2)_2", "--place", "t")
+    assert (code, out) == (4, "")
+    assert err.startswith("size guard: power to a 5-digit exponent of 100^4")
 
 
 def test_whitespace_before_a_delimiter_parses_as_without(capsys):
@@ -280,21 +291,50 @@ def test_whitespace_before_a_delimiter_parses_as_without(capsys):
         assert (code, out, err) == run(capsys, *plain), spaced
 
 
-def test_cohomology_size_guard_before_building(capsys):
-    # the group, the Gamma section and a 2^(10^9) table size are all
-    # refused before anything is listed, built or multiplied out
-    for argv in (["rank", "--n", "2", "--factors", "100000,100000", "--m",
-                  "2", "--degree", "1"],
-                 ["rank", "--n", "2", "--factors", "2", "--m", "2",
-                  "--degree", "1000000000"],
-                 ["edge", "--n", "100000"],
-                 ["gamma", "--n", "32", "--q", "97"],
-                 ["epsilon", "--n", "101"]):
+def test_cohomology_size_guard_before_building(capsys, stop_past_guard):
+    # the small complex, the cochain table, the Gamma section and the
+    # epsilon walk are refused before anything is listed, built or
+    # multiplied out, and the message states the estimate
+    for argv, estimate in (
+            (["rank", "--n", "2", "--factors", "2,2", "--m", "2",
+              "--degree", "2000"], "small complex of 2003^2 entries"),
+            (["rank", "--n", "2", "--factors", "2", "--m", "2",
+              "--degree", "1000000000"], "small complex of 1000000002"),
+            (["edge", "--n", "100000"], "cochain table of 10000000000^2"),
+            (["gamma", "--n", "32", "--q", "97"], "factor set of 32^4"),
+            (["epsilon", "--n", "1001"], "coboundary check of 1001^2")):
         start = time.perf_counter()
         code, out, err = run(capsys, "cohomology", *argv)
         assert time.perf_counter() - start < 1, argv
         assert (code, out) == (4, ""), argv
-        assert err.startswith("size guard"), argv
+        assert err.startswith(f"size guard: {estimate}"), argv
+    # each estimate lets its bound through and refuses one past it: a
+    # passing guard raises stop_past_guard in place of the build
+    for at, past in (
+            # (k + 2)^1 for one factor, (k + 3)^2 for two
+            (["rank", "--factors", "2", "--m", "2", "--degree", "999998"],
+             ["rank", "--factors", "2", "--m", "2", "--degree", "999999"]),
+            (["rank", "--factors", "3,5", "--m", "2", "--degree", "997"],
+             ["rank", "--factors", "3,5", "--m", "2", "--degree", "998"]),
+            (["epsilon", "--n", "1000"], ["epsilon", "--n", "1001"]),  # n^2
+            (["gamma", "--n", "31", "--q", "311"],  # n^4
+             ["gamma", "--n", "32", "--q", "97"]),
+            (["edge", "--n", "31"], ["edge", "--n", "32"])):  # (n^2)^2
+        with pytest.raises(stop_past_guard):
+            main(["cohomology", *at])
+        assert run(capsys, "cohomology", *past)[:2] == (4, ""), past
+    for build, past in (
+            (lambda m: FiniteAbelianGroup((m,)).elements(), 10 ** 6),
+            (lambda m: Cochain(FiniteAbelianGroup((m,)), 2, 2), 1000),
+            (lambda k: Cochain(FiniteAbelianGroup((1,)), k, 2), 10 ** 6),
+            (lambda m: coboundary_matrix(FiniteAbelianGroup((m,)), 1), 1000),
+            # the trivial group's one row has k + 2 faces
+            (lambda k: coboundary_matrix(FiniteAbelianGroup((1,)), k),
+             10 ** 6 - 2)):
+        with pytest.raises(stop_past_guard):
+            build(past)
+        with pytest.raises(TableSizeError):
+            build(past + 1)
 
 
 def test_epsilon_at_the_guard(capsys):
@@ -337,7 +377,7 @@ def test_exit_code_conic_model(capsys):
 
 
 def test_json_error_payloads(capsys, monkeypatch):
-    # one input per exit code 2-5: stdout carries the payload under
+    # one input per exit code 2-4: stdout carries the payload under
     # --format json, and the stderr line and exit code match text output
     cases = [
         (["ramification", "--q", "5", "--n", "2", "--symbol", "(t,,2)_2"],
@@ -346,14 +386,16 @@ def test_json_error_payloads(capsys, monkeypatch):
           "--place", "t"], "residue", "constraint", 3),
         (["cohomology", "gamma", "--n", "32", "--q", "97"],
          "cohomology gamma", "size", 4),
-        (["conic", "--q", "5", "--a", "t", "--b", "2"], "conic", "conic", 5),
+        (["conic", "--q", "5", "--a", "t", "--b", "2"], "conic",
+         "constraint", 3),
     ]
 
     def smooth(C):
         raise ConicModelError("fiber is smooth")
 
     # a ramified place always has a degenerate fiber, so no CLI input
-    # reaches exit 5; the model error is raised in check_artin's place
+    # raises the model error; raised in check_artin's place, it reports as
+    # the ValueError it is
     monkeypatch.setattr(cli, "check_artin", smooth)
     for argv, command, kind, code in cases:
         text = run(capsys, *argv)

@@ -374,6 +374,13 @@ def test_cohomology_rank_builds_no_bar_matrix():
     assert cohomology_rank(FiniteAbelianGroup((4, 4)), 4, 3) == [4] * 4
     # the trivial group passes the size guard at any degree
     assert cohomology_rank(FiniteAbelianGroup((1,)), 2, 10 ** 9) == []
+    # inputs whose bar tables are past the guard but whose small complexes
+    # are within it answer, and list no group element
+    for factors, m, k in (((2, 2), 2, 30), ((2, 2, 2), 2, 6),
+                          ((100000, 100000), 2, 1), ((1000, 1000), 2, 2)):
+        G = FiniteAbelianGroup(factors)
+        assert cohomology_rank(G, m, k) == _closed_form_rank(factors, m, k)
+        assert G._elements is None
     assert coboundary_matrix.cache_info().currsize == 0
     with pytest.raises(cohomology.TableSizeError):
         cohomology_rank(FiniteAbelianGroup((2,)), 2, 10 ** 9)

@@ -224,9 +224,20 @@ def test_smooth_fiber_guard_raises_before_enumeration():
     with pytest.raises(TableSizeError, match="2197"):
         count_fiber_points(C, P)
     assert (set(conic._SQRT_COUNTS), set(conic._SMOOTH_SUMS)) == tables
+    # Q^2 <= 10^6 pairs at Q = 997, the largest odd prime power with it,
+    # and refused at the next, 1009: a smooth conic has Q + 1 points
+    for Q, points in ((997, 998), (1009, None)):
+        F = FiniteField(Q)
+        C = ConicBundle(RatFunc.gen(F), RatFunc.constant(F, 2))
+        P = Place(F, Poly.gen(F) + 1)
+        if points is None:
+            with pytest.raises(TableSizeError, match=f"{Q}\\^2"):
+                count_fiber_points(C, P)
+        else:
+            assert count_fiber_points(C, P) == points
 
 
-def test_degenerate_fiber_guard_raises_before_any_build():
+def test_degenerate_fiber_guard_raises_before_any_build(stop_past_guard):
     F13 = FiniteField(13)
     t = Poly.gen(F13)
     pi = next(t ** 3 + c for c in range(13) if (t ** 3 + c).is_irreducible())
@@ -239,6 +250,16 @@ def test_degenerate_fiber_guard_raises_before_any_build():
     assert set(conic._SQRT_COUNTS) == tables
     assert set(_FIELD_CACHE) == fields
     assert 2 not in P.residue_field()._roots
+    # Q <= 10^6 points at Q = 999983, the largest prime power with it, and
+    # refused at the next, 1000003; a passing guard stops the count
+    for Q in (999983, 1000003):
+        F = FiniteField(Q)
+        C = ConicBundle(RatFunc.gen(F), RatFunc.constant(F, 2))
+        P = Place(F, Poly.gen(F))
+        assert P in degenerate_places(C)
+        with pytest.raises(stop_past_guard if Q < 10 ** 6
+                           else TableSizeError):
+            count_fiber_points(C, P)
 
 
 def _non_default_field(p, d):
