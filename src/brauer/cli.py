@@ -135,9 +135,10 @@ def cmd_cohomology(args) -> int:
                      f" : {'PASS' if ok else 'FAIL'}")
     elif args.subcommand == "epsilon":
         ok = verify_coboundary_identity(n)
-        eps = epsilon_cocycle(n)
-        results["epsilon"] = [[str(eps[(b, b2)]) for b2 in range(n)]
-                              for b in range(n)]
+        if args.format == "json":  # text prints only the verdict
+            eps = epsilon_cocycle(n)
+            results["epsilon"] = [[str(eps[(b, b2)]) for b2 in range(n)]
+                                  for b in range(n)]
         lines.append(f"coboundary identity {'PASS' if ok else 'FAIL'}")
     elif args.subcommand == "gamma":
         if args.gamma_q is None:
@@ -291,27 +292,18 @@ def build_parser() -> argparse.ArgumentParser:
     def add_format(p):
         p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("residue", help="residue of a symbol sum at a place")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--symbol", required=True)
-    p.add_argument("--place", required=True)
-    add_format(p)
-    p.set_defaults(func=cmd_residue)
-
-    p = sub.add_parser("ramification", help="full ramification divisor")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--symbol", required=True)
-    add_format(p)
-    p.set_defaults(func=cmd_ramification)
-
-    p = sub.add_parser("reciprocity", help="sum of corestricted residues")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--symbol", required=True)
-    add_format(p)
-    p.set_defaults(func=cmd_reciprocity)
+    for name, about, func in (
+            ("residue", "residue of a symbol sum at a place", cmd_residue),
+            ("ramification", "full ramification divisor", cmd_ramification),
+            ("reciprocity", "sum of corestricted residues", cmd_reciprocity)):
+        p = sub.add_parser(name, help=about)
+        p.add_argument("--q", type=int, required=True)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--symbol", required=True)
+        if name == "residue":
+            p.add_argument("--place", required=True)
+        add_format(p)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("cohomology", help="cocycle-level verifications")
     p.add_argument("subcommand", choices=("edge", "epsilon", "gamma", "rank"))

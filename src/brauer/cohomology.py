@@ -177,6 +177,7 @@ class Cochain:
 
     @classmethod
     def random(cls, group, degree, modulus, rng: random.Random):
+        check_work("cochain table", group.size, degree, least=degree)
         return cls(group, degree, modulus,
                    [rng.randrange(modulus) for _ in range(group.size ** degree)])
 
@@ -268,18 +269,22 @@ def cohomology_rank(group: FiniteAbelianGroup, modulus: int, degree: int):
     under elimination mod p^e adds Z/p^a, every other coordinate of C^k
     adds Z/p^e.  Returned ascending, factors equal to 1 omitted.
 
-    The estimate passed to check_work is n^j >= C(n, r), with n = k + 1 + r
-    and j = min(r, k + 1) for r factors above 1: C(n, r) counts the small
-    complex's coordinates in the degrees up to k + 1, and the recursive
-    calls of _compositions(k, r).  For one factor it is k + 2, linear in k.
-    No group element is listed.
+    For r factors above 1, check_work gets n^j >= C(n, r), n = k + 1 + r,
+    j = min(r, k + 1): the coordinates up to degree k + 1 and the calls of
+    _compositions(k, r), k + 2 for one factor.  Then the rows times the
+    columns of d_k, the most entries one elimination per prime power of
+    the modulus holds and scans in a pass.  No group element is listed.
     """
     if degree < 0:
         raise ValueError(f"cohomology degree must be >= 0, got {degree}")
     if modulus < 1:
         raise ValueError(f"coefficient modulus must be >= 1, got {modulus}")
     r = sum(a > 1 for a in group.factors)
-    check_work("small complex", degree + 1 + r, min(r, degree + 1))
+    n = degree + 1 + r
+    check_work("small complex", n, min(r, degree + 1))
+    if r:  # each binomial is at most C(n, r) <= n^j, so quick to form
+        check_work("elimination", math.comb(n - 1, r - 1)
+                   * math.comb(n - 2, r - 1))
     d_k, N = _resolution_differential(group.factors, degree)
     mats = [d_k]
     if degree > 0:

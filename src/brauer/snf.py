@@ -16,6 +16,8 @@ has a solution, and reads one off by back substitution.
 
 from __future__ import annotations
 
+import math
+
 from .finitefield import prime_powers
 
 
@@ -141,23 +143,28 @@ def _eliminate(A, p, e):
 
     Pass a = 0, 1, ... goes column by column and pivots on an entry u * p^a
     (u a unit) of the shortest row having one; no entry left has a smaller
-    valuation, so every entry stays divisible by p^a.  Rows are copied into
-    dicts {column: value} reduced mod q, so A is left as it is; pivot rows
-    are scaled to pivot p^a.  Returns (rows, pivots, steps), pivots as
-    (row, column, a) in order: a pivot row is zero in earlier pivot
-    columns and every other row ends zero.  steps[t] is pivots[t]'s
-    operation on a right-hand side, (row, unit, others, multiples): scale
-    the pivot row by the unit, then subtract each multiple of it from the
-    row beside it in others.  Pivots are chosen from A alone, so
-    solve_mod applies the steps to any right-hand side.
+    valuation, so every entry stays divisible by p^a.  A pass runs only if
+    g, the gcd of q and the free rows' entries, has valuation a, so it
+    finds a pivot.  Rows are copied into dicts {column: value} reduced mod
+    q, so A is left as it is; pivot rows are scaled to pivot p^a.  Returns
+    (rows, pivots, steps), pivots as (row, column, a) in order: a pivot row
+    is zero in earlier pivot columns and every other row ends zero.
+    steps[t] is pivots[t]'s operation on a right-hand side, (row, unit,
+    others, multiples): scale the pivot row by the unit, then subtract
+    each multiple of it from the row beside it in others.  Pivots are
+    chosen from A alone, so solve_mod applies the steps to any right-hand
+    side.
     """
     q = p ** e
     rows = [{j: v % q for j, v in r if v % q} for r in A]
     free = list(range(len(rows)))
     cols = sorted({j for r in rows for j in r})
     pivots, steps = [], []
+    g = math.gcd(q, *(v for r in rows for v in r.values()))
     for a in range(e):
         d = p ** a
+        if g % (d * p) == 0:
+            continue
         rest = []
         for j in cols:
             hits = [i for i in free if j in rows[i]]
@@ -184,6 +191,7 @@ def _eliminate(A, p, e):
             pivots.append((piv, j, a))
             steps.append((piv, u, hits, ks))
         cols = rest
+        g = math.gcd(q, *(v for i in free for v in rows[i].values()))
     return rows, pivots, steps
 
 

@@ -1,4 +1,5 @@
 import json
+import random
 import time
 
 import pytest
@@ -326,6 +327,9 @@ def test_cohomology_size_guard_before_building(capsys, stop_past_guard):
     for build, past in (
             (lambda m: FiniteAbelianGroup((m,)).elements(), 10 ** 6),
             (lambda m: Cochain(FiniteAbelianGroup((m,)), 2, 2), 1000),
+            # refused before |G| random values are drawn
+            (lambda m: Cochain.random(FiniteAbelianGroup((m, m)), 1, 2,
+                                      random.Random(0)), 1000),
             (lambda k: Cochain(FiniteAbelianGroup((1,)), k, 2), 10 ** 6),
             (lambda m: coboundary_matrix(FiniteAbelianGroup((m,)), 1), 1000),
             # the trivial group's one row has k + 2 faces
@@ -338,7 +342,7 @@ def test_cohomology_size_guard_before_building(capsys, stop_past_guard):
 
 
 def test_epsilon_at_the_guard(capsys):
-    # 100^3 triples is exactly TABLE_GUARD, so the check runs
+    # n = 100 was exactly the former n^3 bound on triples; it still answers
     code, out, _ = run(capsys, "cohomology", "epsilon", "--n", "100")
     assert (code, out) == (0, "coboundary identity PASS\n")
 

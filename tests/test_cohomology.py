@@ -384,6 +384,25 @@ def test_cohomology_rank_builds_no_bar_matrix():
     assert coboundary_matrix.cache_info().currsize == 0
     with pytest.raises(cohomology.TableSizeError):
         cohomology_rank(FiniteAbelianGroup((2,)), 2, 10 ** 9)
+    # the last degree within the guard for r = 2, 3, 4 factors answers in
+    # bounded time, mod 2 and mod 2^20, where 19 passes find no pivot; one
+    # degree more is refused.  With every factor a | m, H^k is
+    # (Z/a)^C(k+r-1, r-1)
+    for r, k in ((2, 997), (3, 42), (4, 15)):
+        for a, m in ((2, 2), (2 ** 19, 2 ** 20)):
+            G = FiniteAbelianGroup((a,) * r)
+            start = time.perf_counter()
+            assert cohomology_rank(G, m, k) == [a] * math.comb(k + r - 1,
+                                                               r - 1)
+            assert time.perf_counter() - start < 3, (r, k, m)
+            with pytest.raises(cohomology.TableSizeError):
+                cohomology_rank(G, m, k + 1)
+    assert (cohomology_rank(FiniteAbelianGroup((2, 4, 8, 16)), 2 ** 20, 15)
+            == _closed_form_rank((2, 4, 8, 16), 2 ** 20, 15))
+    # d_43 of (Z/2)^3 has C(45, 2) rows and C(44, 2) columns
+    with pytest.raises(cohomology.TableSizeError,
+                       match="elimination of 1024650 entries"):
+        cohomology_rank(FiniteAbelianGroup((2, 2, 2)), 4, 43)
 
 
 def test_trivial_group_degree_guard():
