@@ -136,8 +136,8 @@ def cmd_cohomology(args) -> int:
     elif args.subcommand == "epsilon":
         ok = verify_coboundary_identity(n)
         if args.format == "json":  # text prints only the verdict
-            eps = epsilon_cocycle(n)
-            results["epsilon"] = [[str(eps[(b, b2)]) for b2 in range(n)]
+            eps, text = epsilon_cocycle(n), functools.cache(str)  # once each
+            results["epsilon"] = [[text(eps[b, b2]) for b2 in range(n)]
                                   for b in range(n)]
         lines.append(f"coboundary identity {'PASS' if ok else 'FAIL'}")
     elif args.subcommand == "gamma":
@@ -146,7 +146,7 @@ def cmd_cohomology(args) -> int:
         _field_for(args.gamma_q, n)
         s = extension_factor_set(n, args.gamma_q)
         target = -1 * cup_product_boxtimes(n)
-        zero = Cochain(FiniteAbelianGroup((n, n)), 2, n)
+        zero = Cochain(s.group, 2, n)
         matches = cocycles_cohomologous(s, target)
         nontrivial = not cocycles_cohomologous(s, zero)
         ok = matches and nontrivial

@@ -96,6 +96,11 @@ class FiniteAbelianGroup:
         return " x ".join(f"Z/{m}" for m in self.factors)
 
 
+# one group per tuple of factors for this module's constructions, so each
+# lists its elements once; the class itself stays a plain constructor
+_group = functools.lru_cache(maxsize=16)(FiniteAbelianGroup)
+
+
 class Cochain:
     """A total function group^degree -> Z/modulus.  ``values`` is a tuple in
     tuple-product order, the column order of coboundary_matrix; it is built
@@ -348,8 +353,7 @@ def cup_product_boxtimes(n: int) -> Cochain:
     The first factor is mu_n written additively.  This is the cup product
     of the two coordinate characters and is a 2-cocycle for every n.
     """
-    G = FiniteAbelianGroup((n, n))
-    return Cochain(G, 2, n, lambda g, h: g[0] * h[1])
+    return Cochain(_group((n, n)), 2, n, lambda g, h: g[0] * h[1])
 
 
 @dataclass(frozen=True)
@@ -407,19 +411,19 @@ def verify_coboundary_identity(n: int, power: int = 1) -> bool:
     """
     check_work("coboundary check", n, 2)
     eps = epsilon_cocycle(n, power)
-    roots = [FormalUnit(power * b, 0, n) for b in range(n)]
-    inverses = [u.inverse() for u in roots]
-    # the value at ((beta, b), (beta', b')) is independent of beta': the
-    # cochain depends only on b and the translation only on beta.  The
-    # identity reads c_{g+g'}^-1 c_g eps = (c_{g'} translated by g)^-1
-    # zeta^(power*beta*b'), whose right side depends on b' and beta only
+    # each side is the (pi_steps, zeta_exponent) pair of a FormalUnit; pairs
+    # multiply as in FormalUnit.__mul__.  The cochain reads b and the
+    # translation beta, so the identity c_{g+g'}^-1 c_g eps = (c_{g'}
+    # translated by g)^-1 zeta^(power*beta*b') is independent of beta', and
+    # its right side depends on b' and beta only
     for b2 in range(n):
         # c_{g'} translated by g: the root picks up the factor zeta^beta
-        targets = [FormalUnit(power * b2, power * beta * b2, n).inverse()
-                   * FormalUnit(0, power * beta * b2, n) for beta in (0, 1)]
+        t0, t1 = ((-power * b2, (power * beta * b2 - power * beta * b2) % n)
+                  for beta in (0, 1))
         for b in range(n):
-            d = inverses[(b + b2) % n] * roots[b] * eps[(b, b2)]
-            if d != targets[0] or d != targets[1]:
+            u = eps[b, b2]
+            d = (power * (b - (b + b2) % n) + u.pi_steps, u.zeta_exponent % n)
+            if d != t0 or d != t1:
                 return False
     return True
 
@@ -429,7 +433,7 @@ def verify_coboundary_identity(n: int, power: int = 1) -> bool:
 
 def identity_character(n: int) -> Cochain:
     """The identity homomorphism Z/n -> Z/n as a 1-cochain."""
-    return Cochain(FiniteAbelianGroup((n,)), 1, n, lambda g: g[0])
+    return Cochain(_group((n,)), 1, n, lambda g: g[0])
 
 
 def lhs_edge_map(c: Cochain) -> Cochain:
@@ -448,7 +452,7 @@ def lhs_edge_map(c: Cochain) -> Cochain:
         raise ValueError("expected a degree-2 cochain")
     n = G.factors[0]
     m = c.modulus
-    Zn = FiniteAbelianGroup((n,))
+    Zn = _group((n,))
 
     # d(phi) = c restricted to the mu_n x mu_n face must have a solution
     b = [c((x, 0), (y, 0)) for x in range(n) for y in range(n)]
@@ -494,7 +498,7 @@ def extension_factor_set(n: int, q: int) -> Cochain:
     if (F.order - 1) % n != 0:
         raise ValueError(f"n={n} must divide q-1={F.order - 1}")
     check_work("factor set", n, 4)
-    G = FiniteAbelianGroup((n, n))
+    G = _group((n, n))
     zeta = F.zeta(n)
 
     def mul(A, B):

@@ -8,8 +8,8 @@ an independent oracle: a split degenerate conic over F_Q has 2Q+1 points,
 a non-split one exactly 1.  The count runs in the default-modulus field
 F_Q = FiniteField(p, d*e), into which kappa(P) embeds at a root of pi;
 multiplying by c there rotates discrete logs by log c, so a degenerate
-fiber is one dot product of log-indexed square-root counts with their
-rotation, from tables built once per (p, d).
+fiber is counted by popcounts of bit planes of log-indexed square-root
+counts, packed into ints, against their rotation, built once per (p, d).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import reduce
-from operator import getitem, mul
+from operator import getitem
 
 from .cohomology import check_work
 from .finitefield import FiniteField, ResidueClass, power_residue_character
@@ -134,35 +134,38 @@ _SQRT_COUNTS: dict = {}
 
 
 def _sqrt_count_table(p: int, d: int):
-    """(cnt, by_log) over L = FiniteField(p, d): cnt[k] = #{z in L : z*z has
-    key k}, each z*z a log/exp-table product, and by_log[i] = cnt[exp[i]],
-    the counts on the units by discrete log, stored twice over so that
-    by_log[j:j + Q - 1] is their rotation by j.  One table per (p, d)."""
+    """(by_log, planes) over FiniteField(p, d), g its primitive element:
+    by_log[i] = #{z : z*z = g^i}, counted over z = g^j (log 2j mod Q - 1),
+    twice over so that by_log[j:] starts its rotation by j; bit i of the int
+    planes[b] is bit b of by_log[i], so planes[b] >> j is that rotation.
+    One table per (p, d)."""
     table = _SQRT_COUNTS.get((p, d))
     if table is None:
-        L = FiniteField(p, d)
-        exp, log = L._log_tables()
-        m = L.order - 1
-        cnt = array("B", [1]) + array("B", [0]) * m  # 1 at 0, for 0 * 0
-        for z in range(1, L.order):
-            cnt[exp[(log[z] + log[z]) % m]] += 1
-        by_log = array("B", (cnt[w] for w in exp)) * 2
-        table = _SQRT_COUNTS[p, d] = cnt, by_log
+        m = p ** d - 1
+        by_log = array("B", [0]) * m
+        for j in range(0, 2 * m, 2):  # z = g^(j/2) squares to g^j
+            by_log[j % m] += 1
+        by_log *= 2
+        raw = by_log.tobytes()[::-1]  # int(s, 2) reads unit 0 last
+        planes = [int(raw.translate(bytes(48 + (v >> b & 1)  # b"0", b"1"
+                                          for v in range(256))), 2)
+                  for b in range(max(by_log).bit_length())]
+        table = _SQRT_COUNTS[p, d] = by_log, planes
     return table
 
 
 _SMOOTH_SUMS: dict = {}
 
 
-def _smooth_sum_table(p: int, d: int):
-    """(spread, cnt_of_sum) over L = FiniteField(p, d) for the smooth count:
-    spread[k] is key k rewritten in base 2p, so two spread keys add digit by
-    digit without carries, and cnt_of_sum[s] = cnt[k] for the key k whose
-    digits are those of s mod p.  One table per (p, d), built at its first
+def _smooth_sum_table(p: int, d: int, log, by_log):
+    """(spread, cnt_of_sum) over FiniteField(p, d) for the smooth count:
+    spread[k] is key k in base 2p, so two spread keys add digit by digit
+    without carries, and cnt_of_sum[s] = cnt[k] = by_log[log[k]] for the key
+    k with the digits of s mod p.  One table per (p, d), built at its first
     smooth count, so degenerate counts allocate none."""
     table = _SMOOTH_SUMS.get((p, d))
     if table is None:
-        cnt = _sqrt_count_table(p, d)[0]
+        cnt = [1] + [by_log[i] for i in log[1:]]  # 1 at 0, for 0 * 0
         Q, base = p ** d, 2 * p
         spread = [0] * Q
         for k in range(1, Q):
@@ -201,8 +204,9 @@ def count_fiber_points(C: ConicBundle, P: Place, e: int = 1) -> int:
     which kappa(P) embeds by a root of its modulus.  With cnt[w] = #{x :
     x^2 = w}, A x^2 + B y^2 = z^2 has Q * sum_w cnt[w] * cnt[c*w] affine
     solutions if c is the only nonzero one of A, B: on the units c*w is the
-    rotation by log c, so the sum is 1 (w = 0) plus one dot product of the
-    log-indexed counts with their rotation.  A smooth fiber sums cnt[u] *
+    rotation by log c, so the sum is 1 (w = 0) plus the sum of 2^(b+b')
+    popcount((planes[b] >> log c) & planes[b']) over the Q - 1 units, every
+    unit read and no square class.  A smooth fiber sums cnt[u] *
     cnt[v] * cnt[A*u + B*v] over the squares u, v, with A*u and B*v read
     off the same rotations.  Points are (solutions - 1)/(Q - 1).  The
     estimate, Q^2 pairs for a smooth fiber and Q points for a degenerate
@@ -216,11 +220,11 @@ def count_fiber_points(C: ConicBundle, P: Place, e: int = 1) -> int:
                Q, 2 if smooth else 1)
     L, embed = _extension_with_embedding(kappa, e)
     exp, log = L._log_tables()
-    by_log = _sqrt_count_table(L.p, L.d)[1]
+    by_log, planes = _sqrt_count_table(L.p, L.d)
     m = Q - 1
     lA, lB = (log[embed(u).key()] for u in (abar, bbar))  # -1 for zero
     if smooth:
-        spread, cnt_of_sum = _smooth_sum_table(L.p, L.d)
+        spread, cnt_of_sum = _smooth_sum_table(L.p, L.d, log, by_log)
         # (c*w, cnt[w]) over the squares w, c*w read off the rotation by log c
         ax2, by2 = ([(0, 1)] + [(spread[exp[k]], n) for k, n
                                 in enumerate(by_log[m - lc:2 * m - lc]) if n]
@@ -230,8 +234,10 @@ def count_fiber_points(C: ConicBundle, P: Place, e: int = 1) -> int:
             for v, ny in by2:
                 total += nx * ny * cnt_of_sum[u + v]
     else:
-        lc = max(lA, lB)  # the log of the nonzero coefficient
-        total = Q * (1 + sum(map(mul, by_log[lc:lc + m], by_log)))
+        lc, mask = max(lA, lB), (1 << m) - 1  # lc: the nonzero coefficient
+        total = Q * (1 + sum((hi >> lc & lo & mask).bit_count() << b + b2
+                             for b, hi in enumerate(planes)
+                             for b2, lo in enumerate(planes)))
     points, rem = divmod(total - 1, m)
     if rem:
         raise RuntimeError("affine solution count is not projective")

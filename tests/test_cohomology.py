@@ -67,6 +67,25 @@ def test_group_index_is_tuple_product_order():
     assert G.elements()[G.index[(1, 2)]] == (1, 2)
 
 
+def test_constructions_share_one_group_per_factor_tuple(monkeypatch):
+    built = []
+    init = FiniteAbelianGroup.__init__
+    monkeypatch.setattr(FiniteAbelianGroup, "__init__", lambda self, factors:
+                        built.append(tuple(factors)) or init(self, factors))
+    cohomology._group.cache_clear()
+    for n in (3, 5):
+        box = cup_product_boxtimes(n)
+        assert lhs_edge_map(box) == identity_character(n)
+        assert box.group is extension_factor_set(n, 31).group
+        assert cup_product_boxtimes(n).group is box.group
+        for argv in (["cohomology", "gamma", "--n", str(n), "--q", "31"],
+                     ["cohomology", "edge", "--n", str(n)]):
+            assert cli.main(argv) == 0
+    assert sorted(built) == [(3,), (3, 3), (5,), (5, 5)]
+    # the public constructor stays plain
+    assert FiniteAbelianGroup((5, 5)) is not box.group
+
+
 def test_cochain_values_contract():
     G = FiniteAbelianGroup((2, 3))
     c = Cochain(G, 1, 4, [5, -1, 2, 3, 4, 9])

@@ -213,6 +213,39 @@ def test_point_count_reads_no_square_class(monkeypatch):
     assert set(conic._SMOOTH_SUMS) == {(7, 1), (7, 2)}
 
 
+@pytest.mark.parametrize("p,d,e", [(5, 4, 1), (13, 3, 1), (13, 4, 1),
+                                   (13, 1, 2)])
+def test_degenerate_counts_match_key_reference_past_brute_force(p, d, e):
+    # Q = 625, 2197, 28561 and 169, past the brute force's Q <= 49: the
+    # count must equal (Q * sum_w cnt[w] * cnt[c*w] - 1)/(Q - 1), with cnt
+    # and every product c*w taken by L._kmul over all keys, no log table or
+    # bit plane read
+    Fp = FiniteField(p)
+    pi = next(f for k in range(p ** d) if (f := Poly(
+        Fp, [k // p ** i % p for i in range(d)] + [1])).is_irreducible())
+    P = Place(Fp, pi)
+    L, embed = conic._extension_with_embedding(P.residue_field(), e)
+    Q = L.order
+    cnt = [0] * Q
+    for z in range(Q):
+        cnt[L._kmul(z, z)] += 1
+    t = RatFunc.gen(Fp)
+    seen = set()
+    for b in (1, -1, 2, t + 1, t + 2, t + 3, t + 4):
+        C = ConicBundle(RatFunc(pi), b * RatFunc.one(Fp))
+        abar, bbar = conic._reduced_fiber(C, P)
+        c = embed(bbar).key()
+        assert abar.is_zero() and c
+        affine = Q * sum(cnt[w] * cnt[L._kmul(c, w)] for w in range(Q))
+        points, rem = divmod(affine - 1, Q - 1)
+        assert not rem
+        assert count_fiber_points(C, P, e) == points, (b, p, d, e)
+        seen.add(points)
+    # split (c a square) and, over kappa(P) itself, non-split (c not one);
+    # over F_{13^2} every element of F_13 is a square
+    assert seen == ({2 * Q + 1, 1} if e == 1 else {2 * Q + 1})
+
+
 def test_smooth_fiber_guard_raises_before_enumeration():
     F13 = FiniteField(13)
     t = Poly.gen(F13)
