@@ -3,10 +3,13 @@
 Cochains are inhomogeneous, in one numbering: a cochain G^k -> Z/m is the
 tuple of its values in tuple-product order, an element's position read
 from its group's index, and the bar differential, the integer one for the
-trivial action, is written once, as the cached sparse rows of
-coboundary_matrix over those positions.  Coboundaries apply those rows;
-in degree 2, cohomologous-ness and the edge map's fiber check walk the
-generators for an f with df = b, other degrees call solve_mod.  Ranks
+trivial action, is written once, as its k + 2 face maps over those
+positions (Brown, Cohomology of Groups, ch. IV), cached by _faces.  A
+coboundary reads c's values at each face and adds them with alternating
+signs; coboundary_matrix's sparse rows are the merge of the same faces,
+kept for solve_mod.  In degree 2, cohomologous-ness and the edge map's
+fiber check walk the generators for an f with df = b and compare df,
+read through the same faces, with b; other degrees call solve_mod.  Ranks
 need no cochain: they are read off an elimination over Z/p^e of the
 small complex Hom(P, Z), P the tensor product of the cyclic factors'
 periodic resolutions, with C(k+r-1, r-1) coordinates in degree k for r
@@ -32,6 +35,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import random
 
 from dataclasses import dataclass
@@ -111,6 +115,8 @@ class Cochain:
                  values=None):
         if degree < 0:
             raise ValueError("negative cochain degree")
+        if modulus < 1:
+            raise ValueError(f"cochain modulus must be >= 1, got {modulus}")
         # |G|^degree values, or the trivial group's one degree-tuple; in a
         # positive degree |G| is within that, and listing G sets the index
         # that __call__ reads
@@ -188,12 +194,25 @@ class Cochain:
 
 
 def coboundary(c: Cochain) -> Cochain:
-    """Inhomogeneous differential with trivial coefficients, d(d(c)) = 0:
-    the rows of coboundary_matrix applied to c.values."""
-    v = c.values
+    """Inhomogeneous differential with trivial coefficients, d(d(c)) = 0,
+    by _differential."""
     return Cochain(c.group, c.degree + 1, c.modulus,
-                   [sum(a * v[j] for j, a in row)
-                    for row in coboundary_matrix(c.group, c.degree)])
+                   _differential(c.group, c.degree, c.values))
+
+
+def _differential(group: FiniteAbelianGroup, k: int, values):
+    """d_k of the |G|^k ``values``, unreduced, as an iterator: ``values``
+    read at each of the k + 2 faces of _faces, added with alternating
+    signs."""
+    faces = _faces(group, k)
+    if len(faces[0]) == 1:  # itemgetter of one item returns it bare
+        cols = [(values[face[0]],) for face in faces]
+    else:
+        cols = [operator.itemgetter(*face)(values) for face in faces]
+    total = cols[0]
+    for j, col in enumerate(cols[1:], 1):
+        total = map(operator.sub if j % 2 else operator.add, total, col)
+    return total
 
 
 def is_cocycle(c: Cochain) -> bool:
@@ -201,31 +220,53 @@ def is_cocycle(c: Cochain) -> bool:
 
 
 @functools.lru_cache(maxsize=16)
-def coboundary_matrix(group: FiniteAbelianGroup, k: int):
-    """d_k : C^k -> C^{k+1} in the tuple-product bases, as rows of
-    (column, coefficient) pairs: row r holds the faces of the r-th
-    (k+1)-tuple, c(g_1..g_k) + sum_i (-1)^(i+1) c(..g_i + g_{i+1}..)
-    + (-1)^(k+1) c(g_0..g_{k-1}), merged, zeros dropped: at most k+2
-    pairs.  Immutable tuples, cached per (group, k)."""
-    # |G|^(k+1) rows, or the trivial group's one row of k + 2 faces
-    check_work("coboundary matrix", group.size, k + 1, least=k + 2)
+def _faces(group: FiniteAbelianGroup, k: int):
+    """d_k : C^k -> C^{k+1} as its k + 2 face maps, in the tuple-product
+    bases: face j is a tuple whose r-th entry is the position of the j-th
+    face of the r-th (k+1)-tuple g_1..g_{k+1}, that is g_2..g_{k+1}, then
+    ..g_i + g_{i+1}.. for i = 1..k, then g_1..g_k, and d_k c is the sum
+    over j of (-1)^j c at face j.  Every entry is taken from one list of
+    the |G|^k positions, so the faces hold no int of their own.  Cached
+    per (group, k)."""
+    # |G|^(k+1) entries a face, or the trivial group's k + 2 faces
+    check_work("coboundary faces", group.size, k + 1, least=k + 2)
     elements = group.elements()
     n = len(elements)
-    # n^2 <= n^(k+1) entries; d_0 merges no faces, so needs none
-    add = [[group.index[group.add(g, h)] for h in elements]
-           for g in elements] if k else None
-    pw = [n ** j for j in range(k + 2)]
+    positions = list(range(n ** k))
+
+    def face(before, mid, after):
+        # r = (hi * len(mid) + j) * n^after + lo: the face keeps the
+        # `before` digits hi and the `after` digits lo of the (k+1)-tuple,
+        # and puts mid[j] between them, the position of the sum of its two
+        # digits j, or nothing (width 1) for the one digit it drops
+        low, width = n ** after, n ** (k - before - after)
+        return tuple([positions[(hi * width + s) * low + lo]
+                      for hi in range(n ** before) for s in mid
+                      for lo in range(low)])
+
+    drop = (0,) * n
+    # d_0 merges no faces, so needs no sums
+    add = [group.index[group.add(g, h)] for g in elements
+           for h in elements] if k else None
+    return (face(0, drop, k),
+            *(face(i, add, k - 1 - i) for i in range(k)),
+            face(k, drop, 0))
+
+
+@functools.lru_cache(maxsize=16)
+def coboundary_matrix(group: FiniteAbelianGroup, k: int):
+    """d_k : C^k -> C^{k+1} in the tuple-product bases, as rows of
+    (column, coefficient) pairs: row r merges the r-th entries of the
+    k + 2 faces of _faces, face j with coefficient (-1)^j, zeros dropped:
+    at most k+2 pairs.  Kept for solve_mod and _eliminate, which read
+    rows.  Immutable tuples, cached per (group, k)."""
+    faces = _faces(group, k)
+    signs = [(-1) ** j for j in range(k + 2)]
     rows, pairs = [], {}  # one tuple per distinct pair, shared by the rows
-    for r, t in enumerate(itertools.product(range(n), repeat=k + 1)):
-        row = {r % pw[k]: 1}
-        sign = -1
-        for i in range(k):
-            # the digits of r before i, then g_i + g_{i+1}, then those after
-            col = ((r // pw[k + 1 - i] * n + add[t[i]][t[i + 1]])
-                   * pw[k - 1 - i] + r % pw[k - 1 - i])
+    for cols in zip(*faces):
+        row = {}
+        for col, sign in zip(cols, signs):
             row[col] = row.get(col, 0) + sign
-            sign = -sign
-        row[r // n] = row.get(r // n, 0) + sign
         rows.append(tuple(pairs.setdefault(ja, ja)
                           for ja in row.items() if ja[1]))
     return tuple(rows)
@@ -307,12 +348,14 @@ def cohomology_rank(group: FiniteAbelianGroup, modulus: int, degree: int):
 
 
 def _is_coboundary(group: FiniteAbelianGroup, values, m: int) -> bool:
-    """Whether the 2-cochain ``values`` mod m is df for a 1-cochain f.
+    """Whether the 2-cochain ``values``, reduced mod m, is df for a
+    1-cochain f.
 
     If so, f(0) = b(0, 0) and f(g + e_i) = f(g) + f(e_i) - b(g, e_i), so a
     walk, a coordinate at a time, gives f from x_i = f(e_i); the sum of b
     over the pairs (t e_i, e_i) is a_i x_i.  Two solutions x_i differ by a
-    homomorphism, whose df is 0, so any one serves; b = df is then checked."""
+    homomorphism, whose df is 0, so any one serves; b = df is then checked
+    by _differential."""
     n = group.size
     f = [values[0] % m]
     for a in [a for a in reversed(group.factors) if a > 1]:
@@ -324,13 +367,7 @@ def _is_coboundary(group: FiniteAbelianGroup, values, m: int) -> bool:
         x = y // g * pow(a // g, -1, m // g)
         for r in range(s, a * s):
             f.append((f[r - s] + x - values[(r - s) * n + s]) % m)
-    for row, v in zip(coboundary_matrix(group, 1), values):
-        total = -v
-        for j, a in row:
-            total += a * f[j]
-        if total % m:
-            return False
-    return True
+    return [v % m for v in _differential(group, 1, f)] == list(values)
 
 
 def cocycles_cohomologous(c1: Cochain, c2: Cochain) -> bool:
@@ -351,9 +388,15 @@ def cup_product_boxtimes(n: int) -> Cochain:
     """Degree-2 cochain ((b1,b2),(b1',b2')) -> b1*b2' on Z/n x Z/n.
 
     The first factor is mu_n written additively.  This is the cup product
-    of the two coordinate characters and is a 2-cocycle for every n.
+    of the two coordinate characters and is a 2-cocycle for every n.  Its
+    n^4 values are checked against TABLE_GUARD before they are built.
     """
-    return Cochain(_group((n, n)), 2, n, lambda g, h: g[0] * h[1])
+    check_work("cochain table", n * n, 2)
+    # ((g0, g1), (h0, h1)) sits at ((g0 n + g1) n + h0) n + h1, so the
+    # block of g0 is g0 * h1 over h1, once for each (g1, h0)
+    return Cochain(_group((n, n)), 2, n,
+                   [v for g0 in range(n)
+                    for v in [g0 * h1 for h1 in range(n)] * (n * n)])
 
 
 @dataclass(frozen=True)
@@ -433,7 +476,7 @@ def verify_coboundary_identity(n: int, power: int = 1) -> bool:
 
 def identity_character(n: int) -> Cochain:
     """The identity homomorphism Z/n -> Z/n as a 1-cochain."""
-    return Cochain(_group((n,)), 1, n, lambda g: g[0])
+    return Cochain(_group((n,)), 1, n, range(n))
 
 
 def lhs_edge_map(c: Cochain) -> Cochain:
@@ -453,24 +496,27 @@ def lhs_edge_map(c: Cochain) -> Cochain:
     n = G.factors[0]
     m = c.modulus
     Zn = _group((n,))
+    # (x, y) sits at x n + y and the pair (g, h) at g's position times n^2
+    # plus h's, so ((x,0),(y,0)) at x n^3 + y n, ((beta,0),(0,b)) at
+    # beta n^3 + b and ((0,b),(beta,0)) at b n^2 + beta n
+    v, n2, n3 = c.values, n * n, n ** 3
 
     # d(phi) = c restricted to the mu_n x mu_n face must have a solution
-    b = [c((x, 0), (y, 0)) for x in range(n) for y in range(n)]
+    b = [y for x in range(0, n * n3, n3) for y in v[x:x + n2:n]]
     if not _is_coboundary(Zn, b, m):
         raise ValueError("class does not vanish on fiber")
 
     # G is abelian, so df(g,h) = df(h,g) for every 1-cochain f: c and c
     # corrected by d(lift of phi) have the same pairing, read here off c
-    def pairing(beta: int, bb: int) -> int:
-        return (c((beta, 0), (0, bb)) - c((0, bb), (beta, 0))) % m
-
     out = []
     for bb in range(n):
+        pairing = [(x - y) % m for x, y in zip(v[bb::n3],
+                                               v[bb * n2:(bb + 1) * n2:n])]
         # the pairing is linear in beta; its value is the slope at 1
-        base = pairing(0, bb)
-        out.append(slope := (pairing(1, bb) - base) % m)
-        if any(pairing(beta, bb) != (beta * slope + base) % m
-               for beta in range(n)):
+        base = pairing[0]
+        out.append(slope := (pairing[1 % n] - base) % m)
+        if any(p != (beta * slope + base) % m
+               for beta, p in enumerate(pairing)):
             raise ValueError("fiber pairing is not a character")
     return Cochain(Zn, 1, m, out)
 

@@ -100,15 +100,21 @@ def test_cochain_values_contract():
             Cochain(G, 1, 4, values)
     with pytest.raises(TypeError, match="not a dict"):
         Cochain(G, 1, 4, {(g,): 0 for g in G.elements()})
+    # a modulus below 1 is refused, not divided by or reduced into
+    # negative values
+    for modulus, values in ((0, None), (-3, [1, 2, 3, 4, 5, 6]),
+                            (0, lambda g: 1)):
+        with pytest.raises(ValueError, match="modulus must be >= 1"):
+            Cochain(G, 1, modulus, values)
     for args in (((2, 0),), ((0, 3),), ((0,),), ((0, 0), (0, 0)), ()):
         with pytest.raises(KeyError):
             c(*args)
 
 
 def test_d_squared_is_zero(rng):
-    for factors in ((2,), (2, 2), (4,), (2, 3)):
+    for factors in ((1,), (1, 3), (2,), (2, 2), (4,), (2, 3)):
         G = FiniteAbelianGroup(factors)
-        for k in (0, 1, 2):
+        for k in (0, 1, 2, 3):
             c = Cochain.random(G, k, 6, rng)
             assert coboundary(coboundary(c)).is_zero()
 
@@ -135,12 +141,43 @@ def test_coboundary_matrix_rows_are_sparse_and_square_to_zero():
 
 
 def test_coboundary_matches_face_formula(rng):
-    for factors in ((2,), (3,), (2, 2), (2, 3), (4,)):
+    # the trivial group reads one entry a face, as Z/1 does
+    for factors in ((1,), (1, 3), (2,), (3,), (2, 2), (2, 3), (4,)):
         G = FiniteAbelianGroup(factors)
-        for k in (0, 1, 2):
+        for k in (0, 1, 2, 3):
             for m in (4, 6):
                 c = Cochain.random(G, k, m, rng)
-                assert coboundary(c) == _face_coboundary(c), (factors, k)
+                d = coboundary(c)
+                assert d == _face_coboundary(c), (factors, k)
+                # the pair rows are the merge of the same faces
+                rows = coboundary_matrix(G, k)
+                assert d == Cochain(G, k + 1, m, [
+                    sum(a * c.values[j] for j, a in row) for row in rows])
+
+
+def test_closed_form_tables_match_their_definitions(rng):
+    # the box product and the identity character are built in closed form;
+    # here they are built through their defining callables
+    for n in range(1, 8):
+        G, Zn = FiniteAbelianGroup((n, n)), FiniteAbelianGroup((n,))
+        assert cup_product_boxtimes(n) == Cochain(G, 2, n,
+                                                  lambda g, h: g[0] * h[1])
+        assert identity_character(n) == Cochain(Zn, 1, n, lambda g: g[0])
+    # lhs_edge_map still refuses a class that does not vanish on the fiber
+    # (the carry cocycle on mu_n generates H^2(Z/n, Z/n)) and a pairing
+    # beta^2 b that is not a character, shifted by a coboundary or not
+    for n in (2, 3, 5):
+        G = FiniteAbelianGroup((n, n))
+        carry = Cochain(G, 2, n, lambda g, h: int(g[0] + h[0] >= n))
+        shift = coboundary(Cochain.random(G, 1, n, rng))
+        for c in (carry, carry + cup_product_boxtimes(n) + shift):
+            with pytest.raises(ValueError, match="does not vanish"):
+                lhs_edge_map(c)
+        if n > 2:  # beta^2 = beta on Z/2
+            square = Cochain(G, 2, n, lambda g, h: g[0] ** 2 * h[1])
+            for c in (square, square + shift):
+                with pytest.raises(ValueError, match="not a character"):
+                    lhs_edge_map(c)
 
 
 def test_coboundary_matrix_is_cached_and_left_unchanged():
@@ -153,6 +190,7 @@ def test_coboundary_matrix_is_cached_and_left_unchanged():
     assert coboundary_matrix(FiniteAbelianGroup((2, 3)), 1) is rows
     assert [list(row) for row in rows] == snapshot
     assert coboundary_matrix.cache_info().maxsize is not None
+    assert cohomology._faces.cache_info().maxsize is not None
 
 
 def test_degree_two_checks_eliminate_no_matrix(monkeypatch, capsys):
