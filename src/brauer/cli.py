@@ -1,5 +1,12 @@
 """Command-line front end.
 
+Each ``cmd_*`` function maps its parsed arguments to (params, results,
+pass, text lines) and prints nothing.  ``main`` alone does the rest: it
+names the command (``cohomology <sub>`` for cohomology), builds the JSON
+payload {"command", "params", "results", "pass"}, or {"command", "error",
+"exit"} for an error from ``_ERRORS``, prints it or the text lines, and
+picks the exit code.
+
 Exit codes: 0 all checks passed, 1 a verified identity failed, 2 parse
 error, 3 constraint violation (bad q/n combination, or any other
 ValueError), 4 size guard exceeded.
@@ -52,69 +59,43 @@ def _residue_json(r: ResidueClass) -> dict:
     return {"value": r.value, "n": r.n, "zeta": r.zeta.key()}
 
 
-def _emit(args, payload: dict, text_lines):
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
-    return 0 if payload["pass"] else EXIT_CHECK_FAILED
-
-
 # ---------------------------------------------------------------------------
 
 
-def cmd_residue(args) -> int:
+def cmd_residue(args):
     F = _field_for(args.q, args.n)
     alpha = parse_symbol_sum(args.symbol, F, args.n)
     P = parse_place(args.place, F)
     r = tame_residue(alpha, P)
-    payload = {
-        "command": "residue",
-        "params": {"q": args.q, "n": args.n, "symbol": args.symbol,
-                   "place": str(P)},
-        "results": {"residue": _residue_json(r)},
-        "pass": True,
-    }
-    return _emit(args, payload, [f"{r.value} (zeta={r.zeta!r})"])
+    return ({"q": args.q, "n": args.n, "symbol": args.symbol, "place": str(P)},
+            {"residue": _residue_json(r)}, True,
+            [f"{r.value} (zeta={r.zeta!r})"])
 
 
-def cmd_ramification(args) -> int:
+def cmd_ramification(args):
     F = _field_for(args.q, args.n)
     alpha = parse_symbol_sum(args.symbol, F, args.n)
     div = ramification_divisor(alpha)
-    payload = {
-        "command": "ramification",
-        "params": {"q": args.q, "n": args.n, "symbol": args.symbol},
-        "results": {"divisor": [{"place": str(P),
-                                 "residue": _residue_json(r)}
-                                for P, r in div.items()]},
-        "pass": True,
-    }
-    return _emit(args, payload, [repr(div)])
+    return ({"q": args.q, "n": args.n, "symbol": args.symbol},
+            {"divisor": [{"place": str(P), "residue": _residue_json(r)}
+                         for P, r in div.items()]}, True, [repr(div)])
 
 
-def cmd_reciprocity(args) -> int:
+def cmd_reciprocity(args):
     F = _field_for(args.q, args.n)
     alpha = parse_symbol_sum(args.symbol, F, args.n)
     total = (reciprocity_sum(alpha) if alpha.terms
              else ResidueClass(args.n, 0, F.zeta(args.n)))
-    ok = total.is_zero()
     lines = []
     if args.format == "text" and alpha.terms:  # only text lists the places
         lines = [f"  {P}: {r.value}"
                  for P, r in ramification_divisor(alpha).items()]
     lines.append(f"sum={total.value}")
-    payload = {
-        "command": "reciprocity",
-        "params": {"q": args.q, "n": args.n, "symbol": args.symbol},
-        "results": {"sum": _residue_json(total)},
-        "pass": ok,
-    }
-    return _emit(args, payload, lines)
+    return ({"q": args.q, "n": args.n, "symbol": args.symbol},
+            {"sum": _residue_json(total)}, total.is_zero(), lines)
 
 
-def cmd_cohomology(args) -> int:
+def cmd_cohomology(args):
     n = args.n
     # rank with both --factors and --m never reads n
     uses_n = not (args.subcommand == "rank" and args.factors is not None
@@ -125,21 +106,20 @@ def cmd_cohomology(args) -> int:
         raise ConstraintError("n must be >= 2")
     results: dict = {}
     params = {"n": n, "q": args.gamma_q}
-    lines = []
     ok = True
     if args.subcommand == "edge":
         edge = lhs_edge_map(cup_product_boxtimes(n))
         ok = edge == identity_character(n)
         results["edge_values"] = [edge((b,)) for b in range(n)]
-        lines.append(f"1_boxtimes_1 -> {'1' if ok else results['edge_values']}"
-                     f" : {'PASS' if ok else 'FAIL'}")
+        line = (f"1_boxtimes_1 -> {'1' if ok else results['edge_values']}"
+                f" : {'PASS' if ok else 'FAIL'}")
     elif args.subcommand == "epsilon":
         ok = verify_coboundary_identity(n)
         if args.format == "json":  # text prints only the verdict
             eps, text = epsilon_cocycle(n), functools.cache(str)  # once each
             results["epsilon"] = [[text(eps[b, b2]) for b2 in range(n)]
                                   for b in range(n)]
-        lines.append(f"coboundary identity {'PASS' if ok else 'FAIL'}")
+        line = f"coboundary identity {'PASS' if ok else 'FAIL'}"
     elif args.subcommand == "gamma":
         if args.gamma_q is None:
             raise ConstraintError("gamma requires --q")
@@ -152,8 +132,8 @@ def cmd_cohomology(args) -> int:
         ok = matches and nontrivial
         results["cohomologous_to_minus_boxtimes"] = matches
         results["nontrivial"] = nontrivial
-        lines.append(f"factor set ~ -(1x1) : {'PASS' if ok else 'FAIL'}")
-    elif args.subcommand == "rank":
+        line = f"factor set ~ -(1x1) : {'PASS' if ok else 'FAIL'}"
+    else:  # rank
         try:
             factors = ([int(x) for x in args.factors.split(",")]
                        if args.factors is not None else [n])
@@ -164,46 +144,29 @@ def cmd_cohomology(args) -> int:
         params.update(factors=factors, m=m, degree=args.degree)
         ranks = cohomology_rank(FiniteAbelianGroup(factors), m, args.degree)
         results["invariant_factors"] = ranks
-        lines.append(f"H^{args.degree}({' x '.join(f'Z/{f}' for f in factors)},"
-                     f" Z/{m}) = {ranks}")
-    payload = {
-        "command": f"cohomology {args.subcommand}",
-        "params": params,
-        "results": results,
-        "pass": ok,
-    }
-    return _emit(args, payload, lines)
+        line = (f"H^{args.degree}({' x '.join(f'Z/{f}' for f in factors)},"
+                f" Z/{m}) = {ranks}")
+    return params, results, ok, [line]
 
 
-def cmd_conic(args) -> int:
+def cmd_conic(args):
     F = _field_for(args.q, n=2, odd=True)
     a = parse_ratfunc(args.a, F)
     b = parse_ratfunc(args.b, F)
     if a.is_zero() or b.is_zero():
         raise ParseError("conic coefficients must be nonzero")
-    C = ConicBundle(a, b)
-    rows = check_artin(C)
-    ok = all(agree for _, _, _, agree in rows)
-    lines = []
-    if not rows:
-        lines.append("unramified everywhere")
-    for P, geo, res, agree in rows:
-        lines.append(f"  place={P} geometric={geo.value} residue={res.value} "
-                     f"agree={str(agree).lower()}")
-    payload = {
-        "command": "conic",
-        "params": {"q": args.q, "a": args.a, "b": args.b},
-        "results": {"places": [{"place": str(P),
-                                "geometric": _residue_json(geo),
-                                "residue": _residue_json(res),
-                                "agree": agree}
-                               for P, geo, res, agree in rows]},
-        "pass": ok,
-    }
-    return _emit(args, payload, lines)
+    rows = check_artin(ConicBundle(a, b))
+    lines = [f"  place={P} geometric={geo.value} residue={res.value} "
+             f"agree={str(agree).lower()}" for P, geo, res, agree in rows]
+    return ({"q": args.q, "a": args.a, "b": args.b},
+            {"places": [{"place": str(P), "geometric": _residue_json(geo),
+                         "residue": _residue_json(res), "agree": agree}
+                        for P, geo, res, agree in rows]},
+            all(agree for _, _, _, agree in rows),
+            lines or ["unramified everywhere"])
 
 
-def cmd_selftest(args) -> int:
+def cmd_selftest(args):
     from .poly import Poly
     from .ratfunc import RatFunc, _divisor, valuation
     if args.rounds < 1:
@@ -267,16 +230,9 @@ def cmd_selftest(args) -> int:
                 except TableSizeError:
                     pass
         lines.append(f"F_{q}: {args.rounds} rounds done")
-    ok = not failures
-    lines.append("selftest " + ("PASS" if ok else "FAIL"))
-    lines.extend(failures)
-    payload = {
-        "command": "selftest",
-        "params": {"seed": seed, "rounds": args.rounds},
-        "results": {"failures": failures},
-        "pass": ok,
-    }
-    return _emit(args, payload, lines)
+    lines.append("selftest " + ("FAIL" if failures else "PASS"))
+    return ({"seed": seed, "rounds": args.rounds}, {"failures": failures},
+            not failures, lines + failures)
 
 
 # ---------------------------------------------------------------------------
@@ -348,19 +304,27 @@ _ERRORS = ((ParseError, "parse error", "parse", EXIT_PARSE),
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    command = args.command + (f" {args.subcommand}"
+                              if args.command == "cohomology" else "")
     try:
-        return args.func(args)
+        params, results, ok, lines = args.func(args)
     except (ValueError, ZeroDivisionError) as exc:
         prefix, kind, code = next(rest for cls, *rest in _ERRORS
                                   if isinstance(exc, cls))
         print(f"{prefix}: {exc}", file=sys.stderr)
-        if args.format == "json":
-            command = args.command + (f" {args.subcommand}"
-                                      if args.command == "cohomology" else "")
-            print(json.dumps({"command": command,
-                              "error": {"kind": kind, "message": str(exc)},
-                              "exit": code}, indent=2))
-        return code
+        payload = {"command": command,
+                   "error": {"kind": kind, "message": str(exc)}, "exit": code}
+        lines = []
+    else:
+        code = 0 if ok else EXIT_CHECK_FAILED
+        payload = {"command": command, "params": params, "results": results,
+                   "pass": ok}
+    if args.format == "json":
+        print(json.dumps(payload, indent=2))
+    else:
+        for line in lines:
+            print(line)
+    return code
 
 
 if __name__ == "__main__":

@@ -23,11 +23,12 @@ extension of mu_n x Z/n (scalars, the n-cycle permutation C, and the
 diagonal D of successive root-of-unity powers), read off the section
 S_(beta,b) = D^beta C^b, each matrix held as the column and entry of each
 row.  A formal unit holds its pi-exponent as an int count of 1/n steps,
-so the identity is checked in integer arithmetic, at beta = 0 and 1 for
-each pair (b, b').  TableSizeError, its bound TABLE_GUARD and check_work,
-the one function that raises it, live here: every operation of the
-package that may build more than TABLE_GUARD entries passes its estimate
-of them to check_work before it builds anything.
+so the identity is checked in integer arithmetic, once for each pair
+(b, b'): the translation's zeta^(power*beta*b') cancels for every beta.
+TableSizeError, its bound TABLE_GUARD and check_work, the one function
+that raises it, live here: every operation of the package that may build
+more than TABLE_GUARD entries passes its estimate of them to check_work
+before it builds anything.
 """
 
 from __future__ import annotations
@@ -273,11 +274,13 @@ def coboundary_matrix(group: FiniteAbelianGroup, k: int):
 
 
 def _compositions(k: int, r: int):
-    """The r-tuples of ints >= 0 summing to k, in lexicographic order."""
+    """The r-tuples of ints >= 0 summing to k, in lexicographic order: by
+    stars and bars, the gaps between r - 1 bars placed among k + r - 1
+    slots, whose combinations come in the same order."""
     if r == 0:
         return [()] if k == 0 else []
-    return [(j,) + rest for j in range(k + 1)
-            for rest in _compositions(k - j, r - 1)]
+    return [tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (k + r - 1,)))
+            for bars in itertools.combinations(range(k + r - 1), r - 1)]
 
 
 def _resolution_differential(factors, k: int):
@@ -316,10 +319,11 @@ def cohomology_rank(group: FiniteAbelianGroup, modulus: int, degree: int):
     adds Z/p^e.  Returned ascending, factors equal to 1 omitted.
 
     For r factors above 1, check_work gets n^j >= C(n, r), n = k + 1 + r,
-    j = min(r, k + 1): the coordinates up to degree k + 1 and the calls of
-    _compositions(k, r), k + 2 for one factor.  Then the rows times the
-    columns of d_k, the most entries one elimination per prime power of
-    the modulus holds and scans in a pass.  No group element is listed.
+    j = min(r, k + 1): the coordinates up to degree k + 1, k + 2 for one
+    factor.  Then the larger of the rows times the columns of d_k, the
+    most entries one elimination per prime power of the modulus holds and
+    scans in a pass, and r C(k + r, r - 1), the rows of d_k listed as
+    r-tuples.  No group element is listed.
     """
     if degree < 0:
         raise ValueError(f"cohomology degree must be >= 0, got {degree}")
@@ -329,8 +333,9 @@ def cohomology_rank(group: FiniteAbelianGroup, modulus: int, degree: int):
     n = degree + 1 + r
     check_work("small complex", n, min(r, degree + 1))
     if r:  # each binomial is at most C(n, r) <= n^j, so quick to form
-        check_work("elimination", math.comb(n - 1, r - 1)
-                   * math.comb(n - 2, r - 1))
+        rows = math.comb(n - 1, r - 1)
+        check_work("elimination", rows * math.comb(n - 2, r - 1),
+                   least=r * rows)
     d_k, N = _resolution_differential(group.factors, degree)
     mats = [d_k]
     if degree > 0:
@@ -447,10 +452,10 @@ def verify_coboundary_identity(n: int, power: int = 1) -> bool:
 
     The Cech coboundary of the 1-cochain indexed by (beta, b) is evaluated
     with the torsor translation: restricting the second index along the
-    first multiplies the n-th root of pi by zeta^beta.  Both sides'
-    zeta-exponents are affine in beta mod n, so they agree for every beta
-    once they agree at beta = 0 and 1: the walk is over the n^2 pairs
-    (b, b'), and n^2 > TABLE_GUARD raises TableSizeError before the walk.
+    first multiplies the n-th root of pi by zeta^beta, so the translated
+    cochain carries zeta^(power*beta*b'), which the identity's own factor
+    cancels for every beta.  The walk is over the n^2 pairs (b, b'), and
+    n^2 > TABLE_GUARD raises TableSizeError before the walk.
     """
     check_work("coboundary check", n, 2)
     eps = epsilon_cocycle(n, power)
@@ -458,15 +463,13 @@ def verify_coboundary_identity(n: int, power: int = 1) -> bool:
     # multiply as in FormalUnit.__mul__.  The cochain reads b and the
     # translation beta, so the identity c_{g+g'}^-1 c_g eps = (c_{g'}
     # translated by g)^-1 zeta^(power*beta*b') is independent of beta', and
-    # its right side depends on b' and beta only
+    # its right side is (-power*b', 0) for every beta
     for b2 in range(n):
-        # c_{g'} translated by g: the root picks up the factor zeta^beta
-        t0, t1 = ((-power * b2, (power * beta * b2 - power * beta * b2) % n)
-                  for beta in (0, 1))
+        target = (-power * b2, 0)
         for b in range(n):
             u = eps[b, b2]
             d = (power * (b - (b + b2) % n) + u.pi_steps, u.zeta_exponent % n)
-            if d != t0 or d != t1:
+            if d != target:
                 return False
     return True
 

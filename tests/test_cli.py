@@ -441,3 +441,73 @@ def test_parser_built_once_per_process(capsys):
     assert cached == fresh
     assert fresh[0][0] == 2 and fresh[0][2].startswith("usage: brauer conic")
     assert [code for code, _, _ in fresh[1:]] == [0, 0, 0]
+
+
+# per subcommand, a run that answers and one that is refused
+PAYLOAD_CASES = [
+    ("residue", ["--q", "5", "--n", "2", "--symbol", "(t, 2)_2",
+                 "--place", "t"],
+     ["--q", "6", "--n", "2", "--symbol", "(t, 2)_2", "--place", "t"]),
+    ("ramification", ["--q", "5", "--n", "2", "--symbol", "(t, 2)_2"],
+     ["--q", "5", "--n", "2", "--symbol", "(t,,2)_2"]),
+    ("reciprocity", ["--q", "5", "--n", "2", "--symbol", "(t, t+1)_2"],
+     ["--q", "5", "--n", "3", "--symbol", "(t, t+1)_3"]),
+    ("cohomology edge", ["--n", "3"], ["--n", "32"]),
+    ("cohomology epsilon", ["--n", "4"], ["--n", "1"]),
+    ("cohomology gamma", ["--n", "2", "--q", "5"], ["--n", "2"]),
+    ("cohomology rank", ["--factors", "2,2", "--m", "2"],
+     ["--factors", "x", "--m", "2"]),
+    ("conic", ["--q", "5", "--a", "t", "--b", "2"],
+     ["--q", "2", "--a", "t", "--b", "1"]),
+    ("selftest", ["--rounds", "1"], ["--rounds", "0"]),
+]
+
+
+def test_payload_keys_and_command_names(capsys, monkeypatch):
+    monkeypatch.delenv("BRAUER_SEED", raising=False)
+    for command, answered, refused in PAYLOAD_CASES:
+        for extra, keys in ((answered, ["command", "params", "results",
+                                        "pass"]),
+                            (refused, ["command", "error", "exit"])):
+            argv = command.split() + extra
+            text = run(capsys, *argv)
+            code, out, err = run(capsys, *argv, "--format", "json")
+            payload = json.loads(out)
+            assert list(payload) == keys, argv
+            assert payload["command"] == command, argv
+            assert (code, err) == (text[0], text[2]), argv
+            if "exit" in payload:
+                assert code == payload["exit"] >= 2 and text[1] == "", argv
+            else:
+                assert (code, payload["pass"]) == (0, True), argv
+
+
+def test_failed_identity_exits_one_in_both_formats(capsys, monkeypatch):
+    real_edge, real_sum = cli.lhs_edge_map, cli.reciprocity_sum
+    real_artin = cli.check_artin
+    cases = [
+        ("lhs_edge_map", lambda c: 2 * real_edge(c),
+         ["cohomology", "edge", "--n", "3"],
+         "1_boxtimes_1 -> [0, 2, 1] : FAIL"),
+        ("verify_coboundary_identity", lambda n: False,
+         ["cohomology", "epsilon", "--n", "4"], "coboundary identity FAIL"),
+        ("cocycles_cohomologous", lambda a, b: False,
+         ["cohomology", "gamma", "--n", "2", "--q", "5"],
+         "factor set ~ -(1x1) : FAIL"),
+        ("reciprocity_sum",
+         lambda a: real_sum(a) + ResidueClass(a.n, 1, real_sum(a).zeta),
+         ["reciprocity", "--q", "5", "--n", "2", "--symbol", "(t, t+1)_2"],
+         "sum=1"),
+        ("check_artin",
+         lambda C: [(P, g, r, False) for P, g, r, _ in real_artin(C)],
+         ["conic", "--q", "5", "--a", "t", "--b", "2"],
+         "  place=t geometric=1 residue=1 agree=false"),
+    ]
+    for name, broken, argv, line in cases:
+        monkeypatch.setattr(cli, name, broken)
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (1, ""), argv
+        assert line in out.splitlines(), argv
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (1, ""), argv
+        assert '"pass": false' in out and json.loads(out)["pass"] is False

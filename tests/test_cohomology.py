@@ -405,6 +405,33 @@ def test_resolution_differential_is_small_and_squares_to_zero():
     assert cohomology._resolution_differential((), 2) == ((), 0)
 
 
+def _recursive_compositions(k, r):
+    """The listing _compositions replaced: one recursion level per part."""
+    if r == 0:
+        return [()] if k == 0 else []
+    return [(j,) + rest for j in range(k + 1)
+            for rest in _recursive_compositions(k - j, r - 1)]
+
+
+def test_compositions_match_the_recursive_listing():
+    for k in range(9):
+        for r in range(7):
+            assert (cohomology._compositions(k, r)
+                    == _recursive_compositions(k, r)), (k, r)
+
+
+def test_cohomology_rank_at_degree_zero_with_many_factors():
+    # the recursive listing overflowed the stack from 497 factors; the
+    # rows of d_0 are r tuples of r entries, so 1000 factors is the last
+    # answered
+    for r in (497, 1000):
+        G = FiniteAbelianGroup((2,) * r)
+        assert cohomology_rank(G, 2, 0) == _closed_form_rank((2,) * r, 2, 0)
+    with pytest.raises(cohomology.TableSizeError,
+                       match="elimination of 1002001 entries"):
+        cohomology_rank(FiniteAbelianGroup((2,) * 1001), 2, 0)
+
+
 def test_cohomology_rank_three_oracles_agree():
     # the small complex, the closed form and the bar complex.  The bar
     # oracle runs wherever d_k has at most 512 rows.  Where it has 4096
@@ -617,7 +644,8 @@ def test_coboundary_identity_matches_fraction_reference():
 def _epsilon_n3_walk(n, power):
     """The coboundary identity at every triple (beta, b, b'), each side held
     as (pi_steps, zeta exponent mod n): the n^3 walk that
-    verify_coboundary_identity shortens to beta in {0, 1}."""
+    verify_coboundary_identity shortens to the n^2 pairs, since the
+    translation's zeta^(power*beta*b') cancels for every beta."""
     eps = cohomology.epsilon_cocycle(n, power)
     for b2 in range(n):
         for b in range(n):
@@ -662,6 +690,17 @@ def test_coboundary_identity_fails_on_a_dropped_carry(monkeypatch):
 
     monkeypatch.setattr(cohomology, "epsilon_cocycle", dropped_carry)
     for n in (2, 3, 7, 12):
+        assert not verify_coboundary_identity(n)
+
+    # the right pi-exponent with a stray root of unity fails too
+    def stray_zeta(n, power=1):
+        eps = real(n, power)
+        eps[0, n - 1] = FormalUnit(eps[0, n - 1].pi_steps, 1, n)
+        return eps
+
+    monkeypatch.setattr(cohomology, "epsilon_cocycle", stray_zeta)
+    for n in (2, 3, 7, 12):
+        assert not _epsilon_n3_walk(n, 1)
         assert not verify_coboundary_identity(n)
 
 
