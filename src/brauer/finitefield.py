@@ -3,9 +3,11 @@
 An element of F_{p^d} = F_p[x]/(modulus) is its int key, sum c_i p^i over
 its coefficients c_i in [0, p), so over F_p the residue mod p; Poly
 coefficients are keys too.  The key ops _kadd, _ksub, _kneg, _kmul, _kinv
-and _kpow are the only arithmetic: ints mod p over F_p, one loop over the
-base-p digits of the keys otherwise, and inverses in F_{p^d} from the
-extended Euclid of a and the modulus on digit lists.  Fields are cached by
+and _kpow are the element arithmetic: ints mod p over F_p, one loop over
+the base-p digits of the keys otherwise, and inverses in F_{p^d} from the
+extended Euclid of a and the modulus on digit lists.  Over F_p, poly's
+_mul, _divmod and _monic do their int arithmetic inline, calling only
+_kinv; over F_{p^d} they step through the key ops.  Fields are cached by
 (p, d, modulus); a modulus is checked, and the default one found, with
 Poly.is_irreducible, so F_p[x] has one implementation.  A field builds
 log/exp tables on keys on first request; only the conic point count asks,

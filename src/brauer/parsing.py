@@ -43,17 +43,16 @@ def _read_int(tok: str, m: int | None = None) -> int:
     return v
 
 
-_TOKEN = re.compile(r"\s*(\d+|t|\^|\*|\+|-|/|\(|\)|,|_)")
+_ONE = r"\s*(\d+|t|\^|\*|\+|-|/|\(|\)|,|_)"
+_TOKEN, _TOKENS = re.compile(_ONE), re.compile(f"(?:{_ONE})*")
 
 
 def _tokenize(s: str):
-    """The tokens of s, and the text from the first character that starts
-    no token (None when only whitespace is left)."""
-    out, pos = [], 0
-    while m := _TOKEN.match(s, pos):
-        out.append(m.group(1))
-        pos = m.end()
-    return out, s[pos:] if s[pos:].strip() else None
+    """The tokens of s, then None, and the text from the first character
+    that starts no token (None when only whitespace is left)."""
+    end = _TOKENS.match(s).end()
+    rest = s[end:]
+    return _TOKEN.findall(s, 0, end) + [None], rest if rest.strip() else None
 
 
 class _Parser:
@@ -67,9 +66,10 @@ class _Parser:
         self.n = n  # a symbol sum's modulus
 
     def peek(self):
-        if self.i == len(self.tokens) and self.rest is not None:
+        tok = self.tokens[self.i]
+        if tok is None and self.rest is not None:
             raise ParseError(f"unexpected character at {self.rest!r}")
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
+        return tok
 
     def take(self):
         tok = self.peek()
@@ -98,7 +98,7 @@ class _Parser:
             if self.peek() not in ("+", "-"):
                 return self.n, terms
             sign = self.take()
-        if not self.tokens:
+        if self.tokens[0] is None:
             raise ParseError("cannot infer n from an empty symbol sum")
         raise ParseError("dangling or doubled sign in symbol sum")
 
@@ -198,7 +198,7 @@ def _parse(s: str, field: FiniteField, production, n: int | None = None):
     p = _Parser(s, field, n)
     out = production(p)
     if p.peek() is not None:
-        raise ParseError(f"trailing input {' '.join(p.tokens[p.i:])!r}")
+        raise ParseError(f"trailing input {' '.join(p.tokens[p.i:-1])!r}")
     return out
 
 

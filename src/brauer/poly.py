@@ -3,13 +3,16 @@
 Every algorithm is one private kernel on a key list: the int keys of the
 coefficients (key = sum c_i p^i, so over F_p the residue mod p), low
 degree first and trimmed, with the empty list for zero.  Kernels take the
-field first, never change their inputs and step through the field's key
-ops (FiniteField._kadd, _kmul, ...), which are plain ints mod p over a
-prime field, so F_p and F_{p^d} run the same code.  Factorization is
-squarefree decomposition followed by distinct-degree and Cantor-Zassenhaus
-equal-degree splitting (odd characteristic), after von zur Gathen and
-Gerhard, Modern Computer Algebra, ch. 14; splitting uses a
-polynomial-derived seed so results are deterministic.
+field first and never change their inputs.  Over a prime field (F.d == 1)
+the coefficient kernels _mul, _divmod and _monic do plain int arithmetic:
+a product or a remainder sums unreduced ints and reduces each coefficient
+mod p once at the end.  Over F_{p^d} they step through the field's key
+ops (FiniteField._kadd, _kmul, ...).  The other kernels (_gcd, _powmod,
+_resultant, factor) run through these, the same code for both fields.
+Factorization is squarefree decomposition followed by distinct-degree and
+Cantor-Zassenhaus equal-degree splitting (odd characteristic), after von
+zur Gathen and Gerhard, Modern Computer Algebra, ch. 2 and 14; splitting
+uses a polynomial-derived seed so results are deterministic.
 
 Poly is the boundary type: each method wraps one kernel, so a chain of
 steps (a factorization, a parse, the divide-by-pi loop of ratfunc) builds
@@ -56,8 +59,15 @@ def _neg(F, a) -> list:
 def _mul(F, a, b) -> list:
     if not a or not b:
         return []
-    add, mul = F._kadd, F._kmul
     out = [0] * (len(a) + len(b) - 1)
+    if F.d == 1:  # ints: sum the products, reduce each coefficient once
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        p = F.p
+        return [c % p for c in out]
+    add, mul = F._kadd, F._kmul
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b, i):
@@ -84,10 +94,19 @@ def _divmod(F, a, b):
     dq = len(rem) - nb - 1
     if dq < 0:
         return [], rem
-    sub, mul = F._ksub, F._kmul
-    # a monic b (pi, or f in a reduction mod f) needs no product by inv
+    # a monic b (pi, or f in a reduction mod f) has inv = 1, and the key-op
+    # loop then skips the product by inv
     low, inv = b[:-1], 1 if b[-1] == 1 else F._kinv(b[-1])
     quo = [0] * (dq + 1)
+    if F.d == 1:  # ints: rem is reduced where it is read, and once at the end
+        p = F.p
+        for i in range(dq, -1, -1):
+            c = quo[i] = rem[i + nb] * inv % p
+            if c:
+                for j, y in enumerate(low, i):
+                    rem[j] -= c * y
+        return quo, _trim([c % p for c in rem[:nb]])
+    sub, mul = F._ksub, F._kmul
     for i in range(dq, -1, -1):
         c = quo[i] = rem[i + nb] if inv == 1 else mul(rem[i + nb], inv)
         if c:  # rem[i + nb] becomes 0 and is cut below
@@ -102,7 +121,11 @@ def _monic(F, a) -> list:
     are lists, never the caller's tuple, and sort against each other."""
     if not a or a[-1] == 1:
         return list(a)
-    mul, inv = F._kmul, F._kinv(a[-1])
+    inv = F._kinv(a[-1])
+    if F.d == 1:
+        p = F.p
+        return [c * inv % p for c in a]
+    mul = F._kmul
     return [mul(c, inv) for c in a]
 
 
@@ -166,6 +189,9 @@ def _squarefree(F, a) -> list:
             recurse(_pth_root(F, f), mult * p)
             return
         g = _gcd(F, f, d)
+        if len(g) == 1:  # f is squarefree: what the loop below returns
+            out.append((f, mult))
+            return
         w = _divmod(F, f, g)[0]
         i = 1
         while len(w) > 1:
@@ -386,6 +412,8 @@ class Poly:
                          _powmod(self.field, self.coeffs, e, mod.coeffs))
 
     def __eq__(self, other):
+        if isinstance(other, FieldElement) and other.field is not self.field:
+            return False
         if isinstance(other, (int, FieldElement)):
             other = Poly(self.field, (other,))
         return (isinstance(other, Poly) and other.field is self.field
@@ -408,6 +436,8 @@ class Poly:
 
     def evaluate(self, x: FieldElement) -> FieldElement:
         F = self.field
+        if x.field is not F:
+            raise ValueError("point from a different field")
         xk, acc = x.key(), 0
         for c in reversed(self.coeffs):
             acc = F._kadd(F._kmul(acc, xk), c)

@@ -15,7 +15,7 @@ and take their residue field from the same cache entry.
 from __future__ import annotations
 
 from .finitefield import FieldElement, FiniteField
-from .poly import Poly, _divmod, _resultant
+from .poly import Poly, _divmod, _gcd, _mul, _resultant
 
 
 class RatFunc:
@@ -24,24 +24,25 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num: Poly, den: Poly | None = None):
+        F = num.field
         if den is None:
-            den = Poly.one(num.field)
-        if num.field is not den.field:
+            self.num, self.den = num, Poly._raw(F, (1,))
+            return
+        if den.field is not F:
             raise ValueError("numerator and denominator over different fields")
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            den = Poly.one(num.field)
+        a, b = num.coeffs, den.coeffs
+        if not a:
+            b = (1,)
         else:
-            g = num.gcd(den)
-            if g.degree > 0:
-                num, den = num // g, den // g
-            lc = den.leading_coefficient()
-            if lc != num.field.one():
-                inv = lc.inverse()
-                num, den = num * inv, den * inv
-        self.num = num
-        self.den = den
+            g = _gcd(F, a, b)
+            if len(g) > 1:
+                a, b = _divmod(F, a, g)[0], _divmod(F, b, g)[0]
+            if b[-1] != 1:
+                inv = [F._kinv(b[-1])]
+                a, b = _mul(F, a, inv), _mul(F, b, inv)
+        self.num, self.den = Poly._raw(F, a), Poly._raw(F, b)
 
     @classmethod
     def constant(cls, field: FiniteField, c) -> "RatFunc":
@@ -130,7 +131,8 @@ class RatFunc:
 
     def __eq__(self, other):
         if isinstance(other, (int, FieldElement, Poly)):
-            other = self._coerce(other)
+            # Poly's == is False for another field, as here
+            return self.den.coeffs == (1,) and self.num == other
         return (isinstance(other, RatFunc) and other.field is self.field
                 and other.num == self.num and other.den == self.den)
 

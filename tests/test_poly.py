@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from brauer import FiniteField, Poly
+from brauer import FiniteField, Poly, RatFunc
 from brauer.finitefield import prime_powers
 from brauer.poly import _resultant
 
@@ -218,13 +218,28 @@ def _random_ints(rng, p, max_len=9):
     return _trim([rng.randrange(p) for _ in range(rng.randrange(0, max_len))])
 
 
-@pytest.mark.parametrize("p", [5, 13])
+def _int_add(a, b, p):
+    a, b = a + [0] * (len(b) - len(a)), b + [0] * (len(a) - len(b))
+    return _trim([(x + y) % p for x, y in zip(a, b)])
+
+
+def _int_neg(a, p):
+    return [-c % p for c in a]
+
+
+# at 2^31 - 1 and 10^9 + 7 a product of two keys is near 2^62, so the
+# unreduced sums of 40 of them in _mul and _divmod pass 2^64
+@pytest.mark.parametrize("p", [5, 13, 2 ** 31 - 1, 10 ** 9 + 7])
 def test_arithmetic_matches_int_schoolbook(rng, p):
     F = FiniteField(p)
+    max_len = 9 if p < 100 else 41
     for _ in range(60):
-        a, b = _random_ints(rng, p), _random_ints(rng, p)
+        a, b = _random_ints(rng, p, max_len), _random_ints(rng, p, max_len)
         A, B = Poly(F, a), Poly(F, b)
         assert list(A.coeffs) == a and list(B.coeffs) == b
+        assert list((A + B).coeffs) == _int_add(a, b, p)
+        assert list((A - B).coeffs) == _int_add(a, _int_neg(b, p), p)
+        assert list((-A).coeffs) == _int_neg(a, p)
         assert list((A * B).coeffs) == _int_mul(a, b, p)
         assert list(A.derivative().coeffs) == _int_derivative(a, p)
         if not b:
@@ -233,8 +248,75 @@ def test_arithmetic_matches_int_schoolbook(rng, p):
         assert (list(q.coeffs), list(r.coeffs)) == _int_divmod(a, b, p)
         assert list(B.monic().coeffs) == _int_monic(b, p)
         assert list(A.gcd(B).coeffs) == _int_gcd(a, b, p)
-        e = rng.randrange(0, p ** 3)
+        e = rng.randrange(0, min(p ** 3, 10 ** 6))
         assert list(A.pow_mod(e, B).coeffs) == _int_pow_mod(a, e, b, p)
+
+
+def _int_ratfunc(a, b, p):
+    """(num, den) of a/b normalised by hand: the gcd cancelled, then both
+    divided by the leading coefficient of what is left of b."""
+    if not a:
+        return [], [1]
+    g = _int_gcd(a, b, p)
+    a, b = _int_divmod(a, g, p)[0], _int_divmod(b, g, p)[0]
+    inv = pow(b[-1], p - 2, p)
+    return [c * inv % p for c in a], [c * inv % p for c in b]
+
+
+def _ratfunc_cases(rng, draw, mul, one):
+    """(num, den) pairs: a common factor, a non-monic denominator and a zero
+    numerator, then random ones with a random common factor multiplied in."""
+    # t(t+1) / 2t^2(t+1), then coprime pairs, zero over a non-monic and
+    # over a constant, and two constants
+    cases = [(mul([0, 1], [1, 1]), mul([0, 0, 2], [1, 1])),
+             ([1, 2], [3, 0, 4]), ([], [2, 1]), ([], [3]), ([3], [2])]
+    for _ in range(60):
+        a, b, c = draw(), draw() or one, draw() or one
+        cases.append((mul(a, c), mul(b, c)))
+    return cases
+
+
+@pytest.mark.parametrize("p", [5, 13])
+def test_ratfunc_normalisation_matches_int_reference(rng, p):
+    F = FiniteField(p)
+    cases = _ratfunc_cases(rng, lambda: _random_ints(rng, p, 5),
+                           lambda a, b: _int_mul(a, b, p), [1])
+    for a, b in cases:
+        f = RatFunc(Poly(F, a), Poly(F, b))
+        assert (list(f.num.coeffs), list(f.den.coeffs)) == _int_ratfunc(
+            a, b, p), (a, b)
+
+
+def test_ratfunc_normalisation_over_p2_matches_field_elements(rng):
+    F = FiniteField(13, 2)
+
+    def draw():
+        return _trim_elements([F.from_key(rng.randrange(F.order))
+                               for _ in range(rng.randrange(0, 5))])
+
+    def gcd(a, b):
+        while b:
+            a, b = b, _trim_elements(_element_divmod(a, b, F)[1])
+        return [c * a[-1].inverse() for c in a]
+
+    one, x = [F.one()], F.element([0, 1])
+    cases = _ratfunc_cases(rng, draw,
+                           lambda a, b: _trim_elements(_element_mul(a, b, F)),
+                           one)
+    cases.append(([x], [F.zero(), x]))  # x / (x t): the lc is not in F_13
+    for a, b in cases:
+        a, b = [F.element(c) for c in a], [F.element(c) for c in b]
+        f = RatFunc(Poly(F, a), Poly(F, b))
+        if not a:
+            want_num, want_den = [], one
+        else:
+            g = gcd(a, b)
+            want_num = _element_divmod(a, g, F)[0]
+            want_den = _element_divmod(b, g, F)[0]
+            inv = want_den[-1].inverse()
+            want_num = [c * inv for c in want_num]
+            want_den = [c * inv for c in want_den]
+        assert _same(f.num, want_num) and _same(f.den, want_den), (a, b)
 
 
 def _int_sylvester_resultant(a, b, p):
@@ -325,6 +407,13 @@ def _element_divmod(a, b, F):
     return quo, rem
 
 
+def _trim_elements(cs):
+    cs = list(cs)
+    while cs and cs[-1].is_zero():
+        cs.pop()
+    return cs
+
+
 def _same(P, elements):
     """P equals the polynomial with these FieldElement coefficients."""
     keys = [c.key() for c in elements]
@@ -372,6 +461,18 @@ def test_coefficients_are_int_keys():
     assert f.coeffs == (5, 2, 23)
     assert f.coefficient(2) == F25.element([3, 4])
     assert Poly(F5, [7, 0, 10]).coeffs == (2,)
+
+
+def test_elements_of_another_field_are_refused_or_unequal():
+    F13 = FiniteField(13)
+    f = Poly(F5, [1, 1])
+    # t + 1 at 12 of F_13 is 13: no value in F_5, so no answer
+    with pytest.raises(ValueError, match="different field"):
+        f.evaluate(F13.element(12))
+    assert f.evaluate(F5.element(3)) == F5.element(4)
+    assert Poly(F5, [1]) != F13.element(1)
+    assert not Poly(F5, [1]) == F13.element(1)
+    assert Poly(F5, [1]) == F5.element(1) and Poly(F5, [1]) == 6
 
 
 def test_factor_and_repr_literals():

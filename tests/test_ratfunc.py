@@ -44,6 +44,15 @@ def test_pow_negative():
     assert f ** 0 == RatFunc.one(F5)
 
 
+def test_equality_with_other_types_and_fields():
+    F13 = FiniteField(13)
+    one = RatFunc.one(F5)
+    assert one == 1 and one == F5.element(1) and one == Poly.one(F5)
+    assert one != F13.element(1) and not one == F13.element(1)
+    assert one != Poly.one(F13) and one != RatFunc.one(F13)
+    assert 1 / T5 != Poly.one(F5) and T5 == Poly.gen(F5)
+
+
 def test_place_construction_requires_monic_irreducible():
     with pytest.raises(ValueError, match="irreducible"):
         Place(F5, Poly.gen(F5) ** 2 - 1)
