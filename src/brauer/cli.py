@@ -7,6 +7,16 @@ payload {"command", "params", "results", "pass"}, or {"command", "error",
 "exit"} for an error from ``_ERRORS``, prints it or the text lines, and
 picks the exit code.
 
+The parser is argparse's, built once per process.  When the first
+argument is a subcommand's name, ``main`` parses the rest with that
+subcommand's parser alone, which ``build_parser`` keeps by name, and any
+argument it leaves over is the top-level parser's "unrecognized
+arguments" error, as ``parse_args`` would report it; any other command
+line goes through the top-level parser.  The payload is printed by
+``_indented``, which lays out the text of ``json.dumps(payload,
+indent=2)`` itself and encodes each key and scalar with the json module's
+C encoder, which ``json.dumps`` uses only without an indent.
+
 Exit codes: 0 all checks passed, 1 a verified identity failed, 2 parse
 error, 3 constraint violation (bad q/n combination, or any other
 ValueError), 4 size guard exceeded.
@@ -22,12 +32,12 @@ import random
 import sys
 
 from .cohomology import (FiniteAbelianGroup, Cochain, TableSizeError,
-                         cohomology_rank, cocycles_cohomologous,
-                         cup_product_boxtimes, epsilon_cocycle,
+                         _epsilon_checked, cohomology_rank,
+                         cocycles_cohomologous, cup_product_boxtimes,
                          extension_factor_set, identity_character,
-                         lhs_edge_map, verify_coboundary_identity)
+                         lhs_edge_map)
 from .conic import ConicBundle, check_artin, count_fiber_points
-from .finitefield import FiniteField, ResidueClass, prime_powers
+from .finitefield import FiniteField, ResidueClass, is_prime
 from .parsing import ParseError, parse_place, parse_ratfunc, parse_symbol_sum
 from .residues import (SymbolClass, ramification_divisor, reciprocity_sum,
                        residue_cocycle_route, tame_residue)
@@ -43,7 +53,7 @@ class ConstraintError(ValueError):
 
 
 def _field_for(q: int, n: int | None = None, odd: bool = False) -> FiniteField:
-    if prime_powers(q) != [(q, 1)]:
+    if not is_prime(q):
         raise ConstraintError(f"q={q} must be prime")
     if odd and q == 2:
         raise ConstraintError("odd characteristic required")
@@ -114,9 +124,9 @@ def cmd_cohomology(args):
         line = (f"1_boxtimes_1 -> {'1' if ok else results['edge_values']}"
                 f" : {'PASS' if ok else 'FAIL'}")
     elif args.subcommand == "epsilon":
-        ok = verify_coboundary_identity(n)
+        eps, ok = _epsilon_checked(n)  # the table the check walked
         if args.format == "json":  # text prints only the verdict
-            eps, text = epsilon_cocycle(n), functools.cache(str)  # once each
+            text = functools.cache(str)  # once per distinct unit
             results["epsilon"] = [[text(eps[b, b2]) for b2 in range(n)]
                                   for b in range(n)]
         line = f"coboundary identity {'PASS' if ok else 'FAIL'}"
@@ -238,12 +248,18 @@ def cmd_selftest(args):
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """(the top-level parser, {subcommand name: its parser})."""
     parser = argparse.ArgumentParser(
         prog="brauer",
         description="Residues of n-torsion Brauer classes over F_q(t): "
                     "tame symbols, cocycle calculus, conic bundles.")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
+
+    def add_parser(name, about):
+        p = commands[name] = sub.add_parser(name, help=about)
+        return p
 
     def add_format(p):
         p.add_argument("--format", choices=("text", "json"), default="text")
@@ -252,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("residue", "residue of a symbol sum at a place", cmd_residue),
             ("ramification", "full ramification divisor", cmd_ramification),
             ("reciprocity", "sum of corestricted residues", cmd_reciprocity)):
-        p = sub.add_parser(name, help=about)
+        p = add_parser(name, about)
         p.add_argument("--q", type=int, required=True)
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--symbol", required=True)
@@ -261,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
         add_format(p)
         p.set_defaults(func=func)
 
-    p = sub.add_parser("cohomology", help="cocycle-level verifications")
+    p = add_parser("cohomology", "cocycle-level verifications")
     p.add_argument("subcommand", choices=("edge", "epsilon", "gamma", "rank"))
     p.add_argument("--n", type=int,
                    help="required unless rank has --factors and --m")
@@ -272,24 +288,67 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
     p.set_defaults(func=cmd_cohomology)
 
-    p = sub.add_parser("conic", help="geometric vs cohomological residues")
+    p = add_parser("conic", "geometric vs cohomological residues")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     add_format(p)
     p.set_defaults(func=cmd_conic)
 
-    p = sub.add_parser("selftest", help="randomized property suites "
-                                        "(seed via BRAUER_SEED)")
+    p = add_parser("selftest",
+                   "randomized property suites (seed via BRAUER_SEED)")
     p.add_argument("--rounds", type=int, default=25)
     add_format(p)
     p.set_defaults(func=cmd_selftest)
 
-    return parser
+    return parser, commands
 
 
-# one parser per process: parse_args leaves no state on it
+# one parser per process: parsing leaves no state on it
 _parser = functools.cache(build_parser)
+
+
+def _parse(argv):
+    """parse_args(argv) of the top-level parser, with a command line that
+    names a subcommand first parsed by that subcommand's parser alone."""
+    parser, commands = _parser()
+    sub = commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:])
+    if extras:  # reported as parse_args reports them, with the top usage
+        parser.error("unrecognized arguments: %s" % " ".join(extras))
+    args.command = argv[0]
+    return args
+
+
+_str_json = json.encoder.encode_basestring_ascii
+_scalar_json = json.JSONEncoder().encode
+
+
+def _indented(obj, pad="\n") -> str:
+    """json.dumps(obj, indent=2) for obj with str keys, pad being the
+    newline and indent of obj's line: containers are laid out here, and
+    every key and scalar is encoded by the json module's C encoder (ints by
+    int.__repr__, as both of its encoders do)."""
+    kind = type(obj)
+    if kind is str:
+        return _str_json(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        return "{%s%s%s}" % (inner, ("," + inner).join(
+            [_str_json(k) + ": " + _indented(v, inner)
+             for k, v in obj.items()]), pad)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return "[%s%s%s]" % (inner, ("," + inner).join(
+            [_indented(x, inner) for x in obj]), pad)
+    return _scalar_json(obj)  # bool, None, float, a str or int subclass
 
 
 # (exception, stderr prefix, JSON kind, exit code), most specific first; the
@@ -303,7 +362,7 @@ _ERRORS = ((ParseError, "parse error", "parse", EXIT_PARSE),
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     command = args.command + (f" {args.subcommand}"
                               if args.command == "cohomology" else "")
     try:
@@ -320,7 +379,7 @@ def main(argv=None) -> int:
         payload = {"command": command, "params": params, "results": results,
                    "pass": ok}
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        print(_indented(payload))
     else:
         for line in lines:
             print(line)

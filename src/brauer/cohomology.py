@@ -39,9 +39,6 @@ import math
 import operator
 import random
 
-from dataclasses import dataclass
-from fractions import Fraction
-
 from .finitefield import FiniteField, prime_powers
 from .snf import _eliminate, solve_mod
 
@@ -404,7 +401,6 @@ def cup_product_boxtimes(n: int) -> Cochain:
                     for v in [g0 * h1 for h1 in range(n)] * (n * n)])
 
 
-@dataclass(frozen=True)
 class FormalUnit:
     """pi^(pi_steps/n) * zeta^zeta_exponent with zeta_exponent mod n.
 
@@ -412,18 +408,20 @@ class FormalUnit:
     and inverses are integer additions and every exponent lies in (1/n)Z.
     """
 
-    pi_steps: int
-    zeta_exponent: int
-    n: int
+    __slots__ = ("pi_steps", "zeta_exponent", "n")
 
-    def __post_init__(self):
-        if not isinstance(self.pi_steps, int):
+    def __init__(self, pi_steps: int, zeta_exponent: int, n: int):
+        if not isinstance(pi_steps, int):
             raise TypeError("pi_steps must be an int count of 1/n steps, "
-                            f"got {type(self.pi_steps).__name__}")
-        object.__setattr__(self, "zeta_exponent", self.zeta_exponent % self.n)
+                            f"got {type(pi_steps).__name__}")
+        self.pi_steps = pi_steps
+        self.zeta_exponent = zeta_exponent % n
+        self.n = n
 
     @property
-    def pi_exponent(self) -> Fraction:
+    def pi_exponent(self):
+        """pi_steps/n as a Fraction in lowest terms."""
+        from fractions import Fraction  # not loaded by importing the package
         return Fraction(self.pi_steps, self.n)
 
     def __mul__(self, other: "FormalUnit") -> "FormalUnit":
@@ -434,6 +432,16 @@ class FormalUnit:
 
     def inverse(self) -> "FormalUnit":
         return FormalUnit(-self.pi_steps, -self.zeta_exponent, self.n)
+
+    def __eq__(self, other):
+        if not isinstance(other, FormalUnit):
+            return NotImplemented
+        return (self.pi_steps == other.pi_steps
+                and self.zeta_exponent == other.zeta_exponent
+                and self.n == other.n)
+
+    def __hash__(self):
+        return hash((self.pi_steps, self.zeta_exponent, self.n))
 
     def __repr__(self):
         return f"pi^({self.pi_exponent})*zeta^{self.zeta_exponent}"
@@ -457,6 +465,12 @@ def verify_coboundary_identity(n: int, power: int = 1) -> bool:
     cancels for every beta.  The walk is over the n^2 pairs (b, b'), and
     n^2 > TABLE_GUARD raises TableSizeError before the walk.
     """
+    return _epsilon_checked(n, power)[1]
+
+
+def _epsilon_checked(n: int, power: int = 1):
+    """(epsilon_cocycle(n, power), whether verify_coboundary_identity holds
+    on that table): the CLI prints the table the check walked."""
     check_work("coboundary check", n, 2)
     eps = epsilon_cocycle(n, power)
     # each side is the (pi_steps, zeta_exponent) pair of a FormalUnit; pairs
@@ -470,8 +484,8 @@ def verify_coboundary_identity(n: int, power: int = 1) -> bool:
             u = eps[b, b2]
             d = (power * (b - (b + b2) % n) + u.pi_steps, u.zeta_exponent % n)
             if d != target:
-                return False
-    return True
+                return eps, False
+    return eps, True
 
 
 # ---------------------------------------------------------------------------

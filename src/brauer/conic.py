@@ -15,7 +15,6 @@ counts, packed into ints, against their rotation, built once per (p, d).
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from functools import reduce
 from operator import getitem
 
@@ -30,18 +29,18 @@ class ConicModelError(ValueError):
     """The local model cannot be reduced to a standard degeneration."""
 
 
-@dataclass(frozen=True)
 class ConicBundle:
-    a: RatFunc
-    b: RatFunc
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        if self.a.field is not self.b.field:
+    def __init__(self, a: RatFunc, b: RatFunc):
+        if a.field is not b.field:
             raise ValueError("coefficients over different fields")
-        if self.a.field.p == 2:
+        if a.field.p == 2:
             raise ConicModelError("odd characteristic required")
-        if self.a.is_zero() or self.b.is_zero():
+        if a.is_zero() or b.is_zero():
             raise ConicModelError("conic coefficients must be nonzero")
+        self.a = a
+        self.b = b
 
     @property
     def field(self) -> FiniteField:
@@ -49,6 +48,14 @@ class ConicBundle:
 
     def symbol(self) -> SymbolClass:
         return SymbolClass.symbol(self.a, self.b, 2)
+
+    def __eq__(self, other):
+        if not isinstance(other, ConicBundle):
+            return NotImplemented
+        return self.a == other.a and self.b == other.b
+
+    def __hash__(self):
+        return hash((self.a, self.b))
 
     def __repr__(self):
         return f"({self.a})*x^2 + ({self.b})*y^2 = z^2"

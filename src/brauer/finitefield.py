@@ -8,20 +8,53 @@ the base-p digits of the keys otherwise, and inverses in F_{p^d} from the
 extended Euclid of a and the modulus on digit lists.  Over F_p, poly's
 _mul, _divmod and _monic do their int arithmetic inline, calling only
 _kinv; over F_{p^d} they step through the key ops.  Fields are cached by
-(p, d, modulus); a modulus is checked, and the default one found, with
-Poly.is_irreducible, so F_p[x] has one implementation.  A field builds
-log/exp tables on keys on first request; only the conic point count asks,
-on default-modulus fields.  Each field caches its n-th roots of unity; the
-canonical primitive n-th root is the smallest element of exact order n in
-the enumeration order (constants first), which makes every character value
-reproducible.
+(p, d, modulus); p is checked by is_prime (deterministic Miller-Rabin,
+exact below PRIMALITY_BOUND), and a modulus is checked, and the default
+one found, with Poly.is_irreducible, so F_p[x] has one implementation.  A
+field builds log/exp tables on keys on first request; only the conic point
+count asks, on default-modulus fields.  Each field caches its n-th roots
+of unity; the canonical primitive n-th root is the smallest element of
+exact order n in the enumeration order (constants first), which makes every
+character value reproducible.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+
+# the first 13 primes; as Miller-Rabin bases they decide primality exactly
+# below PRIMALITY_BOUND (Sorenson & Webster, Math. Comp. 86 (2017), 985-1003)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMALITY_BOUND = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Whether n is prime, by deterministic Miller-Rabin to the bases
+    _MR_BASES: a few modular powers, whatever the size of n.  ValueError
+    for n >= PRIMALITY_BOUND, where these bases no longer decide."""
+    if n >= PRIMALITY_BOUND:
+        raise ValueError(f"primality is decided only below {PRIMALITY_BOUND}"
+                         f", got {n}")
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in _MR_BASES:  # n - 1 = d 2^s, d odd
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False  # a witnesses that n is composite
+    return True
 
 
 def prime_powers(n: int):
@@ -73,7 +106,7 @@ class FiniteField:
         cached = _FIELD_CACHE.get(key)
         if cached is not None:
             return cached
-        if prime_powers(p) != [(p, 1)]:
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if d < 1:
             raise ValueError("extension degree must be >= 1")
@@ -404,8 +437,9 @@ class FieldElement:
     def __eq__(self, other):
         if isinstance(other, int):
             return self._k == other % self.field.p
-        return (isinstance(other, FieldElement)
-                and self.field is other.field and self._k == other._k)
+        if isinstance(other, FieldElement):
+            return self.field is other.field and self._k == other._k
+        return NotImplemented  # a Poly or RatFunc compares from its side
 
     def __hash__(self):
         return hash((id(self.field), self._k))
@@ -425,16 +459,15 @@ class FieldElement:
         return f"[{','.join(map(str, self.coeffs))}]"
 
 
-@dataclass(frozen=True)
 class ResidueClass:
     """An element of kappa*/(kappa*)^n, recorded as an exponent of zeta."""
 
-    n: int
-    value: int
-    zeta: FieldElement
+    __slots__ = ("n", "value", "zeta")
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.value % self.n)
+    def __init__(self, n: int, value: int, zeta: FieldElement):
+        self.n = n
+        self.value = value % n
+        self.zeta = zeta
 
     def __add__(self, other):
         if not isinstance(other, ResidueClass):

@@ -416,8 +416,9 @@ class Poly:
             return False
         if isinstance(other, (int, FieldElement)):
             other = Poly(self.field, (other,))
-        return (isinstance(other, Poly) and other.field is self.field
-                and other.coeffs == self.coeffs)
+        elif not isinstance(other, Poly):
+            return NotImplemented  # a RatFunc compares from its side
+        return other.field is self.field and other.coeffs == self.coeffs
 
     def __hash__(self):
         return hash((id(self.field), self.coeffs))

@@ -133,10 +133,15 @@ class RatFunc:
         if isinstance(other, (int, FieldElement, Poly)):
             # Poly's == is False for another field, as here
             return self.den.coeffs == (1,) and self.num == other
-        return (isinstance(other, RatFunc) and other.field is self.field
-                and other.num == self.num and other.den == self.den)
+        if not isinstance(other, RatFunc):
+            return NotImplemented
+        return (other.field is self.field and other.num == self.num
+                and other.den == self.den)
 
     def __hash__(self):
+        # equal to its numerator when the denominator is 1, so hash alike
+        if self.den.coeffs == (1,):
+            return hash(self.num)
         return hash((self.num, self.den))
 
     def __repr__(self):

@@ -26,7 +26,6 @@ res((pi, u)_n) = -[u].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .cohomology import epsilon_cocycle, verify_coboundary_identity
@@ -35,12 +34,10 @@ from .ratfunc import (Place, RatFunc, _divisor, _local_norm, _local_unit,
                       valuation)
 
 
-@dataclass(frozen=True)
 class SymbolClass:
     """Formal sum of cyclic symbols sum_i m_i * (a_i, b_i)_n in Br(K)[n]."""
 
-    n: int
-    terms: tuple  # of (RatFunc, RatFunc, int)
+    __slots__ = ("n", "terms")  # terms: a tuple of (RatFunc, RatFunc, int)
 
     def __init__(self, n: int, terms):
         if n < 2:
@@ -57,8 +54,8 @@ class SymbolClass:
                 norm.append((a, b, m))
         if field is not None and (field.order - 1) % n != 0:
             raise ValueError(f"n={n} must divide q-1={field.order - 1}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", tuple(norm))
+        self.n = n
+        self.terms = tuple(norm)
 
     @classmethod
     def symbol(cls, a: RatFunc, b: RatFunc, n: int) -> "SymbolClass":
@@ -72,6 +69,14 @@ class SymbolClass:
         if self.n != other.n:
             raise ValueError("symbols with different moduli")
         return SymbolClass(self.n, self.terms + other.terms)
+
+    def __eq__(self, other):
+        if not isinstance(other, SymbolClass):
+            return NotImplemented
+        return self.n == other.n and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.n, self.terms))
 
     def __repr__(self):
         if not self.terms:

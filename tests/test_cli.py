@@ -3,6 +3,7 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from brauer import (Cochain, FiniteAbelianGroup, ResidueClass, TableSizeError,
                     cli, residue_cocycle_route)
@@ -484,12 +485,12 @@ def test_payload_keys_and_command_names(capsys, monkeypatch):
 
 def test_failed_identity_exits_one_in_both_formats(capsys, monkeypatch):
     real_edge, real_sum = cli.lhs_edge_map, cli.reciprocity_sum
-    real_artin = cli.check_artin
+    real_artin, real_epsilon = cli.check_artin, cli._epsilon_checked
     cases = [
         ("lhs_edge_map", lambda c: 2 * real_edge(c),
          ["cohomology", "edge", "--n", "3"],
          "1_boxtimes_1 -> [0, 2, 1] : FAIL"),
-        ("verify_coboundary_identity", lambda n: False,
+        ("_epsilon_checked", lambda n: (real_epsilon(n)[0], False),
          ["cohomology", "epsilon", "--n", "4"], "coboundary identity FAIL"),
         ("cocycles_cohomologous", lambda a, b: False,
          ["cohomology", "gamma", "--n", "2", "--q", "5"],
@@ -511,3 +512,126 @@ def test_failed_identity_exits_one_in_both_formats(capsys, monkeypatch):
         code, out, err = run(capsys, *argv, "--format", "json")
         assert (code, err) == (1, ""), argv
         assert '"pass": false' in out and json.loads(out)["pass"] is False
+
+
+# -- the JSON writer and the direct dispatch ----------------------------------
+
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers()
+                 | st.integers(min_value=-10 ** 40, max_value=10 ** 40)
+                 | st.floats() | st.text()
+                 | st.sampled_from(["", "\"\\/\b\f\n\r\t\x00\x1f\x7f",
+                                    "é€ 😀  ", "\ud800", "ä\udfff"]))
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=16)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_JSON_VALUES)
+def test_indented_writer_equals_json_dumps(value):
+    assert cli._indented(value) == json.dumps(value, indent=2)
+
+
+def test_indented_writer_refuses_what_json_dumps_refuses():
+    for value in ({"a": object()}, [1, {2}]):
+        with pytest.raises(TypeError) as want:
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError) as got:
+            cli._indented(value)
+        assert str(got.value) == str(want.value)
+    with pytest.raises(TypeError):  # payload keys are str
+        cli._indented({1: 2})
+
+
+# every subcommand answered, then argparse's own paths at both levels
+PARITY_ARGV = [command.split() + answered
+               for command, answered, _ in PAYLOAD_CASES] + [
+    [], ["-h"], ["--help"], ["--format", "json"], ["-x"], ["bogus"],
+    ["cohomology"], ["cohomology", "rnk"], ["cohomology", "-h"],
+    ["conic", "--help"], ["conic", "--q", "5", "--a", "t"],
+    ["conic", "--q", "13", "--a", "t", "--b", "t", "--bogus"],
+    ["conic", "--q", "13", "--a", "t", "--b", "t", "--bogus", "x",
+     "--format", "json"],
+    ["conic", "--q", "5", "--a", "t", "--b", "2", "--format", "xml"],
+    ["conic", "--q", "x", "--a", "t", "--b", "2"],
+    ["conic", "--q=5", "--a=t", "--b", "2", "--form", "json"],
+    ["conic", "--q", "5", "--a", "t", "--b", "2", "--he"],
+    ["--", "conic", "--q", "5", "--a", "t", "--b", "2"],
+    ["conic", "--", "--q", "5"],
+    ["conic", "--q", "5", "--a", "t", "--b", "2", "--", "x"],
+    ["residue", "--q", "5", "--n", "2", "--symbol", "(t, 2)_2", "--place",
+     "t", "extra"],
+    ["selftest", "--rounds", "1", "--rounds"],
+]
+
+
+def test_direct_dispatch_matches_the_top_level_parser(capsys, monkeypatch):
+    monkeypatch.delenv("BRAUER_SEED", raising=False)
+    top, _ = cli.build_parser()
+
+    def parsed(parse, argv):
+        try:
+            args, code = vars(parse(list(argv))), None
+        except SystemExit as exc:
+            args, code = None, exc.code
+        captured = capsys.readouterr()
+        return args, code, captured.out, captured.err
+
+    def ran(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    for argv in PARITY_ARGV:
+        assert parsed(cli._parse, argv) == parsed(top.parse_args, argv), argv
+        for extra in ([], ["--format", "json"]):
+            direct = ran(argv + extra)
+            with monkeypatch.context() as m:
+                m.setattr(cli, "_parse", top.parse_args)
+                assert ran(argv + extra) == direct, argv + extra
+
+
+def test_epsilon_table_built_once(capsys, monkeypatch):
+    from brauer import cohomology
+    calls, real = [], cohomology.epsilon_cocycle
+
+    def counted(n, power=1):
+        calls.append((n, power))
+        return real(n, power)
+
+    monkeypatch.setattr(cohomology, "epsilon_cocycle", counted)
+    for fmt in ("text", "json"):
+        calls.clear()
+        code, out, _ = run(capsys, "cohomology", "epsilon", "--n", "5",
+                           "--format", fmt)
+        assert code == 0 and calls == [(5, 1)], fmt
+    assert json.loads(out)["results"]["epsilon"][4][1] == "pi^(-1)*zeta^0"
+
+
+def test_large_q_answers_or_exits_three_quickly(capsys):
+    big = "1000000000000000003"  # prime, 10^18 + 3
+    for argv, line in (
+            (["residue", "--q", big, "--n", "2", "--symbol", "(t, 2)_2",
+              "--place", "t"], f"1 (zeta={int(big) - 1})"),
+            (["cohomology", "gamma", "--n", "2", "--q", big],
+             "factor set ~ -(1x1) : PASS")):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1, argv
+        assert (code, out, err) == (0, line + "\n", ""), argv
+    bound = "3317044064679887385961981"
+    for q in (bound, "10000000000000000000000000000"):
+        code, out, err = run(capsys, "residue", "--q", q, "--n", "2",
+                             "--symbol", "(t, 2)_2", "--place", "t")
+        assert (code, out) == (3, "")
+        assert err.startswith("constraint violation") and bound in err
+    code, _, err = run(capsys, "residue", "--q", "1000000000000000001",
+                       "--n", "2", "--symbol", "(t, 2)_2", "--place", "t")
+    assert (code, err) == (3, "constraint violation: "
+                              "q=1000000000000000001 must be prime\n")

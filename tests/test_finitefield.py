@@ -3,7 +3,8 @@ import math
 import pytest
 
 from brauer import FiniteField, corestrict, power_residue_character
-from brauer.finitefield import norm_to_prime_field, prime_powers
+from brauer.finitefield import (PRIMALITY_BOUND, is_prime, norm_to_prime_field,
+                                prime_powers)
 
 
 # reference arithmetic on keys (key = sum c_i p^i): digits by plain ints,
@@ -53,6 +54,34 @@ def test_prime_powers():
         assert ps == sorted(set(ps))
         assert all(e >= 1 and all(p % d for d in range(2, math.isqrt(p) + 1))
                    for p, e in pp)
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(-2, 10 ** 5):
+        assert is_prime(n) == (prime_powers(n) == [(n, 1)]), n
+
+
+def test_is_prime_on_strong_pseudoprimes_and_large_primes():
+    # strong pseudoprimes to the first 4, 9 and 12 prime bases: each is
+    # caught by a later base
+    for factors in ((151, 751, 28351), (149491, 747451, 34233211),
+                    (399165290221, 798330580441)):
+        assert not is_prime(math.prod(factors)), factors
+    assert math.prod((151, 751, 28351)) == 3215031751
+    assert math.prod((149491, 747451, 34233211)) == 3825123056546413051
+    for p in (2 ** 31 - 1, 2 ** 61 - 1, 10 ** 18 + 3):
+        assert is_prime(p) and not is_prime(p * 1000003), p
+    assert is_prime(3317044064679887385961813)  # the last below the bound
+
+
+def test_is_prime_refuses_at_the_bound():
+    assert PRIMALITY_BOUND == 3317044064679887385961981
+    assert not is_prime(PRIMALITY_BOUND - 1)
+    for n in (PRIMALITY_BOUND, PRIMALITY_BOUND + 1, 10 ** 30):
+        with pytest.raises(ValueError, match=str(PRIMALITY_BOUND)):
+            is_prime(n)
+        with pytest.raises(ValueError, match=str(PRIMALITY_BOUND)):
+            FiniteField(n)
 
 
 def test_field_construction_rejects_bad_input():

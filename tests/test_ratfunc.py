@@ -53,6 +53,27 @@ def test_equality_with_other_types_and_fields():
     assert 1 / T5 != Poly.one(F5) and T5 == Poly.gen(F5)
 
 
+def test_equality_is_symmetric_across_types():
+    F13 = FiniteField(13)
+    equal = [(Poly.gen(F5), T5), (F5.element(1), Poly.one(F5)),
+             (F5.element(1), RatFunc.one(F5)), (F5.element(3), Poly(F5, [3])),
+             (F5.element(0), RatFunc.constant(F5, 0)), (Poly(F5, [1, 2]),
+                                                        T5 * 2 + 1)]
+    unequal = [(Poly.gen(F5), 1 / T5), (F5.element(1), Poly.gen(F5)),
+               (F5.element(2), RatFunc.one(F5)), (Poly.gen(F5), T7),
+               (F13.element(1), Poly.one(F5)), (F13.element(1), T5 ** 0),
+               (Poly.one(F5), "1"), (T5, None), (F5.element(1), "1")]
+    for a, b in equal:
+        assert a == b and b == a and not a != b and not b != a, (a, b)
+    for a, b in unequal:
+        assert a != b and b != a and not a == b and not b == a, (a, b)
+    # a RatFunc with denominator 1 hashes like its numerator
+    for poly in (Poly.gen(F5), Poly(F5, [1, 2, 3]), Poly.one(F5)):
+        assert hash(RatFunc(poly)) == hash(poly)
+        assert len({poly, RatFunc(poly)}) == 1
+    assert len({Poly.gen(F5), T5, 1 / T5}) == 2
+
+
 def test_place_construction_requires_monic_irreducible():
     with pytest.raises(ValueError, match="irreducible"):
         Place(F5, Poly.gen(F5) ** 2 - 1)
