@@ -15,7 +15,7 @@ from .cohomology import (Cochain, FiniteAbelianGroup, FormalUnit,
                          verify_coboundary_identity)
 from .conic import (ConicBundle, ConicModelError, check_artin,
                     component_torsor, count_fiber_points, degenerate_places,
-                    discriminant_places, minimize_at)
+                    minimize_at)
 from .finitefield import (FieldElement, FiniteField, ResidueClass, corestrict,
                           power_residue_character)
 from .parsing import (ParseError, parse_place, parse_poly, parse_ratfunc,
@@ -23,7 +23,7 @@ from .parsing import (ParseError, parse_place, parse_poly, parse_ratfunc,
 from .poly import Poly
 from .ratfunc import Place, RatFunc, degree_one_place, reduce_at, support, \
     valuation
-from .residues import (RamificationDivisor, SymbolClass, is_unramified_at,
+from .residues import (RamificationDivisor, SymbolClass,
                        ramification_divisor, reciprocity_sum,
                        residue_cocycle_route, tame_residue)
 from .snf import smith_normal_form
@@ -37,11 +37,10 @@ __all__ = [
     "TableSizeError", "check_artin", "coboundary", "cocycles_cohomologous",
     "cohomology_rank", "component_torsor", "corestrict", "count_fiber_points",
     "cup_product_boxtimes", "degenerate_places", "degree_one_place",
-    "discriminant_places", "epsilon_cocycle", "extension_factor_set",
-    "identity_character", "is_cocycle", "is_unramified_at", "lhs_edge_map",
-    "minimize_at", "parse_place", "parse_poly", "parse_ratfunc",
-    "parse_symbol_sum", "power_residue_character", "ramification_divisor",
-    "reciprocity_sum", "reduce_at", "residue_cocycle_route",
-    "smith_normal_form", "support", "tame_residue", "valuation",
-    "verify_coboundary_identity",
+    "epsilon_cocycle", "extension_factor_set", "identity_character",
+    "is_cocycle", "lhs_edge_map", "minimize_at", "parse_place", "parse_poly",
+    "parse_ratfunc", "parse_symbol_sum", "power_residue_character",
+    "ramification_divisor", "reciprocity_sum", "reduce_at",
+    "residue_cocycle_route", "smith_normal_form", "support", "tame_residue",
+    "valuation", "verify_coboundary_identity",
 ]

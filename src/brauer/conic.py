@@ -5,7 +5,10 @@ minimized local model degenerates to a rank-2 form whose two lines are
 swapped by a quadratic twist; the class of that component torsor equals
 the tame residue.  A projective point-count over the residue field acts as
 an independent oracle: a split degenerate conic over F_Q has 2Q+1 points,
-a non-split one exactly 1.  The count runs in the default-modulus field
+a non-split one exactly 1.  The reduced fiber is a pair of kappa(P) keys
+(ratfunc's local read: at a degree-1 place or infinity two values in F_q,
+no polynomial division), and the count reads it on keys from there on,
+building no FieldElement.  The count runs in the default-modulus field
 F_Q = FiniteField(p, d*e), into which kappa(P) embeds at a root of pi;
 multiplying by c there rotates discrete logs by log c, so a degenerate
 fiber is counted by popcounts of bit planes of log-indexed square-root
@@ -21,7 +24,7 @@ from operator import getitem
 from .cohomology import check_work
 from .finitefield import FiniteField, ResidueClass, power_residue_character
 from .poly import Poly
-from .ratfunc import Place, RatFunc, _local_norm, _local_unit, valuation
+from .ratfunc import Place, RatFunc, _local_norm, _unit_key, valuation
 from .residues import SymbolClass, _candidate_places, ramification_divisor
 
 
@@ -78,20 +81,16 @@ def minimize_at(C: ConicBundle, P: Place):
     return (a, b, RatFunc.constant(C.field, -1))
 
 
-def discriminant_places(C: ConicBundle):
-    """Places where the quaternion symbol of the bundle ramifies."""
-    return ramification_divisor(C.symbol()).places()
-
-
 def _reduced_fiber(C: ConicBundle, P: Place):
-    """(abar, bbar) of minimize_at's fiber over kappa(P), from the local units:
-    an odd valuation reduces to 0, and two odd ones give (0, -abar*bbar)."""
-    zero = P.residue_field().zero()
-    va, ua = _local_unit(C.a, P)
-    vb, ub = _local_unit(C.b, P)
+    """(abar, bbar), the kappa(P) keys of minimize_at's fiber, from the local
+    units: an odd valuation reduces to 0, and two odd ones give (0,
+    -abar*bbar)."""
+    kappa = P.residue_field()
+    va, ua = _unit_key(C.a, P)
+    vb, ub = _unit_key(C.b, P)
     if va % 2 and vb % 2:
-        return zero, -(ua * ub)
-    return zero if va % 2 else ua, zero if vb % 2 else ub
+        return 0, kappa._kneg(kappa._kmul(ua, ub))
+    return 0 if va % 2 else ua, 0 if vb % 2 else ub
 
 
 def component_torsor(C: ConicBundle, P: Place) -> ResidueClass:
@@ -186,12 +185,13 @@ def _smooth_sum_table(p: int, d: int, log, by_log):
 
 def _extension_with_embedding(kappa: FiniteField, e: int):
     """(L, embed) with L = FiniteField(p, d*e), the default-modulus field of
-    order |kappa|^e, and embed: kappa -> L a field map.
+    order |kappa|^e, and embed: kappa -> L a field map on keys.
 
     The embedding sends the generator x of kappa to the smallest root r of
     kappa's modulus in L, the first of Poly.roots, and is F_p-linear: the
-    image of u = sum c_i x^i is the key sum of the c_i * r^i, read from
-    rows of keys of c * r^i (c < p, i < d) built once per (kappa, e).
+    image of the key of u = sum c_i x^i, read digit by digit, is the key
+    sum of the c_i * r^i, from rows of keys of c * r^i (c < p, i < d) built
+    once per (kappa, e).
     """
     p, L = kappa.p, FiniteField(kappa.p, kappa.d * e)
     rows = kappa._roots.get(e)
@@ -199,8 +199,7 @@ def _extension_with_embedding(kappa: FiniteField, e: int):
         r = Poly(L, kappa.modulus).roots()[0].key()
         rows = kappa._roots[e] = [[L._kmul(c, L._kpow(r, i)) for c in range(p)]
                                   for i in range(kappa.d)]
-    return L, lambda u: L.from_key(
-        reduce(L._kadd, map(getitem, rows, u.coeffs)))
+    return L, lambda u: reduce(L._kadd, map(getitem, rows, kappa._digits(u)))
 
 
 def count_fiber_points(C: ConicBundle, P: Place, e: int = 1) -> int:
@@ -222,14 +221,14 @@ def count_fiber_points(C: ConicBundle, P: Place, e: int = 1) -> int:
     kappa = P.residue_field()
     abar, bbar = _reduced_fiber(C, P)
     Q = kappa.order ** e
-    smooth = not abar.is_zero() and not bbar.is_zero()
+    smooth = bool(abar and bbar)
     check_work(f"{'smooth' if smooth else 'degenerate'}-fiber enumeration",
                Q, 2 if smooth else 1)
     L, embed = _extension_with_embedding(kappa, e)
     exp, log = L._log_tables()
     by_log, planes = _sqrt_count_table(L.p, L.d)
     m = Q - 1
-    lA, lB = (log[embed(u).key()] for u in (abar, bbar))  # -1 for zero
+    lA, lB = (log[embed(u)] for u in (abar, bbar))  # -1 for zero
     if smooth:
         spread, cnt_of_sum = _smooth_sum_table(L.p, L.d, log, by_log)
         # (c*w, cnt[w]) over the squares w, c*w read off the rotation by log c

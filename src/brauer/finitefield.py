@@ -58,15 +58,19 @@ def is_prime(n: int) -> bool:
 
 
 def prime_powers(n: int):
-    """[(p, e)] with n the product of the p^e, by trial division; [] for
-    n < 2, so n is prime exactly when this is [(n, 1)]."""
+    """[(p, e)] with n the product of the p^e, by trial division that stops
+    once the cofactor is prime; [] for n < 2, so n is prime exactly when
+    this is [(n, 1)].  The cofactor is tested by is_prime, below
+    PRIMALITY_BOUND, at the start and after each prime divided out."""
     out, p = [], 2
-    while p * p <= n:
+    prime = n < PRIMALITY_BOUND and is_prime(n)
+    while not prime and p * p <= n:
         e = 0
         while n % p == 0:
             n, e = n // p, e + 1
         if e:
             out.append((p, e))
+            prime = n < PRIMALITY_BOUND and is_prime(n)
         p += 2 if p > 2 else 1
     return out + [(n, 1)] * (n > 1)
 
@@ -442,16 +446,8 @@ class FieldElement:
         return NotImplemented  # a Poly or RatFunc compares from its side
 
     def __hash__(self):
-        return hash((id(self.field), self._k))
-
-    def multiplicative_order(self) -> int:
-        if self.is_zero():
-            raise ValueError("zero has no multiplicative order")
-        n = self.field.order - 1
-        for ell, _ in prime_powers(n):
-            while n % ell == 0 and self.field._kpow(self._k, n // ell) == 1:
-                n //= ell
-        return n
+        # as the equal constant Poly, whose coeffs are () for zero
+        return hash((id(self.field), (self._k,) if self._k else ()))
 
     def __repr__(self):
         if self.field.d == 1:

@@ -261,6 +261,8 @@ def _split(F, f, d: int) -> list:
 def _factor(F, a) -> list:
     """[(monic irreducible, multiplicity)] of a nonzero a, sorted by
     (degree, keys from the top down)."""
+    if len(a) <= 2:  # a constant has no factor, and a linear a is its own
+        return [(_monic(F, a), 1)] if len(a) == 2 else []
     out = [(irr, mult) for sqf, mult in _squarefree(F, a)
            for piece, d in _distinct_degree(F, sqf)
            for irr in _equal_degree(F, piece, d)]

@@ -10,6 +10,17 @@ base field such a place is checked with Poly.is_irreducible and has no
 residue field.  The places of a divisor (_divisor, support) are the factors
 Poly.factor returns, already proved irreducible, so they skip the re-proof
 and take their residue field from the same cache entry.
+
+The local data of f at P, v_P(f) and the image of f/pi^v in kappa(P), come
+from one read of num and den (_divide_out_pi).  Where kappa(P) is the base
+field F_q, at a place t - c over a prime field and at infinity, the read
+returns int keys of F_q: at t - c a Horner pass at c divides by t - c and
+leaves g(c) as its remainder, so v counts the passes that return 0 and the
+unit is the quotient of the values left; at infinity it is the quotient of
+the leading keys.  Its norm to F_q is the unit itself, one inverse in F_q.
+At a place of degree >= 2, and at every finite place over F_{p^d}, the read
+is the divide-by-pi loop on key lists, whose first nonzero remainders give
+the unit in kappa(P) and, by resultants with pi, its norm to F_q.
 """
 
 from __future__ import annotations
@@ -229,17 +240,41 @@ class Place:
         return "inf" if self.is_infinity else repr(self.poly)
 
 
+def _root_multiplicity(g, c: int, p: int):
+    """(m, r) for a nonzero key list g over F_p: m the multiplicity of the
+    root c of g and r = (g / (t - c)^m)(c), the first nonzero value, by
+    synthetic division at c.  A Horner pass runs over g from the top; its
+    values are the quotient's coefficients, then the remainder g(c)."""
+    m, g = 0, g[::-1]
+    while True:
+        acc, quo = 0, []
+        for x in g:
+            acc = (acc * c + x) % p
+            quo.append(acc)
+        if acc:
+            return m, acc
+        quo.pop()
+        m, g = m + 1, quo
+
+
 def _divide_out_pi(f: RatFunc, P: Place):
-    """(v, rn, rd) with f = pi^v * g, g a unit at P, from the one divide-by-pi
-    loop on key lists: at a finite place rn and rd are the key lists of the
-    first nonzero remainders of num and den (g mod pi = rn/rd), at infinity
-    the leading coefficients."""
+    """(v, rn, rd) with f = pi^v * g, g a unit at P, and g mod P = rn/rd.
+    Where kappa(P) is the base field, rn and rd are keys of it: at a place
+    t - c over a prime field the values at c left by _root_multiplicity, at
+    infinity the leading coefficients.  At a place of degree >= 2, and at
+    every finite place over F_{p^d}, they are the key lists of the first
+    nonzero remainders of num and den in the divide-by-pi loop."""
     if f.is_zero():
         raise ValueError("valuation of zero")
-    if P.is_infinity:
-        return (f.den.degree - f.num.degree, f.num.leading_coefficient(),
-                f.den.leading_coefficient())
+    num, den = f.num.coeffs, f.den.coeffs
+    if P.poly is None:
+        return len(den) - len(num), num[-1], den[-1]
     F, pi = f.field, P.poly.coeffs
+    if len(pi) == 2 and F.d == 1:
+        p = F.p
+        (mn, rn), (md, rd) = (_root_multiplicity(g, -pi[0] % p, p)
+                              for g in (num, den))
+        return mn - md, rn, rd
 
     def split(g):
         m, (q, r) = 0, _divmod(F, g, pi)
@@ -248,36 +283,42 @@ def _divide_out_pi(f: RatFunc, P: Place):
         return m, r
 
     # num and den are coprime, so at most one of the counts is nonzero
-    (mn, rn), (md, rd) = split(f.num.coeffs), split(f.den.coeffs)
+    (mn, rn), (md, rd) = split(num), split(den)
     return mn - md, rn, rd
 
 
-def _local_unit(f: RatFunc, P: Place):
-    """(v, u) with f = pi^v * g, g a unit at P, u = g mod P in kappa(P) (None
-    where kappa(P) is not built).  At infinity u = lc(num)/lc(den)."""
+def _unit_key(f: RatFunc, P: Place):
+    """(v, k) with f = pi^v * g, g a unit at P, and k the key of g mod P in
+    kappa(P) (None where kappa(P) is not built): one inverse in kappa(P)."""
     v, rn, rd = _divide_out_pi(f, P)
-    if P.is_infinity:
-        return v, rn / rd
     kappa = P._residue
     if kappa is None:
         return v, None
-    # the F_p keys of a remainder mod pi are the digits of its kappa(P) key
-    un, ud = (kappa.from_key(kappa._key(r)) for r in (rn, rd))
-    return v, un / ud
+    if kappa is not f.field:
+        # the F_p keys of a remainder mod pi are the digits of its kappa(P) key
+        rn, rd = kappa._key(rn), kappa._key(rd)
+    return v, kappa._kmul(rn, kappa._kinv(rd))
+
+
+def _local_unit(f: RatFunc, P: Place):
+    """(v, u) as _unit_key, with u the FieldElement of kappa(P)."""
+    v, k = _unit_key(f, P)
+    return v, None if k is None else P._residue.from_key(k)
 
 
 def _local_norm(f: RatFunc, P: Place):
     """(v, N) with f = pi^v * g, g a unit at P, and N the key of the norm of
     g mod P from kappa(P) to the base field, read off the same remainders
-    as _local_unit: Res(pi, rn) / Res(pi, rd) for the monic pi, with no
-    kappa(P) arithmetic.  At infinity N = lc(num)/lc(den).  Raises
-    NotImplementedError where kappa(P) is not built."""
+    as _unit_key.  Where kappa(P) is the base field (degree 1, infinity) N
+    is the unit rn/rd itself; otherwise Res(pi, rn) / Res(pi, rd) for the
+    monic pi, with no kappa(P) arithmetic.  Raises NotImplementedError
+    where kappa(P) is not built."""
     v, rn, rd = _divide_out_pi(f, P)
-    if P.is_infinity:
-        return v, (rn / rd).key()
-    P.residue_field()  # raises NotImplementedError: no kappa(P) here
-    F, pi = f.field, P.poly.coeffs
-    return v, F._kmul(_resultant(F, pi, rn), F._kinv(_resultant(F, pi, rd)))
+    F = f.field
+    if P.residue_field() is not F:  # raises NotImplementedError: no kappa(P)
+        pi = P.poly.coeffs
+        rn, rd = _resultant(F, pi, rn), _resultant(F, pi, rd)
+    return v, F._kmul(rn, F._kinv(rd))
 
 
 def valuation(f: RatFunc, P: Place) -> int:
@@ -287,12 +328,11 @@ def valuation(f: RatFunc, P: Place) -> int:
 
 def reduce_at(f: RatFunc, P: Place) -> FieldElement:
     """Image of a unit f in the residue field at P."""
-    v, u = (1, None) if f.is_zero() else _local_unit(f, P)
+    v, k = (1, None) if f.is_zero() else _unit_key(f, P)
     if v != 0:
         raise ValueError("not a unit at P")
-    if u is None:
-        P.residue_field()  # raises NotImplementedError: no kappa(P) here
-    return u
+    # raises NotImplementedError where kappa(P) is not built
+    return P.residue_field().from_key(k)
 
 
 def degree_one_place(field: FiniteField, c) -> Place:

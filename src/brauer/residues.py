@@ -10,11 +10,13 @@ the tame formula is read in F_q: for u in kappa(P), of order Q = q^deg P,
 u^((Q-1)/n) = N(u)^((q-1)/n) with N the norm to F_q, and kappa(P).zeta(n)
 is F_q's zeta, so the residue is the character of the norm of the tame
 unit on F_q, the same number as its corestriction.  That norm is
-(-1)^(v(a)v(b)deg P) N(a)^v(b) N(b)^(-v(a)), and each argument's norm is a
-resultant of pi and the argument's remainder (ratfunc._local_norm), with
-no kappa(P) arithmetic.  The cocycle route still reduces its unit into
-kappa(P) (ratfunc._local_unit), so route agreement compares two readings
-of the unit.  The tame unit is 1 where both arguments are units, so the
+(-1)^(v(a)v(b)deg P) N(a)^v(b) N(b)^(-v(a)), and each argument's norm is
+read by ratfunc._local_norm with no kappa(P) arithmetic: at a degree-1
+place and at infinity it is the argument's unit in F_q, from the values
+at the root (or the leading keys), and at a place of degree >= 2 a
+resultant of pi and the argument's remainder.  The cocycle route still
+reduces its unit into kappa(P) (ratfunc._local_unit), so route agreement
+compares two readings of the unit.  The tame unit is 1 where both arguments are units, so the
 whole-sum maps (ramification_divisor, reciprocity_sum) factor each
 argument once into its divisor and evaluate a term at a finite place only
 if the place is in the divisor of one of its arguments, with the
@@ -220,10 +222,6 @@ def ramification_divisor(alpha: SymbolClass) -> RamificationDivisor:
         for P, value in _residue_values(alpha):
             entries[P] = ResidueClass(n, value, P.residue_field().zeta(n))
     return RamificationDivisor(entries)
-
-
-def is_unramified_at(alpha: SymbolClass, P: Place) -> bool:
-    return tame_residue(alpha, P).is_zero()
 
 
 def reciprocity_sum(alpha: SymbolClass) -> ResidueClass:

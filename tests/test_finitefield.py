@@ -56,6 +56,28 @@ def test_prime_powers():
                    for p, e in pp)
 
 
+def _trial_division(n):
+    out, p = [], 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n, e = n // p, e + 1
+        if e:
+            out.append((p, e))
+        p += 1
+    return out + [(n, 1)] * (n > 1)
+
+
+def test_prime_powers_stop_at_a_prime_cofactor():
+    for n in range(-2, 20000):
+        assert prime_powers(n) == _trial_division(n), n
+    # plain trial division would run about 10^9 steps on each of these
+    big = 10 ** 18 + 3
+    assert prime_powers(big) == [(big, 1)]
+    assert prime_powers(2 * big) == [(2, 1), (big, 1)]
+    assert prime_powers(12 * big) == [(2, 2), (3, 1), (big, 1)]
+
+
 def test_is_prime_matches_trial_division():
     for n in range(-2, 10 ** 5):
         assert is_prime(n) == (prime_powers(n) == [(n, 1)]), n
@@ -181,9 +203,17 @@ def test_zeta_is_smallest_of_exact_order():
     assert F7.zeta(3) == F7.element(2)
     assert F13.zeta(2) == F13.element(12)
     assert F13.zeta(4) == F13.element(5)
-    assert F5.zeta(2).multiplicative_order() == 2
+    assert _order(F5.zeta(2)) == 2
     with pytest.raises(ValueError):
         F5.zeta(3)
+
+
+def _order(u):
+    """The multiplicative order of a unit u, by walking its powers."""
+    k, w = 1, u
+    while w != u.field.one():
+        k, w = k + 1, w * u
+    return k
 
 
 def _zeta_by_scan(F, n):
@@ -292,7 +322,7 @@ def test_corestrict_trivial_extension():
 def test_corestrict_norm_of_generator():
     # the norm F_49 -> F_7 raises to the power (49-1)/(7-1) = 8
     gen = next(u for u in F49.elements()
-               if not u.is_zero() and u.multiplicative_order() == 48)
+               if not u.is_zero() and _order(u) == 48)
     assert norm_to_prime_field(gen) == F7.element((gen ** 8).coeffs[0])
     assert corestrict(gen, 3) == power_residue_character(
         norm_to_prime_field(gen), 3)

@@ -74,6 +74,14 @@ def test_equality_is_symmetric_across_types():
     assert len({Poly.gen(F5), T5, 1 / T5}) == 2
 
 
+def test_equal_constants_hash_alike():
+    for F in (F5, FiniteField(5, 2)):
+        for c in (0, 1, 3):
+            equal = {F.element(c), Poly.constant(F, c),
+                     RatFunc.constant(F, c)}
+            assert len(equal) == 1, (F, c)
+
+
 def test_place_construction_requires_monic_irreducible():
     with pytest.raises(ValueError, match="irreducible"):
         Place(F5, Poly.gen(F5) ** 2 - 1)
@@ -289,3 +297,61 @@ def test_local_norm_is_norm_of_local_unit(rng):
                 f = random_ratfunc(rng, F, max_deg=5) * pi ** k
                 v, u = _local_unit(f, P)
                 assert _local_norm(f, P) == (v, norm_to_prime_field(u).key())
+
+
+@pytest.mark.parametrize("q", [5, 13, 10 ** 18 + 3])
+def test_rational_place_reads_match_evaluation(rng, q):
+    # at t - c the unit's image is read off Horner passes at c, and at
+    # infinity off the leading keys; the reference divides f by the
+    # expected power of the uniformizer in F_q(t) and evaluates what is
+    # left, with no division by pi
+    F = FiniteField(q)
+    t = Poly.gen(F)
+    cs = range(q) if q < 100 else [0, 1, q - 1] + [rng.randrange(q)
+                                                   for _ in range(5)]
+    places = [(Place(F, t - c), F.element(c)) for c in cs]
+    places.append((Place.infinity(F), None))
+    for P, c in places:
+        pi, seen = P.uniformizer(), set()
+        for trial in range(12):
+            # zeros and poles of order up to 3 at P and at another place,
+            # and constants
+            a, b = rng.randrange(4), rng.randrange(4)
+            if trial < 2:
+                a = b = 0
+            n0, d0 = (_unit_part(rng, F, P, c, trial < 2) for _ in range(2))
+            if trial % 3 == 2:  # (t - c1)^m / (t - c2)^m, a unit at P
+                c1, c2 = (0, 1) if c is None else (c + 1, c + 2)
+                n0 = n0 * (RatFunc(t - c1) / (t - c2)) ** rng.randrange(1, 4)
+            f = n0 / d0 * pi ** a / pi ** b
+            v = a - b
+            g = f * pi ** -v
+            if P.is_infinity:
+                assert g.num.degree == g.den.degree
+                u = g.num.leading_coefficient() / g.den.leading_coefficient()
+            else:
+                un, ud = g.num.evaluate(c), g.den.evaluate(c)
+                assert not un.is_zero() and not ud.is_zero()
+                u = un / ud
+            assert valuation(f, P) == v
+            assert _local_unit(f, P) == (v, u)
+            assert _local_norm(f, P) == (v, u.key())
+            seen.add((v < 0, v > 0, f.is_constant()))
+        assert {(True, False, False), (False, True, False),
+                (False, False, True)} <= seen
+
+
+def _unit_part(rng, F, P, c, constant):
+    """A nonzero rational function of degree <= 3 with no zero or pole at
+    P (degree 0 at infinity: equal degrees), or a constant."""
+    while True:
+        if constant:
+            return RatFunc.constant(F, rng.randrange(1, F.order))
+        g = random_ratfunc(rng, F, 3)
+        if P.is_infinity:
+            g = g * RatFunc.gen(F) ** (g.den.degree - g.num.degree)
+            if g.num.degree == g.den.degree and not g.is_zero():
+                return g
+        elif (not g.is_zero() and not g.num.evaluate(c).is_zero()
+              and not g.den.evaluate(c).is_zero()):
+            return g
