@@ -300,12 +300,6 @@ def _unit_key(f: RatFunc, P: Place):
     return v, kappa._kmul(rn, kappa._kinv(rd))
 
 
-def _local_unit(f: RatFunc, P: Place):
-    """(v, u) as _unit_key, with u the FieldElement of kappa(P)."""
-    v, k = _unit_key(f, P)
-    return v, None if k is None else P._residue.from_key(k)
-
-
 def _local_norm(f: RatFunc, P: Place):
     """(v, N) with f = pi^v * g, g a unit at P, and N the key of the norm of
     g mod P from kappa(P) to the base field, read off the same remainders

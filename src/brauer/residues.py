@@ -15,15 +15,15 @@ read by ratfunc._local_norm with no kappa(P) arithmetic: at a degree-1
 place and at infinity it is the argument's unit in F_q, from the values
 at the root (or the leading keys), and at a place of degree >= 2 a
 resultant of pi and the argument's remainder.  The cocycle route still
-reduces its unit into kappa(P) (ratfunc._local_unit), so route agreement
-compares two readings of the unit.  The tame unit is 1 where both arguments are units, so the
-whole-sum maps (ramification_divisor, reciprocity_sum) factor each
-argument once into its divisor and evaluate a term at a finite place only
-if the place is in the divisor of one of its arguments, with the
-valuations read off the divisors; infinity is evaluated for every term.
-An argument's norm is read only where it enters, at a place where the
-other argument has nonzero valuation.  The sign normalization is pinned by
-res((pi, u)_n) = -[u].
+reduces its unit into kappa(P) (ratfunc._unit_key), so route agreement
+compares two readings of the unit.  The tame unit is 1 where both
+arguments are units, so the whole-sum maps (ramification_divisor,
+reciprocity_sum) factor each argument once into its divisor and evaluate
+a term at a finite place only if the place is in the divisor of one of
+its arguments, with the valuations read off the divisors; infinity is
+evaluated for every term.  An argument's norm is read only where it
+enters, at a place where the other argument has nonzero valuation.  The
+sign normalization is pinned by res((pi, u)_n) = -[u].
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from functools import lru_cache
 
 from .cohomology import epsilon_cocycle, verify_coboundary_identity
 from .finitefield import FiniteField, ResidueClass, power_residue_character
-from .ratfunc import (Place, RatFunc, _divisor, _local_norm, _local_unit,
+from .ratfunc import (Place, RatFunc, _divisor, _local_norm, _unit_key,
                       valuation)
 
 
@@ -155,13 +155,13 @@ def residue_cocycle_route(j: int, u: RatFunc, P: Place, n: int) -> ResidueClass:
     """Residue of (pi_P^j, u)_n computed through the root-cover cocycle: the
     edge value of the epsilon cocycle of pi^j (see _epsilon_edge) paired
     with the unit's residue character.  Always equals -j * chi(u mod P)."""
-    v, ubar = (1, None) if u.is_zero() else _local_unit(u, P)
+    v, k = (1, None) if u.is_zero() else _unit_key(u, P)
     if v != 0:
         raise ValueError("second symbol argument must be a unit at P")
     kappa = P.residue_field()
     if (kappa.order - 1) % n != 0:
         raise ValueError(f"n={n} must divide |kappa(P)|-1={kappa.order - 1}")
-    chi = power_residue_character(ubar, n)
+    chi = power_residue_character(kappa.from_key(k), n)
     return ResidueClass(n, _epsilon_edge(n, j % n) * chi.value, chi.zeta)
 
 

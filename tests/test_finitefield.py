@@ -80,7 +80,7 @@ def test_prime_powers_stop_at_a_prime_cofactor():
 
 def test_is_prime_matches_trial_division():
     for n in range(-2, 10 ** 5):
-        assert is_prime(n) == (prime_powers(n) == [(n, 1)]), n
+        assert is_prime(n) == (_trial_division(n) == [(n, 1)]), n
 
 
 def test_is_prime_on_strong_pseudoprimes_and_large_primes():

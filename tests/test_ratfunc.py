@@ -3,7 +3,7 @@ import pytest
 from brauer import (FiniteField, ParseError, Place, Poly, RatFunc,
                     parse_place, reduce_at, valuation)
 from brauer.finitefield import norm_to_prime_field
-from brauer.ratfunc import (_divisor, _local_norm, _local_unit,
+from brauer.ratfunc import (_divisor, _local_norm, _unit_key,
                             degree_one_place, support)
 
 from conftest import local_test_places, random_place, random_ratfunc
@@ -112,7 +112,7 @@ def test_places_over_non_prime_base_field():
     # before it finds that kappa(P) is not built
     T = RatFunc.gen(F25)
     assert valuation((T + 1) ** 2 / (T + 2), P) == 2
-    assert _local_unit(T + 2, P) == (0, None)
+    assert _unit_key(T + 2, P) == (0, None)
     with pytest.raises(ValueError, match="not a unit"):
         reduce_at(T + 1, P)
     with pytest.raises(NotImplementedError):
@@ -150,7 +150,7 @@ def test_valuation_infinity():
 
 def test_valuation_of_zero_rejected():
     for P in (Place.infinity(F5), Place(F5, Poly.gen(F5) ** 2 + 2)):
-        for read in (valuation, _local_unit):
+        for read in (valuation, _unit_key):
             with pytest.raises(ValueError, match="valuation of zero"):
                 read(RatFunc.zero(F5), P)
 
@@ -273,17 +273,18 @@ def test_local_unit_matches_valuation_and_reduction(rng):
             for _ in range(8):
                 k = rng.randrange(-3, 4)
                 f = random_ratfunc(rng, F, max_deg=3) * pi ** k
-                v, u = _local_unit(f, P)
+                v, key = _unit_key(f, P)
                 g = f * pi ** -v
-                assert (v, u) == (valuation(f, P), reduce_at(g, P))
+                assert (v, key) == (valuation(f, P), reduce_at(g, P).key())
                 if P.is_infinity:
                     assert g.num.degree == g.den.degree
-                    assert u == (g.num.leading_coefficient()
-                                 / g.den.leading_coefficient())
+                    assert key == (g.num.leading_coefficient()
+                                   / g.den.leading_coefficient()).key()
                 else:
                     # g is a unit at P exactly when neither part vanishes
                     # at the root of pi, and its image is the quotient
-                    assert u == _at_root(g.num, P) / _at_root(g.den, P)
+                    u = _at_root(g.num, P) / _at_root(g.den, P)
+                    assert key == u.key()
 
 
 def test_local_norm_is_norm_of_local_unit(rng):
@@ -295,7 +296,8 @@ def test_local_norm_is_norm_of_local_unit(rng):
             for _ in range(8):
                 k = rng.randrange(-3, 4)
                 f = random_ratfunc(rng, F, max_deg=5) * pi ** k
-                v, u = _local_unit(f, P)
+                v, key = _unit_key(f, P)
+                u = P.residue_field().from_key(key)
                 assert _local_norm(f, P) == (v, norm_to_prime_field(u).key())
 
 
@@ -334,7 +336,7 @@ def test_rational_place_reads_match_evaluation(rng, q):
                 assert not un.is_zero() and not ud.is_zero()
                 u = un / ud
             assert valuation(f, P) == v
-            assert _local_unit(f, P) == (v, u)
+            assert _unit_key(f, P) == (v, u.key())
             assert _local_norm(f, P) == (v, u.key())
             seen.add((v < 0, v > 0, f.is_constant()))
         assert {(True, False, False), (False, True, False),

@@ -17,7 +17,7 @@ from brauer.finitefield import (_FIELD_CACHE, corestrict, norm_to_prime_field,
                                 power_residue_character)
 from brauer.cohomology import verify_coboundary_identity
 from brauer.parsing import parse_symbol_sum
-from brauer.ratfunc import _local_unit, reduce_at, valuation
+from brauer.ratfunc import _unit_key, reduce_at, valuation
 from brauer.residues import RamificationDivisor, _tame_norm
 
 from conftest import (local_test_places, random_place, random_ratfunc,
@@ -292,11 +292,12 @@ def _kappa_tame_unit(a, b, P, va, vb):
     """The tame unit (-1)^(va*vb) a^vb b^(-va) in kappa(P), each argument's
     unit reduced there: the kappa(P) computation that the norm route
     replaced, kept as its oracle."""
-    unit = P.residue_field().one()
+    kappa = P.residue_field()
+    unit = kappa.one()
     if vb:
-        unit = _local_unit(a, P)[1] ** vb
+        unit = kappa.from_key(_unit_key(a, P)[1]) ** vb
     if va:
-        unit = unit * _local_unit(b, P)[1] ** -va
+        unit = unit * kappa.from_key(_unit_key(b, P)[1]) ** -va
     return -unit if (va * vb) % 2 else unit
 
 
