@@ -61,10 +61,16 @@ def prime_powers(n: int):
     """[(p, e)] with n the product of the p^e, by trial division that stops
     once the cofactor is prime; [] for n < 2, so n is prime exactly when
     this is [(n, 1)].  The cofactor is tested by is_prime, below
-    PRIMALITY_BOUND, at the start and after each prime divided out."""
+    PRIMALITY_BOUND, at the start and after each prime divided out.  A
+    cofactor still composite after the TABLE_GUARD trial divisors 2, 3,
+    5, ..., 2 TABLE_GUARD - 1 is refused: check_work gets the divisors up
+    to its square root, which are more, and raises TableSizeError."""
+    from .cohomology import TABLE_GUARD, check_work  # it imports this module
     out, p = [], 2
     prime = n < PRIMALITY_BOUND and is_prime(n)
     while not prime and p * p <= n:
+        if p == 2 * TABLE_GUARD + 1:
+            check_work("trial division", (math.isqrt(n) + 1) // 2)
         e = 0
         while n % p == 0:
             n, e = n // p, e + 1
@@ -327,12 +333,17 @@ class FiniteField:
         order n.  The keys below p are F_p, so for n | p - 1 it is F_p's.
         Otherwise, where such keys are dense (n^2 >= q), they are tested in
         order; else the least primitive power of one generator c^((q-1)/n)
-        of the n-th roots of unity is taken."""
+        of the n-th roots of unity is taken.  Each way walks up to about n
+        keys or powers, as zeta_log does for each character read against
+        the root, so n > TABLE_GUARD raises TableSizeError first; the
+        check is made once per n, as the root is cached."""
         if n in self._zeta_cache:
             return self._zeta_cache[n]
         q = self.order
         if n < 1 or (q - 1) % n != 0:
             raise ValueError(f"n={n} does not divide |F|-1={q - 1}")
+        from .cohomology import check_work  # it imports this module
+        check_work("n-th roots of unity", n)
         ells = [ell for ell, _ in prime_powers(n)]
 
         def primitive(h):  # for h with h^n = 1

@@ -230,11 +230,11 @@ def _distinct_degree(F, f) -> list:
 
 def _equal_degree(F, f, d: int) -> list:
     """Cantor-Zassenhaus split of a product of degree-d irreducibles."""
+    if len(f) - 1 == d:  # one irreducible: nothing to split, whatever q
+        return [f]
     if F.order % 2 == 0:
         raise NotImplementedError(
             "equal-degree splitting implemented for odd order only")
-    if len(f) - 1 == d:
-        return [f]
     g = _split(F, f, d)
     return _equal_degree(F, g, d) + _equal_degree(F, _divmod(F, f, g)[0], d)
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .cohomology import epsilon_cocycle, verify_coboundary_identity
+from .cohomology import _epsilon_checked
 from .finitefield import FiniteField, ResidueClass, power_residue_character
 from .ratfunc import (Place, RatFunc, _divisor, _local_norm, _unit_key,
                       valuation)
@@ -168,10 +168,11 @@ def residue_cocycle_route(j: int, u: RatFunc, P: Place, n: int) -> ResidueClass:
 @lru_cache(maxsize=None)
 def _epsilon_edge(n: int, j: int) -> int:
     """sum_b v(eps_{b,1}) in H^2(Z/n, Z) = Z/n for the epsilon cocycle of pi^j,
-    after the Cech coboundary identity is checked; once per (n, j mod n)."""
-    if not verify_coboundary_identity(n, power=j):
+    read from the table the Cech coboundary identity was checked on; once
+    per (n, j mod n)."""
+    eps, holds = _epsilon_checked(n, power=j)
+    if not holds:
         raise RuntimeError("coboundary identity failed")  # never happens
-    eps = epsilon_cocycle(n, power=j)
     return sum(eps[(b, 1 % n)].pi_steps for b in range(n)) // n
 
 

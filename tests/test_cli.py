@@ -614,6 +614,26 @@ def test_epsilon_table_built_once(capsys, monkeypatch):
     assert json.loads(out)["results"]["epsilon"][4][1] == "pi^(-1)*zeta^0"
 
 
+def test_trial_division_and_roots_of_unity_exit_four_quickly(capsys):
+    big = "1000000000000000003"  # prime, 10^18 + 3
+    for argv, estimate in (
+            (["cohomology", "rank", "--factors", "2", "--m",
+              "1000000016000000063", "--degree", "2"],  # (10^9+7)(10^9+9)
+             "trial division of 500000004"),
+            (["residue", "--q", big, "--n", "104890113446", "--symbol",
+              "(t, 2)_104890113446", "--place", "t+1"],
+             "n-th roots of unity of 104890113446"),
+            (["residue", "--q", big, "--n", "500000000000000001", "--symbol",
+              "(t, 2)_500000000000000001", "--place", "t+1"],
+             "n-th roots of unity of 500000000000000001")):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1, argv
+        assert (code, out) == (4, ""), argv
+        assert err == f"size guard: {estimate} entries exceeds the guard " \
+                      "1000000\n", argv
+
+
 def test_large_q_answers_or_exits_three_quickly(capsys):
     big = "1000000000000000003"  # prime, 10^18 + 3
     for argv, line in (

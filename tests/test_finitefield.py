@@ -2,7 +2,9 @@ import math
 
 import pytest
 
-from brauer import FiniteField, corestrict, power_residue_character
+from brauer import (FiniteField, TableSizeError, corestrict,
+                    power_residue_character)
+from brauer import cohomology
 from brauer.finitefield import (PRIMALITY_BOUND, is_prime, norm_to_prime_field,
                                 prime_powers)
 
@@ -76,6 +78,18 @@ def test_prime_powers_stop_at_a_prime_cofactor():
     assert prime_powers(big) == [(big, 1)]
     assert prime_powers(2 * big) == [(2, 1), (big, 1)]
     assert prime_powers(12 * big) == [(2, 2), (3, 1), (big, 1)]
+
+
+def test_prime_powers_refuse_a_composite_cofactor_past_the_trial_budget():
+    # the 10^6 trial divisors are 2 and the odd numbers below 2 * 10^6: a
+    # product of two primes, the smaller below that, factors, and one of
+    # two primes past it is refused with the divisors up to its square root
+    assert prime_powers(1999993 * 2000003) == [(1999993, 1), (2000003, 1)]
+    for m, estimate in ((2000003 * 2000029, 1000008),
+                        (1000000007 * 1000000009, 500000004)):
+        with pytest.raises(TableSizeError,
+                           match=f"trial division of {estimate} entries"):
+            prime_powers(m)
 
 
 def test_is_prime_matches_trial_division():
@@ -223,6 +237,29 @@ def _zeta_by_scan(F, n):
         if not u.is_zero() and u ** n == F.one() and all(
                 u ** (n // ell) != F.one() for ell in ells):
             return u
+
+
+def test_zeta_walks_at_most_the_guard(monkeypatch):
+    # n <= 10^6 answers (over q = 22000001, 10^6 | q - 1); n = q - 1 over
+    # q = 1000003 and two divisors of 10^18 + 2 are refused before a walk
+    F = FiniteField(22000001)
+    z = F.zeta(10 ** 6)
+    assert z ** (10 ** 6) == F.one()
+    assert all(z ** (10 ** 6 // ell) != F.one() for ell in (2, 5))
+    for q, n in ((1000003, 1000002), (10 ** 18 + 3, 104890113446),
+                 (10 ** 18 + 3, 500000000000000001)):
+        with pytest.raises(TableSizeError,
+                           match=f"n-th roots of unity of {n} entries"):
+            FiniteField(q).zeta(n)
+    # the check is made once per n: characters read the cached root
+    calls = []
+    real = cohomology.check_work
+    monkeypatch.setattr(cohomology, "check_work",
+                        lambda *args: calls.append(args) or real(*args))
+    F = FiniteField(1000003)
+    for k in range(2, 12):
+        power_residue_character(F.element(k), 500001)
+    assert calls == [("n-th roots of unity", 500001)]
 
 
 def test_zeta_matches_element_scan():

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +17,9 @@ from brauer import (
     parse_symbol_sum,
 )
 
+import parsing_reference as reference
+from brauer import parsing
+from brauer.cohomology import check_work
 from conftest import random_ratfunc
 
 
@@ -262,13 +267,14 @@ def test_grammar_sums_parse_to_their_terms_and_repr_round_trips(case):
 
 TOKENS = ("t", "^", "*", "+", "-", "/", "(", ")", ",", "_", "0", "1", "2",
           "3", "12", "600", "1001", "x")
+TOKEN_STRINGS = st.lists(
+    st.tuples(st.sampled_from(SPACES), st.sampled_from(TOKENS)), max_size=20
+).map(lambda tokens: "".join(w + tok for w, tok in tokens))
 
 
 @settings(GRAMMAR, max_examples=200)
-@given(st.lists(st.tuples(st.sampled_from(SPACES), st.sampled_from(TOKENS)),
-                max_size=20))
-def test_token_strings_parse_or_raise_parse_or_size_errors(tokens):
-    text = "".join(w + tok for w, tok in tokens)
+@given(TOKEN_STRINGS)
+def test_token_strings_parse_or_raise_parse_or_size_errors(text):
     for parse in (parse_poly, parse_ratfunc,
                   lambda s, F: parse_symbol_sum(s, F, 2)):
         try:
@@ -284,3 +290,77 @@ def test_token_strings_parse_or_raise_parse_or_size_errors(tokens):
             parse_place(text, F5)
         except ParseError:
             pass
+
+
+# -- the one-pass parser against the recursive descent it replaced ----------
+
+
+def _outcome(module, name, *args):
+    """module.name(*args): its value, or the type and message of the error it
+    raises, with the (what, base, power) of every size check it made."""
+    checks = []
+
+    def check(*check_args):
+        checks.append(check_args)
+        return check_work(*check_args)
+
+    with mock.patch.object(module, "check_work", check):
+        try:
+            return getattr(module, name)(*args), checks
+        except (ValueError, TableSizeError) as exc:  # ParseError: ValueError
+            return (type(exc), str(exc)), checks
+
+
+def _assert_parses_as_reference(text, F, n=None):
+    """Every entry point gives the reference parser's value or error, after
+    the same size checks; a place is read when its polynomial fails to
+    parse or has degree <= 8, since a larger one is only factored, by code
+    both sides share."""
+    for name, args in (("parse_poly", (text, F)),
+                       ("parse_ratfunc", (text, F)),
+                       ("parse_symbol_sum", (text, F)),
+                       ("parse_symbol_sum", (text, F, n or 2)),
+                       ("parse_place", (text, F))):
+        if name == "parse_place" and not small:
+            continue
+        want = _outcome(reference, name, *args)
+        assert _outcome(parsing, name, *args) == want, (name, args)
+        if name == "parse_poly":
+            small = not isinstance(want[0], Poly) or want[0].degree <= 8
+
+
+@settings(GRAMMAR, max_examples=500)
+@given(TOKEN_STRINGS, st.sampled_from((F5, FiniteField(5, 2))))
+def test_token_strings_parse_as_the_reference_parser(text, field):
+    _assert_parses_as_reference(text, field)
+
+
+@GRAMMAR
+@given(symbol_sums())
+def test_symbol_sums_parse_as_the_reference_parser(case):
+    text, F, n, _ = case
+    _assert_parses_as_reference(text, F, n)
+
+
+def test_a_zero_factor_empties_the_product_before_the_size_checks():
+    assert parse_poly("0*t^900*t^900", F5) == Poly.zero(F5)
+    assert parse_poly("t^900*0*t^900", F5) == Poly.zero(F5)
+    with pytest.raises(TableSizeError,
+                       match=r"^polynomial product of 1200\^2 entries"):
+        parse_poly("t^600*t^600", F5)
+
+
+@pytest.mark.parametrize("text", [
+    "0*t^900*t^900",  # a zero factor empties the product: the sizes pass
+    "t^900*0*t^900",
+    "t^600*t^600",  # polynomial product of 1200^2 entries
+    "(t+1)^1001",  # polynomial power of 1001^2 entries
+    "t^123456",  # power to a 6-digit exponent, refused before int()
+    "2^123456789012345678901234567890*t",  # a constant's exponent mod q - 1
+    "t^600 t^600 x", "(t, 2)_2 x", "x", " ", "", "(t^2+1)/(t+1)^2 + 3",
+    "t^", "(t", "t +", "(t,2)_2 (", "- (t,2)_4", "0^0 t - 3(2t)^3 t",
+    "t - t", "(t+1)^2 - t^2 - 2t", "t^2 + 3t - 3*t - t^2", "t^1000 * 0",
+], ids=repr)
+def test_size_and_error_corners_parse_as_the_reference_parser(text):
+    for F in (F5, FiniteField(5, 2)):
+        _assert_parses_as_reference(text, F)

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from brauer import FiniteField, Poly, RatFunc
+from brauer import FiniteField, Poly, RatFunc, support
 from brauer.finitefield import prime_powers
 from brauer.poly import _resultant
 
@@ -521,3 +521,19 @@ def test_split_is_independent_of_the_hash_seed():
                              capture_output=True, text=True, check=True)
         out.add(run.stdout)
     assert len(out) == 1
+
+
+def test_even_order_factors_whose_pieces_are_irreducible():
+    # equal-degree splitting is for odd q, but a distinct-degree piece that
+    # is already one irreducible needs none
+    F2 = FiniteField(2)
+    t = Poly.gen(F2)
+    for f, want in ((t ** 2 + t + 1, [(t ** 2 + t + 1, 1)]),
+                    ((t + 1) ** 2, [(t + 1, 2)]),
+                    (t ** 3 + t + 1, [(t ** 3 + t + 1, 1)]),
+                    ((t ** 2 + t + 1) * (t ** 3 + t + 1) ** 2 * t,
+                     [(t, 1), (t ** 2 + t + 1, 1), (t ** 3 + t + 1, 2)])):
+        assert f.factor() == want, f
+    assert [P.poly for P in support(RatFunc(t ** 2 + t + 1))] == [t ** 2 + t + 1]
+    with pytest.raises(NotImplementedError, match="odd order"):
+        (t ** 2 + t).factor()  # two linear factors: a split in characteristic 2

@@ -12,10 +12,9 @@ from brauer import (
     residue_cocycle_route,
     tame_residue,
 )
-from brauer import residues
+from brauer import cohomology, residues
 from brauer.finitefield import (_FIELD_CACHE, corestrict, norm_to_prime_field,
                                 power_residue_character)
-from brauer.cohomology import verify_coboundary_identity
 from brauer.parsing import parse_symbol_sum
 from brauer.ratfunc import _unit_key, reduce_at, valuation
 from brauer.residues import RamificationDivisor, _tame_norm
@@ -174,22 +173,30 @@ def test_tame_unit_matches_ratfunc_reference(rng):
 
 
 def test_cocycle_route_checks_epsilon_identity_once_per_key(monkeypatch):
-    calls = []
+    calls, tables = [], []
+    real_checked, real_table = (cohomology._epsilon_checked,
+                                cohomology.epsilon_cocycle)
 
     def counted(n, power=1):
         calls.append((n, power))
-        return verify_coboundary_identity(n, power=power)
+        return real_checked(n, power=power)
 
-    monkeypatch.setattr(residues, "verify_coboundary_identity", counted)
+    def table(n, power=1):
+        tables.append((n, power))
+        return real_table(n, power)
+
+    monkeypatch.setattr(residues, "_epsilon_checked", counted)
+    monkeypatch.setattr(cohomology, "epsilon_cocycle", table)
     residues._epsilon_edge.cache_clear()
     P = Place(F13, Poly.gen(F13))
     u = RatFunc.gen(F13) + 2
     for j in (1, 2, 5, 6, 9, -3):
         residue_cocycle_route(j, u, P, 4)
     assert calls == [(4, 1), (4, 2)]
+    assert tables == calls  # one n^2 table per key, the one checked
     # a failing identity still raises, and failures are not cached
-    monkeypatch.setattr(residues, "verify_coboundary_identity",
-                        lambda n, power=1: False)
+    monkeypatch.setattr(residues, "_epsilon_checked",
+                        lambda n, power=1: (real_table(n, power), False))
     residues._epsilon_edge.cache_clear()
     with pytest.raises(RuntimeError, match="coboundary identity"):
         residue_cocycle_route(1, u, P, 4)
