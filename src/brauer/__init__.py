@@ -14,8 +14,7 @@ from .cohomology import (Cochain, FiniteAbelianGroup, FormalUnit,
                          identity_character, is_cocycle, lhs_edge_map,
                          verify_coboundary_identity)
 from .conic import (ConicBundle, ConicModelError, check_artin,
-                    component_torsor, count_fiber_points, degenerate_places,
-                    minimize_at)
+                    component_torsor, count_fiber_points, degenerate_places)
 from .finitefield import (FieldElement, FiniteField, ResidueClass, corestrict,
                           power_residue_character)
 from .parsing import (ParseError, parse_place, parse_poly, parse_ratfunc,
@@ -38,7 +37,7 @@ __all__ = [
     "cohomology_rank", "component_torsor", "corestrict", "count_fiber_points",
     "cup_product_boxtimes", "degenerate_places", "degree_one_place",
     "epsilon_cocycle", "extension_factor_set", "identity_character",
-    "is_cocycle", "lhs_edge_map", "minimize_at", "parse_place", "parse_poly",
+    "is_cocycle", "lhs_edge_map", "parse_place", "parse_poly",
     "parse_ratfunc", "parse_symbol_sum", "power_residue_character",
     "ramification_divisor", "reciprocity_sum", "reduce_at",
     "residue_cocycle_route", "smith_normal_form", "support", "tame_residue",

@@ -1,14 +1,16 @@
 """Conic bundles a*x^2 + b*y^2 = z^2 over P^1 and their degenerate fibers.
 
 At a place where the quaternion symbol (a,b)_2 ramifies, the fiber of the
-minimized local model degenerates to a rank-2 form whose two lines are
+minimal local model degenerates to a rank-2 form whose two lines are
 swapped by a quadratic twist; the class of that component torsor equals
-the tame residue.  A projective point-count over the residue field acts as
-an independent oracle: a split degenerate conic over F_Q has 2Q+1 points,
-a non-split one exactly 1.  The reduced fiber is a pair of kappa(P) keys
-(ratfunc's local read: at a degree-1 place or infinity two values in F_q,
-no polynomial division), and the count reads it on keys from there on,
-building no FieldElement.  The count runs in the default-modulus field
+the tame residue.  The reduced fiber is the one local model: a pair of
+kappa(P) keys (ratfunc's local read: at a degree-1 place or infinity two
+values in F_q, no polynomial division).  The torsor is read from its unit
+alone, by the character of a resultant norm, so it shares no norm with
+the residue it is compared with.  A projective point-count over the
+residue field acts as a further oracle: a split degenerate conic over F_Q
+has 2Q+1 points, a non-split one exactly 1.  The count reads the reduced
+fiber on keys, building no FieldElement, in the default-modulus field
 F_Q = FiniteField(p, d*e), into which kappa(P) embeds at a root of pi;
 multiplying by c there rotates discrete logs by log c, so a degenerate
 fiber is counted by popcounts of bit planes of log-indexed square-root
@@ -23,8 +25,8 @@ from operator import getitem
 
 from .cohomology import check_work
 from .finitefield import FiniteField, ResidueClass, power_residue_character
-from .poly import Poly
-from .ratfunc import Place, RatFunc, _local_norm, _unit_key, valuation
+from .poly import Poly, _resultant, _trim
+from .ratfunc import Place, RatFunc, _unit_key, valuation
 from .residues import SymbolClass, _candidate_places, ramification_divisor
 
 
@@ -64,27 +66,12 @@ class ConicBundle:
         return f"({self.a})*x^2 + ({self.b})*y^2 = z^2"
 
 
-def minimize_at(C: ConicBundle, P: Place):
-    """Local model (a0, b0, -1) with v_P(a0), v_P(b0) in {0, 1}, not both 1.
-
-    Even parts of the valuations are square factors of the uniformizer and
-    are stripped; if both coefficients still vanish to order one, the
-    symbol identity (a, b) = (a, -a*b) trades b for a unit.  The symbol
-    class at P is unchanged throughout.
-    """
-    pi = P.uniformizer()
-    va, vb = valuation(C.a, P), valuation(C.b, P)
-    a = C.a * pi ** (-2 * (va // 2))
-    b = C.b * pi ** (-2 * (vb // 2))
-    if va % 2 and vb % 2:
-        b = (-a * b) * pi ** -2
-    return (a, b, RatFunc.constant(C.field, -1))
-
-
 def _reduced_fiber(C: ConicBundle, P: Place):
-    """(abar, bbar), the kappa(P) keys of minimize_at's fiber, from the local
-    units: an odd valuation reduces to 0, and two odd ones give (0,
-    -abar*bbar)."""
+    """(abar, bbar), the kappa(P) keys of the minimal model's fiber at P,
+    from the local units.  Even parts of the valuations are square factors
+    of the uniformizer and leave the class alone, so a unit reduces to its
+    key and an odd valuation to 0; if both are odd, the symbol identity
+    (a, b) = (a, -a*b) trades b for a unit, giving (0, -abar*bbar)."""
     kappa = P.residue_field()
     va, ua = _unit_key(C.a, P)
     vb, ub = _unit_key(C.b, P)
@@ -96,22 +83,20 @@ def _reduced_fiber(C: ConicBundle, P: Place):
 def component_torsor(C: ConicBundle, P: Place) -> ResidueClass:
     """Square class of the unit coefficient of the degenerate fiber at P.
 
-    The fiber u*X^2 = Z^2 factors into two lines over kappa(P)(sqrt(u));
-    the torsor of its components is the class of u, read as the quadratic
-    character of its norm to F_q: N(bbar) or N(abar) where one valuation is
-    odd, and (-1)^deg P * N(abar) * N(bbar) for u = -abar*bbar where both
-    are.  Errors if the fiber at P is a smooth conic.
+    The fiber u*X^2 = Z^2 of the minimal model factors into two lines over
+    kappa(P)(sqrt(u)); the torsor of its components is the class of u, the
+    nonzero key of _reduced_fiber.  u is a square in kappa(P) exactly when
+    its norm to F_q is a square: where kappa(P) is F_q (degree 1, infinity)
+    that norm is u, elsewhere Res(pi, u) by one Euclid, on u's digits.
+    Errors if the fiber at P is a smooth conic.
     """
-    kappa, F = P.residue_field(), C.field
-    (va, na), (vb, nb) = _local_norm(C.a, P), _local_norm(C.b, P)
-    if va % 2 and vb % 2:
-        norm = F._kmul(na, nb)
-        norm = F._kneg(norm) if P.degree % 2 else norm
-    elif va % 2 or vb % 2:
-        norm = nb if va % 2 else na
-    else:
+    abar, bbar = _reduced_fiber(C, P)
+    if abar and bbar:
         raise ConicModelError("fiber is smooth")
-    chi = power_residue_character(F.from_key(norm), 2)
+    kappa, F, u = P.residue_field(), C.field, bbar or abar
+    if kappa is not F:
+        u = _resultant(F, P.poly.coeffs, _trim(list(kappa._digits(u))))
+    chi = power_residue_character(F.from_key(u), 2)
     return ResidueClass(2, chi.value, kappa.zeta(2))
 
 

@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 
 from brauer import (
@@ -357,6 +359,39 @@ def test_norm_route_matches_kappa_oracle(rng):
         assert reciprocity_sum(alpha) == ResidueClass(n, total, F.zeta(n))
     assert {("degree", d) for d in (1, 2, 3, 4, "inf")} | {
         ("valuations", k) for k in (0, 1, 2)} <= seen
+
+
+def test_residue_is_the_order_of_the_cyclic_cover(rng):
+    # the residue r at P is the class of the cyclic cover kappa(P)[X]/(X^n -
+    # u), u the tame unit in kappa(P): Frobenius moves the roots by X ->
+    # zeta^r X, so every irreducible factor of X^n - u has degree n/gcd(r, n)
+    seen = set()
+    for F, ns in ((F5, (2, 4)), (FiniteField(7), (2, 3, 6)),
+                  (F13, (2, 3, 4, 6))):
+        pis = [P.uniformizer() for P in local_test_places(rng, F)[:-1]]
+        for n in ns:
+            for _ in range(3):
+                terms = []
+                for _ in range(rng.randrange(1, 3)):
+                    a, b = (random_ratfunc(rng, F, 2)
+                            * rng.choice(pis) ** rng.randrange(-2, 3)
+                            for _ in range(2))
+                    terms.append((a, b, rng.randrange(1, n)))
+                alpha = SymbolClass(n, terms)
+                for P, r in ramification_divisor(alpha).items():
+                    kappa = P.residue_field()
+                    u = kappa.one()
+                    for a, b, m in terms:
+                        u = u * _kappa_tame_unit(a, b, P, valuation(a, P),
+                                                 valuation(b, P)) ** m
+                    cover = Poly(kappa, [-u] + [kappa.from_key(0)] * (n - 1)
+                                 + [kappa.one()])
+                    degrees = {g.degree for g, _ in cover.factor()}
+                    assert degrees == {n // gcd(r.value, n)}, (alpha, P)
+                    seen.add((n, "inf" if P.is_infinity else P.degree))
+    assert {d for _, d in seen} == {1, 2, 3, "inf"}
+    assert {n for n, _ in seen} == {2, 3, 4, 6}
+    assert len(seen) >= 12
 
 
 def test_residue_paths_run_no_arithmetic_in_kappa(wide_key_ops, rng):
