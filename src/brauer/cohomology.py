@@ -25,6 +25,12 @@ S_(beta,b) = D^beta C^b, each matrix held as the column and entry of each
 row.  A formal unit holds its pi-exponent as an int count of 1/n steps,
 so the identity is checked in integer arithmetic, once for each pair
 (b, b'): the translation's zeta^(power*beta*b') cancels for every beta.
+A cochain built by a caller goes through the public constructor, which
+checks the group, degree, modulus and number of values and reduces each
+value mod m.  The package's own results (the ring operations, coboundary,
+random cochains, the box product, the edge map and the factor set) come
+through Cochain._raw instead: each computes and reduces its values in one
+pass, and _raw stores them unchecked under its contract.
 TableSizeError, its bound TABLE_GUARD and check_work, the one function
 that raises it, live here: every operation of the package that may build
 more than TABLE_GUARD entries passes its estimate of them to check_work
@@ -105,9 +111,11 @@ _group = functools.lru_cache(maxsize=16)(FiniteAbelianGroup)
 
 class Cochain:
     """A total function group^degree -> Z/modulus.  ``values`` is a tuple in
-    tuple-product order, the column order of coboundary_matrix; it is built
-    from a function of the degree arguments or a sequence of |G|^degree
-    values."""
+    tuple-product order, the column order of coboundary_matrix, of ints in
+    [0, modulus).  The constructor checks its arguments and reduces each
+    value mod modulus; it takes a function of the degree arguments or a
+    sequence of |G|^degree values.  The cochains this module computes are
+    built by _raw, which checks nothing."""
 
     def __init__(self, group: FiniteAbelianGroup, degree: int, modulus: int,
                  values=None):
@@ -126,8 +134,9 @@ class Cochain:
         self.modulus = modulus
         size = group.size ** degree
         if values is None:
-            values = (0,) * size
-        elif callable(values):
+            self.values = (0,) * size
+            return
+        if callable(values):
             values = [values(*k) for k in
                       itertools.product(group.elements(), repeat=degree)]
         elif isinstance(values, dict):
@@ -137,6 +146,17 @@ class Cochain:
         if len(self.values) != size:
             raise ValueError(f"a degree-{degree} cochain on {group} has "
                              f"{size} values, got {len(self.values)}")
+
+    @classmethod
+    def _raw(cls, group: FiniteAbelianGroup, degree: int, modulus: int,
+             values) -> "Cochain":
+        """The cochain with these values, not checked: they are ints in
+        [0, modulus), |group|^degree of them, and group is listed when
+        degree > 0, so that __call__ can read group.index."""
+        self = object.__new__(cls)
+        self.group, self.degree, self.modulus = group, degree, modulus
+        self.values = tuple(values)
+        return self
 
     def __call__(self, *args) -> int:
         if len(args) != self.degree:
@@ -152,23 +172,30 @@ class Cochain:
             raise ValueError("incompatible cochains")
 
     def _new(self, values):
-        return Cochain(self.group, self.degree, self.modulus, values)
+        # values reduced mod self.modulus by the caller
+        return Cochain._raw(self.group, self.degree, self.modulus, values)
 
     def __add__(self, other):
         self._compat(other)
-        return self._new([a + b for a, b in zip(self.values, other.values)])
+        m = self.modulus
+        return self._new([(a + b) % m for a, b in zip(self.values,
+                                                      other.values)])
 
     def __sub__(self, other):
         self._compat(other)
-        return self._new([a - b for a, b in zip(self.values, other.values)])
+        m = self.modulus
+        return self._new([(a - b) % m for a, b in zip(self.values,
+                                                      other.values)])
 
     def __neg__(self):
-        return self._new([-v for v in self.values])
+        m = self.modulus
+        return self._new([-v % m for v in self.values])
 
     def __mul__(self, k: int):
         if not isinstance(k, int):
             return NotImplemented
-        return self._new([k * v for v in self.values])
+        m = self.modulus
+        return self._new([k * v % m for v in self.values])
 
     __rmul__ = __mul__
 
@@ -187,15 +214,20 @@ class Cochain:
     @classmethod
     def random(cls, group, degree, modulus, rng: random.Random):
         check_work("cochain table", group.size, degree, least=degree)
-        return cls(group, degree, modulus,
-                   [rng.randrange(modulus) for _ in range(group.size ** degree)])
+        values = [rng.randrange(modulus) for _ in range(group.size ** degree)]
+        if degree:
+            group.elements()
+        return cls._raw(group, degree, modulus, values)
 
 
 def coboundary(c: Cochain) -> Cochain:
     """Inhomogeneous differential with trivial coefficients, d(d(c)) = 0,
     by _differential."""
-    return Cochain(c.group, c.degree + 1, c.modulus,
-                   _differential(c.group, c.degree, c.values))
+    G, m = c.group, c.modulus
+    values = [v % m for v in _differential(G, c.degree, c.values)]
+    # _faces is cached per equal group, and may have listed another one
+    G.elements()
+    return Cochain._raw(G, c.degree + 1, m, values)
 
 
 def _differential(group: FiniteAbelianGroup, k: int, values):
@@ -394,11 +426,13 @@ def cup_product_boxtimes(n: int) -> Cochain:
     n^4 values are checked against TABLE_GUARD before they are built.
     """
     check_work("cochain table", n * n, 2)
+    G = _group((n, n))
+    G.elements()
     # ((g0, g1), (h0, h1)) sits at ((g0 n + g1) n + h0) n + h1, so the
     # block of g0 is g0 * h1 over h1, once for each (g1, h0)
-    return Cochain(_group((n, n)), 2, n,
-                   [v for g0 in range(n)
-                    for v in [g0 * h1 for h1 in range(n)] * (n * n)])
+    return Cochain._raw(G, 2, n,
+                        [v for g0 in range(n)
+                         for v in [g0 * h1 % n for h1 in range(n)] * (n * n)])
 
 
 class FormalUnit:
@@ -535,7 +569,8 @@ def lhs_edge_map(c: Cochain) -> Cochain:
         if any(p != (beta * slope + base) % m
                for beta, p in enumerate(pairing)):
             raise ValueError("fiber pairing is not a character")
-    return Cochain(Zn, 1, m, out)
+    Zn.elements()
+    return Cochain._raw(Zn, 1, m, out)
 
 
 # ---------------------------------------------------------------------------
@@ -577,20 +612,24 @@ def extension_factor_set(n: int, q: int) -> Cochain:
     for _ in range(n - 1):
         D_pows.append(mul(D_pows[-1], D))
         C_pows.append(mul(C_pows[-1], C))
-    section = {(beta, b): mul(D_pows[beta], C_pows[b])
-               for beta in range(n) for b in range(n)}
+    # S_g at g's position beta n + b in G
+    section = [mul(D_pows[beta], C_pows[b])
+               for beta in range(n) for b in range(n)]
 
     # D's entries are the keys of zeta^0, ..., zeta^(n-1): their logs
     log = {k: i for i, k in enumerate(D[1])}
+    inv0 = [F._kinv(entries[0]) for _, entries in section]
 
-    def value(g, h):
-        # row 0 of S_g S_h is row cols_g[0] of S_h scaled by entries_g[0]
-        (cols_g, entries_g), (_, entries_h) = section[g], section[h]
-        entry = F._kmul(entries_g[0], entries_h[cols_g[0]])
-        _, entries_gh = section[G.add(g, h)]
-        try:
-            return log[F._kmul(entry, F._kinv(entries_gh[0]))]
-        except KeyError:
-            raise ValueError("element is not a power of zeta") from None
-
-    return Cochain(G, 2, n, value)
+    # the pairs (g, h) in tuple-product order; row 0 of S_g S_h is row
+    # cols_g[0] of S_h scaled by entries_g[0]
+    elements, kmul, values = G.elements(), F._kmul, []
+    try:
+        for (beta, b), (cols_g, entries_g) in zip(elements, section):
+            col, scale = cols_g[0], entries_g[0]
+            for (beta2, b2), (_, entries_h) in zip(elements, section):
+                entry = kmul(scale, entries_h[col])
+                gh = (beta + beta2) % n * n + (b + b2) % n
+                values.append(log[kmul(entry, inv0[gh])])
+    except KeyError:
+        raise ValueError("element is not a power of zeta") from None
+    return Cochain._raw(G, 2, n, values)

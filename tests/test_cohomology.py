@@ -7,6 +7,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from brauer import FiniteField, cli, cohomology
 from brauer.finitefield import prime_powers
@@ -30,11 +31,13 @@ from brauer.snf import _eliminate, smith_normal_form, solve_mod
 
 
 def _face_coboundary(c):
-    """The inhomogeneous differential straight from the face formula, an
-    oracle independent of coboundary_matrix."""
-    G, k, m = c.group, c.degree, c.modulus
+    """The values of the inhomogeneous differential straight from the face
+    formula, unreduced, an oracle independent of coboundary_matrix; it
+    lists no group."""
+    G, k = c.group, c.degree
     out = []
-    for key in itertools.product(G.elements(), repeat=k + 1):
+    elements = itertools.product(*map(range, G.factors))
+    for key in itertools.product(list(elements), repeat=k + 1):
         v = c(*key[1:])
         sign = -1
         for i in range(k):
@@ -42,8 +45,8 @@ def _face_coboundary(c):
             v += sign * c(*merged)
             sign = -sign
         v += sign * c(*key[:k])
-        out.append(v % m)
-    return Cochain(G, k + 1, m, out)
+        out.append(v)
+    return out
 
 
 def _dense(rows, cols):
@@ -148,7 +151,8 @@ def test_coboundary_matches_face_formula(rng):
             for m in (4, 6):
                 c = Cochain.random(G, k, m, rng)
                 d = coboundary(c)
-                assert d == _face_coboundary(c), (factors, k)
+                assert d == Cochain(G, k + 1, m, _face_coboundary(c)), (
+                    factors, k)
                 # the pair rows are the merge of the same faces
                 rows = coboundary_matrix(G, k)
                 assert d == Cochain(G, k + 1, m, [
@@ -823,3 +827,91 @@ def test_extension_factor_set_class():
     # in tuple-product order
     assert extension_factor_set(2, 5).values == (
         0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 1, 1)
+
+
+# ---------------------------------------------------------------------------
+# the cochains the package builds itself, through Cochain._raw
+
+TRUSTED_GROUPS = ((1,), (2,), (3,), (4,), (5,), (6,), (2, 2), (2, 3))
+# for each n, the fields with n | q - 1 among these, F_9 and F_25 included
+GAMMA_FIELDS = (FiniteField(5), FiniteField(7), FiniteField(13),
+                FiniteField(3, 2), FiniteField(5, 2))
+
+
+def _assert_built(c, k, m, unreduced):
+    """c has |G|^k values, each in [0, m), reads each back at its
+    arguments, and equals the public constructor's cochain on the
+    unreduced values.  The reads come before that constructor, which lists
+    the group."""
+    elements = list(itertools.product(*map(range, c.group.factors)))
+    assert len(c.values) == len(elements) ** k
+    assert all(0 <= v < m for v in c.values)
+    assert [c(*args) for args in itertools.product(elements, repeat=k)] == (
+        list(c.values))
+    assert c == Cochain(c.group, k, m, unreduced)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.sampled_from(TRUSTED_GROUPS), st.integers(0, 2), st.integers(1, 7),
+       st.integers(-9, 9), st.data())
+def test_ring_ops_and_coboundary_match_the_public_constructor(
+        factors, k, m, scale, data):
+    # a fresh group each time: one of degree 0 stays unlisted, and its
+    # coboundary must list it though _faces may be cached for an equal one
+    G = FiniteAbelianGroup(factors)
+    ints = st.lists(st.integers(-3 * m, 3 * m), min_size=G.size ** k,
+                    max_size=G.size ** k)
+    x, y = data.draw(ints), data.draw(ints)
+    a, b = Cochain(G, k, m, x), Cochain(G, k, m, y)
+    _assert_built(coboundary(a), k + 1, m, _face_coboundary(a))
+    _assert_built(a + b, k, m, [u + v for u, v in zip(x, y)])
+    _assert_built(a - b, k, m, [u - v for u, v in zip(x, y)])
+    _assert_built(-a, k, m, [-u for u in x])
+    _assert_built(scale * a, k, m, [scale * u for u in x])
+    _assert_built(a * scale, k, m, [scale * u for u in x])
+    seed = data.draw(st.integers(0, 2 ** 32))
+    draws = random.Random(seed)
+    _assert_built(Cochain.random(FiniteAbelianGroup(factors), k, m,
+                                 random.Random(seed)),
+                  k, m, [draws.randrange(m) for _ in range(G.size ** k)])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.integers(1, 6), st.integers(0, 2 ** 32))
+def test_closed_forms_match_the_public_constructor(n, seed):
+    box = cup_product_boxtimes(n)
+    _assert_built(box, 2, n, [g[0] * h[1] for g, h in itertools.product(
+        itertools.product(range(n), repeat=2), repeat=2)])
+    # the edge value at b is the pairing's slope at beta = 1, read off c
+    # unreduced
+    c = box + coboundary(Cochain.random(box.group, 1, n, random.Random(seed)))
+    one, zero = (1 % n, 0), (0, 0)
+    _assert_built(lhs_edge_map(c), 1, n, [
+        c(one, (0, b)) - c((0, b), one) - c(zero, (0, b)) + c((0, b), zero)
+        for b in range(n)])
+    for F in GAMMA_FIELDS:
+        if (F.order - 1) % n == 0:
+            _assert_built(extension_factor_set(n, F), 2, n, [
+                h[0] * g[1] for g, h in itertools.product(
+                    itertools.product(range(n), repeat=2), repeat=2)])
+
+
+def test_coboundary_lists_a_fresh_group():
+    # _faces is cached per equal group: the second group is neither listed
+    # by its degree-0 cochain nor by _faces, so coboundary lists it
+    for _ in range(2):
+        G = FiniteAbelianGroup((2, 3))
+        d = coboundary(Cochain(G, 0, 5, [3]))
+        assert [d(g) for g in itertools.product(range(2), range(3))] == [0] * 6
+
+
+def test_package_built_cochains_refuse_before_building(rng):
+    T = FiniteAbelianGroup((1,))
+    for build in (lambda: coboundary(Cochain(T, 10 ** 6, 2)),
+                  lambda: Cochain.random(T, 10 ** 9, 2, rng),
+                  lambda: cup_product_boxtimes(32),
+                  lambda: extension_factor_set(32, 97)):
+        start = time.perf_counter()
+        with pytest.raises(cohomology.TableSizeError):
+            build()
+        assert time.perf_counter() - start < 1
