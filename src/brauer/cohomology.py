@@ -151,8 +151,10 @@ class Cochain:
     def _raw(cls, group: FiniteAbelianGroup, degree: int, modulus: int,
              values) -> "Cochain":
         """The cochain with these values, not checked: they are ints in
-        [0, modulus), |group|^degree of them, and group is listed when
-        degree > 0, so that __call__ can read group.index."""
+        [0, modulus), |group|^degree of them.  It lists group when degree > 0,
+        so that __call__ can read group.index."""
+        if degree:
+            group.elements()
         self = object.__new__(cls)
         self.group, self.degree, self.modulus = group, degree, modulus
         self.values = tuple(values)
@@ -215,8 +217,6 @@ class Cochain:
     def random(cls, group, degree, modulus, rng: random.Random):
         check_work("cochain table", group.size, degree, least=degree)
         values = [rng.randrange(modulus) for _ in range(group.size ** degree)]
-        if degree:
-            group.elements()
         return cls._raw(group, degree, modulus, values)
 
 
@@ -225,8 +225,6 @@ def coboundary(c: Cochain) -> Cochain:
     by _differential."""
     G, m = c.group, c.modulus
     values = [v % m for v in _differential(G, c.degree, c.values)]
-    # _faces is cached per equal group, and may have listed another one
-    G.elements()
     return Cochain._raw(G, c.degree + 1, m, values)
 
 
@@ -427,7 +425,6 @@ def cup_product_boxtimes(n: int) -> Cochain:
     """
     check_work("cochain table", n * n, 2)
     G = _group((n, n))
-    G.elements()
     # ((g0, g1), (h0, h1)) sits at ((g0 n + g1) n + h0) n + h1, so the
     # block of g0 is g0 * h1 over h1, once for each (g1, h0)
     return Cochain._raw(G, 2, n,
@@ -569,7 +566,6 @@ def lhs_edge_map(c: Cochain) -> Cochain:
         if any(p != (beta * slope + base) % m
                for beta, p in enumerate(pairing)):
             raise ValueError("fiber pairing is not a character")
-    Zn.elements()
     return Cochain._raw(Zn, 1, m, out)
 
 

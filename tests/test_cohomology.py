@@ -856,8 +856,9 @@ def _assert_built(c, k, m, unreduced):
        st.integers(-9, 9), st.data())
 def test_ring_ops_and_coboundary_match_the_public_constructor(
         factors, k, m, scale, data):
-    # a fresh group each time: one of degree 0 stays unlisted, and its
-    # coboundary must list it though _faces may be cached for an equal one
+    # a fresh group each time: one of degree 0 stays unlisted, and _raw
+    # must list it for its coboundary though _faces may be cached for an
+    # equal one
     G = FiniteAbelianGroup(factors)
     ints = st.lists(st.integers(-3 * m, 3 * m), min_size=G.size ** k,
                     max_size=G.size ** k)
@@ -898,7 +899,7 @@ def test_closed_forms_match_the_public_constructor(n, seed):
 
 def test_coboundary_lists_a_fresh_group():
     # _faces is cached per equal group: the second group is neither listed
-    # by its degree-0 cochain nor by _faces, so coboundary lists it
+    # by its degree-0 cochain nor by _faces, so _raw lists it
     for _ in range(2):
         G = FiniteAbelianGroup((2, 3))
         d = coboundary(Cochain(G, 0, 5, [3]))
