@@ -7,12 +7,18 @@ payload {"command", "params", "results", "pass"}, or {"command", "error",
 "exit"} for an error from ``_ERRORS``, prints it or the text lines, and
 picks the exit code.
 
-The parser is argparse's, built once per process.  When the first
-argument is a subcommand's name, ``main`` parses the rest with that
-subcommand's parser alone, which ``build_parser`` keeps by name, and any
-argument it leaves over is the top-level parser's "unrecognized
-arguments" error, as ``parse_args`` would report it; any other command
-line goes through the top-level parser.  The payload is printed by
+The parser is argparse's, built once per process.  As ``build_parser``
+adds each argument it records the action in its subcommand's option
+table (``_Options``), so each flag is written once.  A well-formed
+command line is read from that table into the Namespace argparse would
+build: the subcommand's name, for ``cohomology`` a valid choice, then
+exact ``--flag value`` pairs whose values start with no ``-`` and pass
+their ``type`` and ``choices``, with every required flag present.  Any
+other line starting with a subcommand's name is parsed by that subcommand's
+argparse parser alone, and any argument it leaves over is the top-level
+parser's "unrecognized arguments" error, as ``parse_args`` would report
+it; the rest go through the top-level parser.  So argparse alone prints
+help and usage errors.  The payload is printed by
 ``_indented``, which lays out the text of ``json.dumps(payload,
 indent=2)`` itself and encodes each key and scalar with the json module's
 C encoder, which ``json.dumps`` uses only without an indent.
@@ -248,8 +254,72 @@ def cmd_selftest(args):
 # ---------------------------------------------------------------------------
 
 
+class _Options:
+    """A subcommand's argparse parser and its option table, recorded as
+    ``add`` and ``set_defaults`` pass each argument to the parser: the
+    positional action (cohomology's) or None, the flags' actions by option
+    string, the required ones, and the Namespace's defaults, each action's
+    and then the parser's."""
+
+    __slots__ = ("parser", "positional", "flags", "required", "defaults")
+
+    def __init__(self, parser):
+        self.parser, self.positional = parser, None
+        self.flags, self.required, self.defaults = {}, [], {}
+
+    def add(self, *names, **kwargs):
+        action = self.parser.add_argument(*names, **kwargs)
+        for name in action.option_strings:
+            self.flags[name] = action
+        if not action.option_strings:
+            self.positional = action
+        elif action.required:
+            self.required.append(action)
+        self.defaults[action.dest] = action.default
+
+    def set_defaults(self, **kwargs):
+        self.parser.set_defaults(**kwargs)
+        self.defaults.update(kwargs)
+
+    def read(self, words):
+        """The Namespace's items for the words after the subcommand, or
+        None when they are not well formed: the positional first, then
+        exact flag and value pairs, the last value of a flag winning."""
+        values, seen, i = dict(self.defaults), set(), 0
+        if self.positional is not None:
+            if not words or not _store(values, self.positional, words[0]):
+                return None
+            i = 1
+        if (len(words) - i) % 2:
+            return None
+        flags = self.flags
+        for j in range(i, len(words), 2):
+            action = flags.get(words[j])
+            if action is None or not _store(values, action, words[j + 1]):
+                return None
+            seen.add(action)
+        return values if seen.issuperset(self.required) else None
+
+
+def _store(values, action, word) -> bool:
+    """Whether word is a value argparse stores for action unchanged, stored
+    into values: it starts with no "-", and passes the action's type
+    conversion and choices; a failure is argparse's to report."""
+    if word.startswith("-"):
+        return False
+    if action.type is not None:
+        try:
+            word = action.type(word)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return False  # the errors argparse reports as invalid values
+    if action.choices is not None and word not in action.choices:
+        return False
+    values[action.dest] = word
+    return True
+
+
 def build_parser():
-    """(the top-level parser, {subcommand name: its parser})."""
+    """(the top-level parser, {subcommand name: its _Options})."""
     parser = argparse.ArgumentParser(
         prog="brauer",
         description="Residues of n-torsion Brauer classes over F_q(t): "
@@ -258,46 +328,45 @@ def build_parser():
     commands = {}
 
     def add_parser(name, about):
-        p = commands[name] = sub.add_parser(name, help=about)
+        p = commands[name] = _Options(sub.add_parser(name, help=about))
         return p
 
     def add_format(p):
-        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.add("--format", choices=("text", "json"), default="text")
 
     for name, about, func in (
             ("residue", "residue of a symbol sum at a place", cmd_residue),
             ("ramification", "full ramification divisor", cmd_ramification),
             ("reciprocity", "sum of corestricted residues", cmd_reciprocity)):
         p = add_parser(name, about)
-        p.add_argument("--q", type=int, required=True)
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--symbol", required=True)
+        p.add("--q", type=int, required=True)
+        p.add("--n", type=int, required=True)
+        p.add("--symbol", required=True)
         if name == "residue":
-            p.add_argument("--place", required=True)
+            p.add("--place", required=True)
         add_format(p)
         p.set_defaults(func=func)
 
     p = add_parser("cohomology", "cocycle-level verifications")
-    p.add_argument("subcommand", choices=("edge", "epsilon", "gamma", "rank"))
-    p.add_argument("--n", type=int,
-                   help="required unless rank has --factors and --m")
-    p.add_argument("--q", type=int, dest="gamma_q")
-    p.add_argument("--factors", help="cyclic factors for rank, e.g. 2,2")
-    p.add_argument("--m", type=int, help="coefficient modulus for rank")
-    p.add_argument("--degree", type=int, default=2, help="degree for rank")
+    p.add("subcommand", choices=("edge", "epsilon", "gamma", "rank"))
+    p.add("--n", type=int, help="required unless rank has --factors and --m")
+    p.add("--q", type=int, dest="gamma_q")
+    p.add("--factors", help="cyclic factors for rank, e.g. 2,2")
+    p.add("--m", type=int, help="coefficient modulus for rank")
+    p.add("--degree", type=int, default=2, help="degree for rank")
     add_format(p)
     p.set_defaults(func=cmd_cohomology)
 
     p = add_parser("conic", "geometric vs cohomological residues")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
+    p.add("--q", type=int, required=True)
+    p.add("--a", required=True)
+    p.add("--b", required=True)
     add_format(p)
     p.set_defaults(func=cmd_conic)
 
     p = add_parser("selftest",
                    "randomized property suites (seed via BRAUER_SEED)")
-    p.add_argument("--rounds", type=int, default=25)
+    p.add("--rounds", type=int, default=25)
     add_format(p)
     p.set_defaults(func=cmd_selftest)
 
@@ -309,13 +378,17 @@ _parser = functools.cache(build_parser)
 
 
 def _parse(argv):
-    """parse_args(argv) of the top-level parser, with a command line that
-    names a subcommand first parsed by that subcommand's parser alone."""
+    """parse_args(argv) of the top-level parser: a well-formed command line
+    read from its subcommand's option table, any other that names a
+    subcommand first parsed by that subcommand's parser alone."""
     parser, commands = _parser()
-    sub = commands.get(argv[0]) if argv else None
-    if sub is None:
+    options = commands.get(argv[0]) if argv else None
+    if options is None:
         return parser.parse_args(argv)
-    args, extras = sub.parse_known_args(argv[1:])
+    values = options.read(argv[1:])
+    if values is not None:
+        return argparse.Namespace(command=argv[0], **values)
+    args, extras = options.parser.parse_known_args(argv[1:])
     if extras:  # reported as parse_args reports them, with the top usage
         parser.error("unrecognized arguments: %s" % " ".join(extras))
     args.command = argv[0]

@@ -55,10 +55,16 @@ _TOKEN, _TOKENS = re.compile(_ONE), re.compile(f"(?:{_ONE})*")
 
 def _tokenize(s: str):
     """The tokens of s, then None, and the text from the first character
-    that starts no token (None when only whitespace is left)."""
+    that starts no token (None when only whitespace is left).  One findall
+    reads s, skipping any such character; the tokens hold no whitespace, so
+    they cover s when their length is that of its non-whitespace, and only
+    when they do not is s scanned again for the end of the tokens."""
+    tokens = _TOKEN.findall(s)
+    if len("".join(tokens)) == len("".join(s.split())):
+        tokens.append(None)
+        return tokens, None
     end = _TOKENS.match(s).end()
-    rest = s[end:]
-    return _TOKEN.findall(s, 0, end) + [None], rest if rest.strip() else None
+    return _TOKEN.findall(s, 0, end) + [None], s[end:]
 
 
 _SIGNS = ("+", "-")

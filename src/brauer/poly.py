@@ -4,7 +4,7 @@ Every algorithm is one private kernel on a key list: the int keys of the
 coefficients (key = sum c_i p^i, so over F_p the residue mod p), low
 degree first and trimmed, with the empty list for zero.  Kernels take the
 field first and never change their inputs.  Over a prime field (F.d == 1)
-the coefficient kernels _mul, _divmod and _monic do plain int arithmetic:
+the coefficient kernels _mul, _divmod and _scale do plain int arithmetic:
 a product or a remainder sums unreduced ints and reduces each coefficient
 mod p once at the end.  Over F_{p^d} they step through the field's key
 ops (FiniteField._kadd, _kmul, ...).  The other kernels (_gcd, _powmod,
@@ -116,17 +116,21 @@ def _divmod(F, a, b):
     return quo, _trim(rem)
 
 
+def _scale(F, a, k) -> list:
+    """a times the key k, in one pass."""
+    if F.d == 1:
+        p = F.p
+        return [c * k % p for c in a]
+    mul = F._kmul
+    return [mul(c, k) for c in a]
+
+
 def _monic(F, a) -> list:
     """a over its leading coefficient, always a new list: factor's pieces
     are lists, never the caller's tuple, and sort against each other."""
     if not a or a[-1] == 1:
         return list(a)
-    inv = F._kinv(a[-1])
-    if F.d == 1:
-        p = F.p
-        return [c * inv % p for c in a]
-    mul = F._kmul
-    return [mul(c, inv) for c in a]
+    return _scale(F, a, F._kinv(a[-1]))
 
 
 def _gcd(F, a, b) -> list:

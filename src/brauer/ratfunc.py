@@ -26,7 +26,7 @@ the unit in kappa(P) and, by resultants with pi, its norm to F_q.
 from __future__ import annotations
 
 from .finitefield import FieldElement, FiniteField
-from .poly import Poly, _divmod, _gcd, _mul, _resultant
+from .poly import Poly, _divmod, _gcd, _resultant, _scale
 
 
 class RatFunc:
@@ -47,12 +47,13 @@ class RatFunc:
         if not a:
             b = (1,)
         else:
-            g = _gcd(F, a, b)
-            if len(g) > 1:
-                a, b = _divmod(F, a, g)[0], _divmod(F, b, g)[0]
+            if len(a) > 1 and len(b) > 1:  # a constant has gcd 1 with b
+                g = _gcd(F, a, b)
+                if len(g) > 1:
+                    a, b = _divmod(F, a, g)[0], _divmod(F, b, g)[0]
             if b[-1] != 1:
-                inv = [F._kinv(b[-1])]
-                a, b = _mul(F, a, inv), _mul(F, b, inv)
+                inv = F._kinv(b[-1])
+                a, b = _scale(F, a, inv), _scale(F, b, inv)
         self.num, self.den = Poly._raw(F, a), Poly._raw(F, b)
 
     @classmethod

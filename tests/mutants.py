@@ -64,6 +64,21 @@ MUTANTS = (
            "_root_multiplicity(g, -pi[0] % p, p)",
            "_root_multiplicity(g, pi[0] % p, p)",
            "the place t - c is read at t = -c, not at its root c"),
+    Mutant("option-choices-unchecked", "src/brauer/cli.py",
+           "if action.choices is not None and word not in action.choices:",
+           "if False:",
+           "the option table reads --format xml, which argparse refuses"),
+    Mutant("option-dash-value", "src/brauer/cli.py",
+           '    if word.startswith("-"):\n        return False\n', "",
+           "the option table reads --symbol -t, or a flag as a value, where "
+           "argparse reports a missing argument"),
+    Mutant("tokens-uncovered", "src/brauer/parsing.py",
+           'if len("".join(tokens)) == len("".join(s.split())):',
+           "if True:",
+           "the tokenizer skips a character that starts no token"),
+    Mutant("ratfunc-not-monic", "src/brauer/ratfunc.py",
+           "            if b[-1] != 1:\n", "            if False:\n",
+           "RatFunc leaves its denominator's leading key as given"),
 )
 
 

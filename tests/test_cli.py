@@ -1,3 +1,6 @@
+import contextlib
+import io
+import itertools
 import json
 import random
 import time
@@ -568,17 +571,20 @@ PARITY_ARGV = [command.split() + answered
 ]
 
 
+def _outcome(parse, argv):
+    """(vars of the Namespace or None, exit code or None, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args, code = vars(parse(list(argv))), None
+    except SystemExit as exc:
+        args, code = None, exc.code
+    return args, code, out.getvalue(), err.getvalue()
+
+
 def test_direct_dispatch_matches_the_top_level_parser(capsys, monkeypatch):
     monkeypatch.delenv("BRAUER_SEED", raising=False)
     top, _ = cli.build_parser()
-
-    def parsed(parse, argv):
-        try:
-            args, code = vars(parse(list(argv))), None
-        except SystemExit as exc:
-            args, code = None, exc.code
-        captured = capsys.readouterr()
-        return args, code, captured.out, captured.err
 
     def ran(argv):
         try:
@@ -589,12 +595,104 @@ def test_direct_dispatch_matches_the_top_level_parser(capsys, monkeypatch):
         return code, captured.out, captured.err
 
     for argv in PARITY_ARGV:
-        assert parsed(cli._parse, argv) == parsed(top.parse_args, argv), argv
+        assert (_outcome(cli._parse, argv)
+                == _outcome(top.parse_args, argv)), argv
         for extra in ([], ["--format", "json"]):
             direct = ran(argv + extra)
             with monkeypatch.context() as m:
                 m.setattr(cli, "_parse", top.parse_args)
                 assert ran(argv + extra) == direct, argv + extra
+
+
+# words that argparse reads its own way: its spellings, values that start
+# with "-", a positional out of place
+_WORDS = ["--", "-h", "--help", "--bogus", "-5", "-x", "- 1", "extra", "",
+          "edge"]
+
+
+def _values(action):
+    """(values argparse stores for a flag's action, values it refuses)."""
+    if action.choices:
+        return list(action.choices), ["xml", "-x", ""]
+    if action.type:
+        return ["5", "2", "13", " 7", "-3", "\u0663"], ["x", "1.5", "-x", ""]
+    return ["t", "(t, 2)_2", "2,2", "", " -1", "- t", "-1"], ["-t", "--q"]
+
+
+_CHANGES = ("drop", "repeat", "refuse", "abbreviate", "join", "bare", "word",
+            "move")
+
+
+@st.composite
+def _command_lines(draw):
+    """A well-formed command line from a subcommand's option table (its
+    name, its positional, the required flags and some others with valid
+    values, in any order), then up to two changes: a flag dropped,
+    repeated, given a refused value, abbreviated, written --flag=value or
+    left bare, a word of _WORDS put in, or the positional moved or
+    dropped."""
+    commands = cli._parser()[1]
+    name = draw(st.sampled_from(sorted(commands)))
+    options = commands[name]
+    pairs = [[flag, draw(st.sampled_from(_values(action)[0]))]
+             for flag, action in sorted(options.flags.items())
+             if action.required or draw(st.booleans())]
+    pairs = draw(st.permutations(pairs))
+    head = [] if options.positional is None else [
+        draw(st.sampled_from(options.positional.choices))]
+    for change in draw(st.lists(st.sampled_from(_CHANGES), max_size=2)):
+        if change == "word":
+            at = draw(st.integers(0, len(pairs)))
+            pairs.insert(at, [draw(st.sampled_from(_WORDS))])
+            continue
+        if change == "move":
+            if head and draw(st.booleans()):
+                pairs.insert(draw(st.integers(0, len(pairs))), head)
+            head = []
+            continue
+        intact = [i for i, pair in enumerate(pairs)
+                  if len(pair) == 2 and pair[0] in options.flags]
+        if not intact:
+            continue
+        i = draw(st.sampled_from(intact))
+        flag, value = pairs[i]
+        values = _values(options.flags[flag])
+        if change == "drop":
+            del pairs[i]
+        elif change == "repeat":
+            pairs.insert(draw(st.integers(0, len(pairs))), [
+                flag, draw(st.sampled_from(values[0] + values[1]))])
+        elif change == "refuse":
+            pairs[i] = [flag, draw(st.sampled_from(values[1]))]
+        elif change == "abbreviate":
+            pairs[i] = [flag[:draw(st.integers(2, len(flag)))], value]
+        elif change == "join":
+            pairs[i] = [f"{flag}={value}"]
+        else:
+            pairs[i] = [flag]
+    return [name] + head + [word for pair in pairs for word in pair]
+
+
+_TOP = cli.build_parser()[0]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_command_lines())
+def test_option_table_reads_as_argparse(argv):
+    assert _outcome(cli._parse, argv) == _outcome(_TOP.parse_args, argv)
+
+
+def test_option_table_answers_every_payload_case():
+    commands = cli._parser()[1]
+    for command, answered, refused in PAYLOAD_CASES:
+        for argv, extra in itertools.product(
+                (answered, refused), ([], ["--format", "json"])):
+            argv = command.split() + argv + extra
+            args = _outcome(_TOP.parse_args, argv)[0]
+            if args is not None:
+                read = commands[argv[0]].read(argv[1:])
+                assert read is not None, argv
+                assert dict(read, command=argv[0]) == args, argv
 
 
 def test_epsilon_table_built_once(capsys, monkeypatch):
