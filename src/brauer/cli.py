@@ -14,11 +14,8 @@ command line is read from that table into the Namespace argparse would
 build: the subcommand's name, for ``cohomology`` a valid choice, then
 exact ``--flag value`` pairs whose values start with no ``-`` and pass
 their ``type`` and ``choices``, with every required flag present.  Any
-other line starting with a subcommand's name is parsed by that subcommand's
-argparse parser alone, and any argument it leaves over is the top-level
-parser's "unrecognized arguments" error, as ``parse_args`` would report
-it; the rest go through the top-level parser.  So argparse alone prints
-help and usage errors.  The payload is printed by
+other line is parsed by the top-level argparse parser, so argparse alone
+prints help and usage errors.  The payload is printed by
 ``_indented``, which lays out the text of ``json.dumps(payload,
 indent=2)`` itself and encodes each key and scalar with the json module's
 C encoder, which ``json.dumps`` uses only without an indent.
@@ -379,20 +376,13 @@ _parser = functools.cache(build_parser)
 
 def _parse(argv):
     """parse_args(argv) of the top-level parser: a well-formed command line
-    read from its subcommand's option table, any other that names a
-    subcommand first parsed by that subcommand's parser alone."""
+    read from its subcommand's option table, any other parsed by argparse."""
     parser, commands = _parser()
     options = commands.get(argv[0]) if argv else None
-    if options is None:
+    values = None if options is None else options.read(argv[1:])
+    if values is None:
         return parser.parse_args(argv)
-    values = options.read(argv[1:])
-    if values is not None:
-        return argparse.Namespace(command=argv[0], **values)
-    args, extras = options.parser.parse_known_args(argv[1:])
-    if extras:  # reported as parse_args reports them, with the top usage
-        parser.error("unrecognized arguments: %s" % " ".join(extras))
-    args.command = argv[0]
-    return args
+    return argparse.Namespace(command=argv[0], **values)
 
 
 _str_json = json.encoder.encode_basestring_ascii
