@@ -12,7 +12,14 @@ _resultant, factor) run through these, the same code for both fields.
 Factorization is squarefree decomposition followed by distinct-degree and
 Cantor-Zassenhaus equal-degree splitting (odd characteristic), after von
 zur Gathen and Gerhard, Modern Computer Algebra, ch. 2 and 14; splitting
-uses a polynomial-derived seed so results are deterministic.
+uses a polynomial-derived seed so results are deterministic.  Over F_p
+with odd p <= ROOT_SCAN_BOUND = 100 a root scan runs first: synthetic
+division (_deflate) at every c in F_p divides each root out to its full
+multiplicity, a root-free quadratic or cubic left over is irreducible, and
+only a root-free remainder of degree >= 4 goes on to the splitting.  The
+bound is the measured crossover on random monic inputs: up to it the scan
+is faster at degrees 2-4 and about even at degrees 6-10, and above it the
+p Horner passes cost more than they save at degree 8.
 
 Poly is the boundary type: each method wraps one kernel, so a chain of
 steps (a factorization, a parse, the divide-by-pi loop of ratfunc) builds
@@ -24,6 +31,8 @@ from __future__ import annotations
 import random
 
 from .finitefield import FieldElement, FiniteField
+
+ROOT_SCAN_BOUND = 100  # the largest p whose factor() scans F_p for roots
 
 
 # -- kernels on key lists -----------------------------------------------------
@@ -171,6 +180,24 @@ def _powmod(F, a, e: int, m) -> list:
     return out
 
 
+def _deflate(F, g, c: int):
+    """(m, h, r) for a nonzero key list g over a prime field F: g = (t - c)^m
+    * h with r = h(c) != 0, by synthetic division at c.  A Horner pass from
+    the top gives g(c), and each pass that gives 0 divides by t - c."""
+    m, p = 0, F.p
+    while True:
+        acc = 0
+        for x in reversed(g):
+            acc = (acc * c + x) % p
+        if acc:
+            return m, g, acc
+        n = len(g) - 1
+        h, acc = [0] * n, 0
+        for i in range(n, 0, -1):
+            acc = h[i - 1] = (acc * c + g[i]) % p
+        g, m = h, m + 1
+
+
 def _deriv(F, a) -> list:
     mul, p = F._kmul, F.p  # the integer i is the key i mod p
     return _trim([mul(i % p, a[i]) for i in range(1, len(a))])
@@ -267,9 +294,20 @@ def _factor(F, a) -> list:
     (degree, keys from the top down)."""
     if len(a) <= 2:  # a constant has no factor, and a linear a is its own
         return [(_monic(F, a), 1)] if len(a) == 2 else []
-    out = [(irr, mult) for sqf, mult in _squarefree(F, a)
-           for piece, d in _distinct_degree(F, sqf)
-           for irr in _equal_degree(F, piece, d)]
+    out, p = [], F.p
+    if F.d == 1 and 2 < p <= ROOT_SCAN_BOUND:
+        a = _monic(F, a)
+        for c in range(p):
+            m, a, _ = _deflate(F, a, c)
+            if m:
+                out.append(([-c % p, 1], m))
+                if len(a) == 1:
+                    break
+        if 1 < len(a) <= 4:  # root-free, so an irreducible quadratic or cubic
+            out, a = out + [(a, 1)], [1]  # and nothing is left to split
+    out += [(irr, mult) for sqf, mult in _squarefree(F, a)
+            for piece, d in _distinct_degree(F, sqf)
+            for irr in _equal_degree(F, piece, d)]
     out.sort(key=lambda fm: (len(fm[0]), fm[0][::-1]))
     return out
 
@@ -463,7 +501,9 @@ class Poly:
         """Monic irreducible factors with multiplicities, sorted by key.
 
         The leading coefficient is dropped; the product of the factors is
-        self.monic().
+        self.monic().  Over F_p with odd p <= ROOT_SCAN_BOUND the roots are
+        found by a scan of F_p and only a root-free remainder of degree >= 4
+        is split; otherwise the whole input is split.
         """
         if self.is_zero():
             raise ValueError("cannot factor zero")

@@ -26,7 +26,7 @@ the unit in kappa(P) and, by resultants with pi, its norm to F_q.
 from __future__ import annotations
 
 from .finitefield import FieldElement, FiniteField
-from .poly import Poly, _divmod, _gcd, _resultant, _scale
+from .poly import Poly, _deflate, _divmod, _gcd, _resultant, _scale
 
 
 class RatFunc:
@@ -241,27 +241,10 @@ class Place:
         return "inf" if self.is_infinity else repr(self.poly)
 
 
-def _root_multiplicity(g, c: int, p: int):
-    """(m, r) for a nonzero key list g over F_p: m the multiplicity of the
-    root c of g and r = (g / (t - c)^m)(c), the first nonzero value, by
-    synthetic division at c.  A Horner pass runs over g from the top; its
-    values are the quotient's coefficients, then the remainder g(c)."""
-    m, g = 0, g[::-1]
-    while True:
-        acc, quo = 0, []
-        for x in g:
-            acc = (acc * c + x) % p
-            quo.append(acc)
-        if acc:
-            return m, acc
-        quo.pop()
-        m, g = m + 1, quo
-
-
 def _divide_out_pi(f: RatFunc, P: Place):
     """(v, rn, rd) with f = pi^v * g, g a unit at P, and g mod P = rn/rd.
     Where kappa(P) is the base field, rn and rd are keys of it: at a place
-    t - c over a prime field the values at c left by _root_multiplicity, at
+    t - c over a prime field the values at c left by poly._deflate, at
     infinity the leading coefficients.  At a place of degree >= 2, and at
     every finite place over F_{p^d}, they are the key lists of the first
     nonzero remainders of num and den in the divide-by-pi loop."""
@@ -272,9 +255,8 @@ def _divide_out_pi(f: RatFunc, P: Place):
         return len(den) - len(num), num[-1], den[-1]
     F, pi = f.field, P.poly.coeffs
     if len(pi) == 2 and F.d == 1:
-        p = F.p
-        (mn, rn), (md, rd) = (_root_multiplicity(g, -pi[0] % p, p)
-                              for g in (num, den))
+        (mn, _, rn), (md, _, rd) = (_deflate(F, g, -pi[0] % F.p)
+                                    for g in (num, den))
         return mn - md, rn, rd
 
     def split(g):
@@ -301,19 +283,17 @@ def _unit_key(f: RatFunc, P: Place):
     return v, kappa._kmul(rn, kappa._kinv(rd))
 
 
-def _local_norm(f: RatFunc, P: Place):
-    """(v, N) with f = pi^v * g, g a unit at P, and N the key of the norm of
-    g mod P from kappa(P) to the base field, read off the same remainders
-    as _unit_key.  Where kappa(P) is the base field (degree 1, infinity) N
-    is the unit rn/rd itself; otherwise Res(pi, rn) / Res(pi, rd) for the
-    monic pi, with no kappa(P) arithmetic.  Raises NotImplementedError
-    where kappa(P) is not built."""
-    v, rn, rd = _divide_out_pi(f, P)
-    F = f.field
+def _unit_norm(P: Place, rn, rd) -> int:
+    """The key of the norm from kappa(P) to the base field of the unit
+    rn/rd mod P, for the remainders of one _divide_out_pi read.  Where
+    kappa(P) is the base field (degree 1, infinity) it is rn/rd itself;
+    otherwise Res(pi, rn) / Res(pi, rd) for the monic pi, with no kappa(P)
+    arithmetic.  Raises NotImplementedError where kappa(P) is not built."""
+    F = P.field
     if P.residue_field() is not F:  # raises NotImplementedError: no kappa(P)
         pi = P.poly.coeffs
         rn, rd = _resultant(F, pi, rn), _resultant(F, pi, rd)
-    return v, F._kmul(rn, F._kinv(rd))
+    return F._kmul(rn, F._kinv(rd))
 
 
 def valuation(f: RatFunc, P: Place) -> int:

@@ -10,10 +10,11 @@ the tame formula is read in F_q: for u in kappa(P), of order Q = q^deg P,
 u^((Q-1)/n) = N(u)^((q-1)/n) with N the norm to F_q, and kappa(P).zeta(n)
 is F_q's zeta, so the residue is the character of the norm of the tame
 unit on F_q, the same number as its corestriction.  That norm is
-(-1)^(v(a)v(b)deg P) N(a)^v(b) N(b)^(-v(a)), and each argument's norm is
-read by ratfunc._local_norm with no kappa(P) arithmetic: at a degree-1
-place and at infinity it is the argument's unit in F_q, from the values
-at the root (or the leading keys), and at a place of degree >= 2 a
+(-1)^(v(a)v(b)deg P) N(a)^v(b) N(b)^(-v(a)).  One ratfunc._divide_out_pi
+read of an argument at P gives its valuation and the remainders that
+ratfunc._unit_norm takes its norm from, with no kappa(P) arithmetic: at a
+degree-1 place and at infinity it is the argument's unit in F_q, from the
+values at the root (or the leading keys), and at a place of degree >= 2 a
 resultant of pi and the argument's remainder.  The cocycle route still
 reduces its unit into kappa(P) (ratfunc._unit_key), so route agreement
 compares two readings of the unit.  The tame unit is 1 where both
@@ -32,8 +33,8 @@ from functools import lru_cache
 
 from .cohomology import _epsilon_checked
 from .finitefield import FiniteField, ResidueClass, power_residue_character
-from .ratfunc import (Place, RatFunc, _divisor, _local_norm, _unit_key,
-                      valuation)
+from .ratfunc import (Place, RatFunc, _divide_out_pi, _divisor, _unit_key,
+                      _unit_norm, valuation)
 
 
 class SymbolClass:
@@ -120,15 +121,18 @@ class RamificationDivisor:
         return "{" + inner + "}"
 
 
-def _tame_norm(a: RatFunc, b: RatFunc, P: Place, va: int, vb: int) -> int:
+def _tame_norm(P: Place, ra, rb) -> int:
     """The key of the norm to F_q of the tame unit (-1)^(va*vb) * a^vb *
-    b^(-va) mod P, for va = v_P(a) and vb = v_P(b): (-1)^(va*vb*deg P) *
-    N(a)^vb * N(b)^(-va), a's norm read only when vb != 0, b's when va != 0."""
-    F, norm = a.field, 1
+    b^(-va) mod P, from the reads ra = (va, rn, rd) of a and rb of b at P
+    (ratfunc._divide_out_pi): (-1)^(va*vb*deg P) * N(a)^vb * N(b)^(-va).
+    a's remainders enter only when vb != 0 and b's when va != 0; a read
+    whose remainders do not enter may be (v, None, None)."""
+    F, norm = P.field, 1
+    (va, *ua), (vb, *ub) = ra, rb
     if vb:
-        norm = F._kpow(_local_norm(a, P)[1], vb)
+        norm = F._kpow(_unit_norm(P, *ua), vb)
     if va:
-        norm = F._kmul(norm, F._kpow(_local_norm(b, P)[1], -va))
+        norm = F._kmul(norm, F._kpow(_unit_norm(P, *ub), -va))
     return F._kneg(norm) if (va * vb * P.degree) % 2 else norm
 
 
@@ -146,7 +150,7 @@ def tame_residue(alpha: SymbolClass, P: Place) -> ResidueClass:
         raise ValueError(f"n={n} must divide |kappa(P)|-1={kappa.order - 1}")
     total = 0
     for a, b, m in alpha.terms:
-        norm = _tame_norm(a, b, P, valuation(a, P), valuation(b, P))
+        norm = _tame_norm(P, _divide_out_pi(a, P), _divide_out_pi(b, P))
         total += m * _character(P.field, norm, n)
     return ResidueClass(n, total, kappa.zeta(n))
 
@@ -207,7 +211,9 @@ def _residue_values(alpha: SymbolClass):
         for a, b, m, da, db in terms:
             va, vb = da.get(P, 0), db.get(P, 0)
             if va or vb:
-                total += m * _character(F, _tame_norm(a, b, P, va, vb), n)
+                ra = _divide_out_pi(a, P) if vb else (va, None, None)
+                rb = _divide_out_pi(b, P) if va else (vb, None, None)
+                total += m * _character(F, _tame_norm(P, ra, rb), n)
         yield P, total
 
 

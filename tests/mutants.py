@@ -61,9 +61,15 @@ MUTANTS = (
            "        return True\n",
            "is_prime calls 30031 = 59 * 509 prime"),
     Mutant("rational-place-sign", "src/brauer/ratfunc.py",
-           "_root_multiplicity(g, -pi[0] % p, p)",
-           "_root_multiplicity(g, pi[0] % p, p)",
+           "_deflate(F, g, -pi[0] % F.p)",
+           "_deflate(F, g, pi[0] % F.p)",
            "the place t - c is read at t = -c, not at its root c"),
+    Mutant("root-free-quartic", "src/brauer/poly.py",
+           "if 1 < len(a) <= 4:", "if 1 < len(a) <= 5:",
+           "the root scan calls a root-free quartic irreducible"),
+    Mutant("root-scan-short", "src/brauer/poly.py",
+           "for c in range(p):", "for c in range(p - 1):",
+           "the root scan skips the root c = p - 1"),
     Mutant("option-choices-unchecked", "src/brauer/cli.py",
            "if action.choices is not None and word not in action.choices:",
            "if False:",

@@ -20,7 +20,7 @@ from brauer import (
 from brauer import conic, finitefield
 from brauer.conic import degenerate_places
 from brauer.finitefield import _FIELD_CACHE, power_residue_character
-from brauer.ratfunc import _local_norm, reduce_at, valuation
+from brauer.ratfunc import _unit_norm, reduce_at, valuation
 
 from conic_reference import minimize_at
 from conftest import (local_test_places, random_place, random_poly,
@@ -446,27 +446,27 @@ def test_torsor_matches_kappa_oracle(rng):
 
 
 def test_torsor_is_independent_of_the_residue_norms(monkeypatch, rng):
-    # a fault in _local_norm, bound wherever a brauer module imports it,
+    # a fault in _unit_norm, bound wherever a brauer module imports it,
     # moves the residue and not the torsor: at a place of degree >= 2 where
     # exactly one valuation is odd, the residue read through a norm times a
     # non-square is flipped, so every row check_artin reports there is
     # (torsor 0, residue 1)
     bundles = list(_conics_at_places(rng))
 
-    def mutant(f, P):
-        v, norm = _local_norm(f, P)
+    def mutant(P, rn, rd):
+        norm = _unit_norm(P, rn, rd)
         if P.degree >= 2:
-            F = f.field
+            F = P.field
             c = next(k for k in range(2, F.p)
                      if power_residue_character(F.from_key(k), 2).value)
             norm = F._kmul(norm, c)
-        return v, norm
+        return norm
 
     patched = [name for name, module in list(sys.modules.items())
                if name.split(".")[0] == "brauer"
-               and getattr(module, "_local_norm", None) is _local_norm]
+               and getattr(module, "_unit_norm", None) is _unit_norm]
     for name in patched:
-        monkeypatch.setattr(sys.modules[name], "_local_norm", mutant)
+        monkeypatch.setattr(sys.modules[name], "_unit_norm", mutant)
     assert "brauer.residues" in patched
     flipped = 0
     for C, _ in bundles:

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 
@@ -6,7 +7,8 @@ import pytest
 
 from brauer import FiniteField, Poly, RatFunc, support
 from brauer.finitefield import prime_powers
-from brauer.poly import _resultant
+from brauer.poly import (ROOT_SCAN_BOUND, _distinct_degree, _equal_degree,
+                         _factor, _resultant, _squarefree)
 
 
 F5 = FiniteField(5)
@@ -53,7 +55,8 @@ def _rabin_irreducible(f):
 
 
 def test_factor_reassembles(rng):
-    for F in (F5, F7, FiniteField(5, 2)):
+    # 1009 is above the root-scan bound, so it takes the path F_{p^d} takes
+    for F in (F5, F7, FiniteField(5, 2), FiniteField(1009)):
         for _ in range(40):
             f = Poly(F, [F.from_key(rng.randrange(F.order))
                          for _ in range(rng.randrange(1, 10))])
@@ -124,6 +127,42 @@ def test_factors_are_distinct(rng):
 def test_repeated_factors():
     f = (t(F5) + 1) ** 3 * (t(F5) ** 2 + 2)
     assert f.factor() == [(t(F5) + 1, 3), (t(F5) ** 2 + 2, 1)]
+    # a root of multiplicity p, where the derivative of (t + 1)^5 vanishes
+    f = (t(F5) + 1) ** 5 * (t(F5) ** 2 + 2) ** 2
+    assert f.factor() == [(t(F5) + 1, 5), (t(F5) ** 2 + 2, 2)]
+    # root-free but reducible: the scan leaves a quartic to the general path
+    f = (t(F5) ** 2 + 2) * (t(F5) ** 2 + 3)
+    assert f.factor() == [(t(F5) ** 2 + 2, 1), (t(F5) ** 2 + 3, 1)]
+    F13 = FiniteField(13)
+    cubic = t(F13) ** 3 + 2  # 2 is not a cube mod 13
+    assert all(not cubic.evaluate(F13.element(k)).is_zero()
+               for k in range(13))
+    f = 3 * (t(F13) - 12) ** 3 * cubic
+    assert f.factor() == [(t(F13) + 1, 3), (cubic, 1)]
+
+
+def test_root_scan_matches_general_path():
+    # _factor scans for roots over F_p with p <= ROOT_SCAN_BOUND and hands
+    # on what is left; the reference runs squarefree, distinct-degree and
+    # equal-degree splitting on the whole input, on both sides of the bound
+    rng = random.Random(33)
+    assert 13 <= ROOT_SCAN_BOUND < 1009
+    for p in (3, 5, 13, 1009):
+        F = FiniteField(p)
+        for _ in range(30):
+            # degree d in 1..10, with a root c of multiplicity k >= 2 once
+            # d >= 2, c often the last element p - 1 of the scan
+            d = rng.randrange(1, 11)
+            k = rng.randrange(min(d, 2), min(d, 4) + 1)
+            c = rng.choice((0, p - 1, rng.randrange(p)))
+            rest = [rng.randrange(p) for _ in range(d - k)]
+            a = (Poly(F, rest + [rng.randrange(1, p)])
+                 * (t(F) - c) ** k).coeffs
+            want = [(irr, mult) for sqf, mult in _squarefree(F, a)
+                    for piece, d in _distinct_degree(F, sqf)
+                    for irr in _equal_degree(F, piece, d)]
+            want.sort(key=lambda fm: (len(fm[0]), fm[0][::-1]))
+            assert _factor(F, a) == want, (p, a)
 
 
 def test_division_identity(rng):

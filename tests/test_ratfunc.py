@@ -3,7 +3,7 @@ import pytest
 from brauer import (FiniteField, ParseError, Place, Poly, RatFunc,
                     parse_place, reduce_at, valuation)
 from brauer.finitefield import norm_to_prime_field
-from brauer.ratfunc import (_divisor, _local_norm, _unit_key,
+from brauer.ratfunc import (_divide_out_pi, _divisor, _unit_key, _unit_norm,
                             degree_one_place, support)
 
 from conftest import local_test_places, random_place, random_ratfunc
@@ -13,6 +13,12 @@ F5 = FiniteField(5)
 F7 = FiniteField(7)
 T5 = RatFunc.gen(F5)
 T7 = RatFunc.gen(F7)
+
+
+def _local_norm(f, P):
+    """(v, N): the valuation and the unit's norm from one read of f at P."""
+    v, rn, rd = _divide_out_pi(f, P)
+    return v, _unit_norm(P, rn, rd)
 
 
 def test_normalization():

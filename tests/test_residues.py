@@ -18,7 +18,7 @@ from brauer import cohomology, residues
 from brauer.finitefield import (_FIELD_CACHE, corestrict, norm_to_prime_field,
                                 power_residue_character)
 from brauer.parsing import parse_symbol_sum
-from brauer.ratfunc import _unit_key, reduce_at, valuation
+from brauer.ratfunc import _divide_out_pi, _unit_key, reduce_at, valuation
 from brauer.residues import RamificationDivisor, _tame_norm
 
 from conftest import (local_test_places, random_place, random_ratfunc,
@@ -158,6 +158,23 @@ def test_cocycle_route_rejects_non_unit():
         residue_cocycle_route(1, T5, PLACE_T, 2)
 
 
+def test_tame_residue_reads_each_argument_once(monkeypatch):
+    # the valuation and the remainders the norm is taken from come from one
+    # read per argument, also where the other argument's valuation is not 0
+    reads = []
+
+    def counted(f, P):
+        reads.append(f)
+        return _divide_out_pi(f, P)
+
+    monkeypatch.setattr(residues, "_divide_out_pi", counted)
+    T13 = RatFunc.gen(F13)
+    alpha = SymbolClass.symbol((T13 + 1) ** 2 * (T13 + 3), T13 + 2, n=4)
+    P = Place(F13, Poly.gen(F13) + 1)
+    assert tame_residue(alpha, P) == residue_cocycle_route(2, T13 + 2, P, 4)
+    assert len(reads) == 2
+
+
 def test_tame_unit_matches_ratfunc_reference(rng):
     # the reference builds the tame unit in F_q(t), reduces it once into
     # kappa(P) and takes its norm there; _tame_norm reads it in F_q
@@ -170,7 +187,8 @@ def test_tame_unit_matches_ratfunc_reference(rng):
                 va, vb = valuation(a, P), valuation(b, P)
                 sign = -1 if (va * vb) % 2 else 1
                 ref = sign * a ** vb * b ** -va
-                assert _tame_norm(a, b, P, va, vb) == \
+                reads = _divide_out_pi(a, P), _divide_out_pi(b, P)
+                assert _tame_norm(P, *reads) == \
                     norm_to_prime_field(reduce_at(ref, P)).key()
 
 
