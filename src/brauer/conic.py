@@ -7,19 +7,18 @@ the tame residue.  The reduced fiber is the one local model: a pair of
 kappa(P) keys (ratfunc's local read: at a degree-1 place or infinity two
 values in F_q, no polynomial division).  The torsor is read from its unit
 alone, by the character of a resultant norm, so it shares no norm with
-the residue it is compared with.  A projective point-count over the
-residue field acts as a further oracle: a split degenerate conic over F_Q
-has 2Q+1 points, a non-split one exactly 1.  The count reads the reduced
-fiber on keys, building no FieldElement, in the default-modulus field
-F_Q = FiniteField(p, d*e), into which kappa(P) embeds at a root of pi;
-multiplying by c there rotates discrete logs by log c, so a degenerate
-fiber is counted by popcounts of bit planes of log-indexed square-root
-counts, packed into ints, against their rotation, built once per (p, d).
+the residue it is compared with.  A projective point count over the
+degree-e extension F_Q of kappa(P) acts as a further oracle, read off the
+fiber's geometry: a smooth fiber is a smooth conic, with Q + 1 points by
+Chevalley-Warning; a degenerate fiber c*x^2 = z^2 is two conjugate lines
+through (0:1:0), with 2Q + 1 points if c is a square in F_Q and 1 if not.
+The count decides that by the parity of the discrete log of c in the
+default-modulus field F_Q = FiniteField(p, d*e), into which kappa(P)
+embeds at a root of pi, so it reads no character and no resultant.
 """
 
 from __future__ import annotations
 
-from array import array
 from functools import reduce
 from operator import getitem
 
@@ -121,53 +120,6 @@ def check_artin(C: ConicBundle):
 # ---------------------------------------------------------------------------
 # point counting oracle
 
-_SQRT_COUNTS: dict = {}
-
-
-def _sqrt_count_table(p: int, d: int):
-    """(by_log, planes) over FiniteField(p, d), g its primitive element:
-    by_log[i] = #{z : z*z = g^i}, counted over z = g^j (log 2j mod Q - 1),
-    twice over so that by_log[j:] starts its rotation by j; bit i of the int
-    planes[b] is bit b of by_log[i], so planes[b] >> j is that rotation.
-    One table per (p, d)."""
-    table = _SQRT_COUNTS.get((p, d))
-    if table is None:
-        m = p ** d - 1
-        by_log = array("B", [0]) * m
-        for j in range(0, 2 * m, 2):  # z = g^(j/2) squares to g^j
-            by_log[j % m] += 1
-        by_log *= 2
-        raw = by_log.tobytes()[::-1]  # int(s, 2) reads unit 0 last
-        planes = [int(raw.translate(bytes(48 + (v >> b & 1)  # b"0", b"1"
-                                          for v in range(256))), 2)
-                  for b in range(max(by_log).bit_length())]
-        table = _SQRT_COUNTS[p, d] = by_log, planes
-    return table
-
-
-_SMOOTH_SUMS: dict = {}
-
-
-def _smooth_sum_table(p: int, d: int, log, by_log):
-    """(spread, cnt_of_sum) over FiniteField(p, d) for the smooth count:
-    spread[k] is key k in base 2p, so two spread keys add digit by digit
-    without carries, and cnt_of_sum[s] = cnt[k] = by_log[log[k]] for the key
-    k with the digits of s mod p.  One table per (p, d), built at its first
-    smooth count, so degenerate counts allocate none."""
-    table = _SMOOTH_SUMS.get((p, d))
-    if table is None:
-        cnt = [1] + [by_log[i] for i in log[1:]]  # 1 at 0, for 0 * 0
-        Q, base = p ** d, 2 * p
-        spread = [0] * Q
-        for k in range(1, Q):
-            spread[k] = k % p + base * spread[k // p]
-        fold = [0] * base ** d
-        for s in range(1, len(fold)):
-            fold[s] = s % base % p + p * fold[s // base]
-        table = _SMOOTH_SUMS[p, d] = spread, [cnt[k] for k in fold]
-    return table
-
-
 def _extension_with_embedding(kappa: FiniteField, e: int):
     """(L, embed) with L = FiniteField(p, d*e), the default-modulus field of
     order |kappa|^e, and embed: kappa -> L a field map on keys.
@@ -189,47 +141,23 @@ def _extension_with_embedding(kappa: FiniteField, e: int):
 
 def count_fiber_points(C: ConicBundle, P: Place, e: int = 1) -> int:
     """Projective points of the reduced fiber at P over the degree-e
-    extension of kappa(P), counted by enumeration.
+    extension F_Q of kappa(P), read off the fiber's geometry.
 
-    The count runs on int keys in L = FiniteField(p, d*e), of order Q, into
-    which kappa(P) embeds by a root of its modulus.  With cnt[w] = #{x :
-    x^2 = w}, A x^2 + B y^2 = z^2 has Q * sum_w cnt[w] * cnt[c*w] affine
-    solutions if c is the only nonzero one of A, B: on the units c*w is the
-    rotation by log c, so the sum is 1 (w = 0) plus the sum of 2^(b+b')
-    popcount((planes[b] >> log c) & planes[b']) over the Q - 1 units, every
-    unit read and no square class.  A smooth fiber sums cnt[u] *
-    cnt[v] * cnt[A*u + B*v] over the squares u, v, with A*u and B*v read
-    off the same rotations.  Points are (solutions - 1)/(Q - 1).  The
-    estimate, Q^2 pairs for a smooth fiber and Q points for a degenerate
-    one, goes to check_work before L or any table is built.
+    A smooth fiber is a smooth conic: by Chevalley-Warning it has a point
+    (Serre, A Course in Arithmetic, ch. I.2), so it has Q + 1, and no field
+    or table is built.  A degenerate fiber c*x^2 = z^2 has the singular
+    point (0:1:0), and the two lines z = +-sqrt(c)*x through it add 2Q
+    more when c is a square in F_Q.  Whether it is comes from the parity
+    of the discrete log of c in L = FiniteField(p, d*e), into which
+    kappa(P) embeds by a root of its modulus, and not from a character:
+    the count stays independent of the torsor it checks.  The estimate, Q
+    points, goes to check_work before L or any table is built.
     """
     kappa = P.residue_field()
     abar, bbar = _reduced_fiber(C, P)
     Q = kappa.order ** e
-    smooth = bool(abar and bbar)
-    check_work(f"{'smooth' if smooth else 'degenerate'}-fiber enumeration",
-               Q, 2 if smooth else 1)
+    if abar and bbar:
+        return Q + 1
+    check_work("degenerate-fiber enumeration", Q)
     L, embed = _extension_with_embedding(kappa, e)
-    exp, log = L._log_tables()
-    by_log, planes = _sqrt_count_table(L.p, L.d)
-    m = Q - 1
-    lA, lB = (log[embed(u)] for u in (abar, bbar))  # -1 for zero
-    if smooth:
-        spread, cnt_of_sum = _smooth_sum_table(L.p, L.d, log, by_log)
-        # (c*w, cnt[w]) over the squares w, c*w read off the rotation by log c
-        ax2, by2 = ([(0, 1)] + [(spread[exp[k]], n) for k, n
-                                in enumerate(by_log[m - lc:2 * m - lc]) if n]
-                    for lc in (lA, lB))
-        total = 0
-        for u, nx in ax2:
-            for v, ny in by2:
-                total += nx * ny * cnt_of_sum[u + v]
-    else:
-        lc, mask = max(lA, lB), (1 << m) - 1  # lc: the nonzero coefficient
-        total = Q * (1 + sum((hi >> lc & lo & mask).bit_count() << b + b2
-                             for b, hi in enumerate(planes)
-                             for b2, lo in enumerate(planes)))
-    points, rem = divmod(total - 1, m)
-    if rem:
-        raise RuntimeError("affine solution count is not projective")
-    return points
+    return 1 if L._log_tables()[embed(abar or bbar)] % 2 else 2 * Q + 1

@@ -11,8 +11,8 @@ _kinv; over F_{p^d} they step through the key ops.  Fields are cached by
 (p, d, modulus); p is checked by is_prime (deterministic Miller-Rabin,
 exact below PRIMALITY_BOUND), and a modulus is checked, and the default
 one found, with Poly.is_irreducible, so F_p[x] has one implementation.  A
-field builds log/exp tables on keys on first request; only the conic point
-count asks, on default-modulus fields.  Each field caches its n-th roots
+field builds a discrete-log table on keys on first request; only the conic
+point count asks, on default-modulus fields.  Each field caches its n-th roots
 of unity; the canonical primitive n-th root is the smallest element of
 exact order n in the enumeration order (constants first), which makes every
 character value reproducible.
@@ -152,7 +152,7 @@ class FiniteField:
         self.modulus = modulus
         self.order = p ** d
         self._zeta_cache = {}
-        self._tables = None  # (exp, log), built by _log_tables on first use
+        self._tables = None  # the log table, built by _log_tables on first use
         # e -> rows of the keys of c * r^i (c < p, i < d) in
         # FiniteField(p, d*e), r the root of the modulus at which conic
         # embeds this field's elements there
@@ -275,10 +275,10 @@ class FiniteField:
         return r
 
     def _log_tables(self):
-        """(exp, log) int arrays on keys: exp[i] = key(g^i) for 0 <= i < q - 1
-        and log[key(g^i)] = i, with log[0] = -1, where g = zeta(q - 1) is
-        the smallest primitive element.  Built once by walking the powers
-        of g; a product of units is exp[(log[a] + log[b]) % (q - 1)].
+        """log, an int array on keys: log[key(g^i)] = i for 0 <= i < q - 1,
+        with log[0] = -1, where g = zeta(q - 1) is the smallest primitive
+        element; for odd q a unit is a square exactly when its log is even.
+        Built once by walking the powers of g, each checked to be new.
         Multiplication by g is F_p-linear, so a step splits w = lo + s*hi,
         s = p^ceil(d/2), and adds lo*g to (s*hi)*g, each read from a table
         of at most s products."""
@@ -288,17 +288,17 @@ class FiniteField:
             s = self.p ** ((self.d + 1) // 2)
             lo = [self._kmul(a, g) for a in range(s)]
             hi = [self._kmul(b * s, g) for b in range(self.order // s)]
-            exp, log = array("l", [0]) * m, array("l", [-1]) * self.order
+            log = array("l", [-1]) * self.order
             w = 1
             for i in range(m):
                 if log[w] >= 0 or not w:
                     raise RuntimeError("powers of g repeat or reach zero")
-                exp[i], log[w] = w, i
+                log[w] = i
                 b, a = divmod(w, s)
                 w = self._kadd(lo[a], hi[b])
             if w != 1:
                 raise RuntimeError("g^(q-1) != 1")
-            self._tables = exp, log
+            self._tables = log
         return self._tables
 
     # -- element constructors ----------------------------------------------

@@ -85,6 +85,15 @@ MUTANTS = (
     Mutant("ratfunc-not-monic", "src/brauer/ratfunc.py",
            "            if b[-1] != 1:\n", "            if False:\n",
            "RatFunc leaves its denominator's leading key as given"),
+    Mutant("fiber-count-parity", "src/brauer/conic.py",
+           "[embed(abar or bbar)] % 2 else",
+           "[embed(abar or bbar)] % 2 == 0 else",
+           "the point count reads an even log, a square, as non-split"),
+    Mutant("fiber-both-odd-sign", "src/brauer/conic.py",
+           "return 0, kappa._kneg(kappa._kmul(ua, ub))",
+           "return 0, kappa._kmul(ua, ub)",
+           "the reduced fiber with both valuations odd drops the sign of "
+           "(a, -a*b)"),
 )
 
 

@@ -178,8 +178,6 @@ def test_point_count_reads_no_square_class(monkeypatch):
     for module in (conic, finitefield):
         monkeypatch.setattr(module, "power_residue_character", refuse)
     monkeypatch.setattr(conic, "component_torsor", refuse)
-    monkeypatch.setattr(conic, "_SQRT_COUNTS", {})
-    monkeypatch.setattr(conic, "_SMOOTH_SUMS", {})
     F7 = FiniteField(7)
     t = Poly.gen(F7)
     quad = Place(F7, next(t ** 2 + c for c in range(7)
@@ -212,8 +210,6 @@ def test_point_count_reads_no_square_class(monkeypatch):
                 seen.add((P in degenerate, n))
     assert {(True, 1), (True, 2 * 7 + 1), (True, 2 * 49 + 1),
             (False, 7 + 1), (False, 49 + 1)} <= seen
-    # the smooth counts share one table per (p, d)
-    assert set(conic._SMOOTH_SUMS) == {(7, 1), (7, 2)}
 
 
 @pytest.mark.parametrize("p,d,e", [(5, 4, 1), (13, 3, 1), (13, 4, 1),
@@ -221,8 +217,7 @@ def test_point_count_reads_no_square_class(monkeypatch):
 def test_degenerate_counts_match_key_reference_past_brute_force(p, d, e):
     # Q = 625, 2197, 28561 and 169, past the brute force's Q <= 49: the
     # count must equal (Q * sum_w cnt[w] * cnt[c*w] - 1)/(Q - 1), with cnt
-    # and every product c*w taken by L._kmul over all keys, no log table or
-    # bit plane read
+    # and every product c*w taken by L._kmul over all keys, no log read
     Fp = FiniteField(p)
     pi = next(f for k in range(p ** d) if (f := Poly(
         Fp, [k // p ** i % p for i in range(d)] + [1])).is_irreducible())
@@ -249,28 +244,26 @@ def test_degenerate_counts_match_key_reference_past_brute_force(p, d, e):
     assert seen == ({2 * Q + 1, 1} if e == 1 else {2 * Q + 1})
 
 
-def test_smooth_fiber_guard_raises_before_enumeration():
+def test_smooth_fiber_is_q_plus_one_past_the_guard():
+    # a smooth conic has Q + 1 points by Chevalley-Warning, whatever Q, so
+    # the count needs no size guard: at Q = 997 and 1009, on either side of
+    # Q^2 = 10^6, at the cubic place of F_13 (Q = 2197) and over
+    # q = 10^18 + 3, with no field built and no embedding stored
     F13 = FiniteField(13)
     t = Poly.gen(F13)
     pi = next(t ** 3 + c for c in range(13) if (t ** 3 + c).is_irreducible())
-    P = Place(F13, pi)
-    C = ConicBundle(RatFunc.gen(F13), RatFunc.constant(F13, 2))
-    assert P not in degenerate_places(C)
-    tables = set(conic._SQRT_COUNTS), set(conic._SMOOTH_SUMS)
-    with pytest.raises(TableSizeError, match="2197"):
-        count_fiber_points(C, P)
-    assert (set(conic._SQRT_COUNTS), set(conic._SMOOTH_SUMS)) == tables
-    # Q^2 <= 10^6 pairs at Q = 997, the largest odd prime power with it,
-    # and refused at the next, 1009: a smooth conic has Q + 1 points
-    for Q, points in ((997, 998), (1009, None)):
-        F = FiniteField(Q)
-        C = ConicBundle(RatFunc.gen(F), RatFunc.constant(F, 2))
-        P = Place(F, Poly.gen(F) + 1)
-        if points is None:
-            with pytest.raises(TableSizeError, match=f"{Q}\\^2"):
-                count_fiber_points(C, P)
-        else:
-            assert count_fiber_points(C, P) == points
+    cases = [(RatFunc.gen(F13), RatFunc.constant(F13, 2), Place(F13, pi))]
+    for q in (997, 1009, 10 ** 18 + 3):
+        F = FiniteField(q)
+        cases.append((RatFunc.gen(F), RatFunc.constant(F, 2),
+                      Place(F, Poly.gen(F) + 1)))
+    for a, b, P in cases:
+        C = ConicBundle(a, b)
+        assert P not in degenerate_places(C)
+        kappa = P.residue_field()
+        fields, roots = set(_FIELD_CACHE), dict(kappa._roots)
+        assert count_fiber_points(C, P) == kappa.order + 1
+        assert set(_FIELD_CACHE) == fields and kappa._roots == roots
 
 
 def test_degenerate_fiber_guard_raises_before_any_build(stop_past_guard):
@@ -280,10 +273,9 @@ def test_degenerate_fiber_guard_raises_before_any_build(stop_past_guard):
     P = Place(F13, pi)
     C = ConicBundle(RatFunc(pi), RatFunc.constant(F13, 2))
     assert P in degenerate_places(C)
-    tables, fields = set(conic._SQRT_COUNTS), set(_FIELD_CACHE)
+    fields = set(_FIELD_CACHE)
     with pytest.raises(TableSizeError, match=str(13 ** 6)):
         count_fiber_points(C, P, e=2)
-    assert set(conic._SQRT_COUNTS) == tables
     assert set(_FIELD_CACHE) == fields
     assert 2 not in P.residue_field()._roots
     # Q <= 10^6 points at Q = 999983, the largest prime power with it, and
@@ -336,13 +328,9 @@ def test_point_count_tables_one_per_field(monkeypatch):
     roots = Poly.roots
     monkeypatch.setattr(Poly, "roots",
                         lambda f: root_calls.append(f) or roots(f))
-    monkeypatch.setattr(conic, "_SQRT_COUNTS", {})
-    monkeypatch.setattr(conic, "_SMOOTH_SUMS", {})
     for P in places:
         monkeypatch.setattr(P.residue_field(), "_roots", {})
     counts = [count_fiber_points(C, P) for P in places]
-    # degenerate counts build no smooth-count table
-    assert set(conic._SQRT_COUNTS) == {(13, 4)} and not conic._SMOOTH_SUMS
     assert len(root_calls) == 2
     assert [count_fiber_points(C, P) for P in places] == counts
     assert len(root_calls) == 2

@@ -199,16 +199,16 @@ def test_negative_powers(rng):
 @pytest.mark.parametrize("p,d", [(5, 2), (7, 3), (13, 4)])
 def test_log_tables(rng, p, d):
     F = FiniteField(p, d)
-    exp, log = F._log_tables()
-    assert F._log_tables() is F._log_tables()  # built once
-    m = F.order - 1
-    assert exp[0] == F.one().key() and F.from_key(exp[1]) == F.zeta(m)
-    # exp is a bijection onto the nonzero keys and log inverts it
-    assert sorted(exp) == list(range(1, F.order))
-    assert log[0] == -1 and all(log[k] == i for i, k in enumerate(exp))
+    log = F._log_tables()
+    assert F._log_tables() is log  # built once
+    m, g = F.order - 1, F.zeta(F.order - 1).key()
+    # log is a bijection from the nonzero keys onto range(q - 1), and
+    # g to the power log[k] is k
+    assert log[0] == -1 and sorted(log[1:]) == list(range(m))
+    assert all(F._kpow(g, log[k]) == k for k in range(1, F.order))
     for _ in range(200):
         a, b = rng.randrange(1, F.order), rng.randrange(1, F.order)
-        assert exp[(log[a] + log[b]) % m] == _ref_mul(F, a, b)
+        assert log[_ref_mul(F, a, b)] == (log[a] + log[b]) % m
 
 
 def test_zeta_is_smallest_of_exact_order():
