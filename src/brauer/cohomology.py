@@ -1,9 +1,10 @@
 """Explicit cohomology of finite abelian groups with Z/m coefficients.
 
 Cochains are inhomogeneous, in one numbering: a cochain G^k -> Z/m is the
-tuple of its values in tuple-product order, an element's position read
-from its group's index, and the bar differential, the integer one for the
-trivial action, is written once, as its k + 2 face maps over those
+tuple of its values in tuple-product order, an element's position the
+number its coordinates write in the mixed radix of the group's factors,
+the first most significant.  The bar differential, the integer one for
+the trivial action, is written once, as its k + 2 face maps over those
 positions (Brown, Cohomology of Groups, ch. IV), cached by _faces.  A
 coboundary reads c's values at each face and adds them with alternating
 signs; coboundary_matrix's sparse rows are the merge of the same faces,
@@ -71,15 +72,15 @@ def check_work(what: str, base: int, power: int = 1, least: int = 0):
 
 
 class FiniteAbelianGroup:
-    """Product of cyclic groups Z/m1 x ... x Z/mk; elements are tuples in
-    tuple-product order, listed by the first call of ``elements``, which
-    also sets ``index``, mapping each to its position."""
+    """Product of cyclic groups Z/m1 x ... x Z/mk; ``elements`` lists its
+    tuples in tuple-product order, so an element's position is the
+    mixed-radix number of its coordinates over ``factors``, the first most
+    significant."""
 
     def __init__(self, factors):
-        factors = tuple(int(m) for m in factors)
-        if any(m < 1 for m in factors):
+        self.factors = factors = tuple(map(int, factors))
+        if min(factors, default=1) < 1:
             raise ValueError("cyclic factors must be >= 1")
-        self.factors = factors
         self.size = math.prod(factors)
         self._elements = None
 
@@ -88,7 +89,6 @@ class FiniteAbelianGroup:
             check_work("element list", self.size)
             self._elements = list(itertools.product(*(range(m)
                                                       for m in self.factors)))
-            self.index = {g: i for i, g in enumerate(self._elements)}
         return self._elements
 
     def add(self, g, h):
@@ -102,11 +102,6 @@ class FiniteAbelianGroup:
 
     def __repr__(self):
         return " x ".join(f"Z/{m}" for m in self.factors)
-
-
-# one group per tuple of factors for this module's constructions, so each
-# lists its elements once; the class itself stays a plain constructor
-_group = functools.lru_cache(maxsize=16)(FiniteAbelianGroup)
 
 
 class Cochain:
@@ -123,12 +118,8 @@ class Cochain:
             raise ValueError("negative cochain degree")
         if modulus < 1:
             raise ValueError(f"cochain modulus must be >= 1, got {modulus}")
-        # |G|^degree values, or the trivial group's one degree-tuple; in a
-        # positive degree |G| is within that, and listing G sets the index
-        # that __call__ reads
+        # |G|^degree values, or the trivial group's one degree-tuple
         check_work("cochain table", group.size, degree, least=degree)
-        if degree:
-            group.elements()
         self.group = group
         self.degree = degree
         self.modulus = modulus
@@ -151,21 +142,23 @@ class Cochain:
     def _raw(cls, group: FiniteAbelianGroup, degree: int, modulus: int,
              values) -> "Cochain":
         """The cochain with these values, not checked: they are ints in
-        [0, modulus), |group|^degree of them.  It lists group when degree > 0,
-        so that __call__ can read group.index."""
-        if degree:
-            group.elements()
+        [0, modulus), |group|^degree of them."""
         self = object.__new__(cls)
         self.group, self.degree, self.modulus = group, degree, modulus
         self.values = tuple(values)
         return self
 
     def __call__(self, *args) -> int:
+        factors, i = self.group.factors, 0
         if len(args) != self.degree:
             raise KeyError(args)
-        i = 0
-        for g in args:
-            i = i * self.group.size + self.group.index[tuple(g)]
+        for g in args:  # the digits of all the arguments' coordinates
+            if len(g) != len(factors):
+                raise KeyError(args)
+            for x, m in zip(g, factors):
+                if not 0 <= x < m:
+                    raise KeyError(args)
+                i = i * m + x
         return self.values[i]
 
     def _compat(self, other):
@@ -258,8 +251,7 @@ def _faces(group: FiniteAbelianGroup, k: int):
     per (group, k)."""
     # |G|^(k+1) entries a face, or the trivial group's k + 2 faces
     check_work("coboundary faces", group.size, k + 1, least=k + 2)
-    elements = group.elements()
-    n = len(elements)
+    n = group.size
     positions = list(range(n ** k))
 
     def face(before, mid, after):
@@ -272,10 +264,18 @@ def _faces(group: FiniteAbelianGroup, k: int):
                       for hi in range(n ** before) for s in mid
                       for lo in range(low)])
 
+    # add holds the position of g + h at g's position times n plus h's,
+    # built a factor at a time: for G = G' x Z/m, (g'm + x) + (h'm + y) sits
+    # at (g' + h')m + (x + y) mod m, the x-th rotation of block g' + h' of m
+    # positions.  d_0 merges no faces, so needs no sums
+    add, size = positions[:1], 1
+    for m in group.factors if k else ():
+        blocks = [positions[s * m:(s + 1) * m] * 2 for s in range(size)]
+        add = list(itertools.chain.from_iterable(
+            blocks[s][x:x + m] for row in range(0, size * size, size)
+            for x in range(m) for s in add[row:row + size]))
+        size *= m
     drop = (0,) * n
-    # d_0 merges no faces, so needs no sums
-    add = [group.index[group.add(g, h)] for g in elements
-           for h in elements] if k else None
     return (face(0, drop, k),
             *(face(i, add, k - 1 - i) for i in range(k)),
             face(k, drop, 0))
@@ -424,7 +424,7 @@ def cup_product_boxtimes(n: int) -> Cochain:
     n^4 values are checked against TABLE_GUARD before they are built.
     """
     check_work("cochain table", n * n, 2)
-    G = _group((n, n))
+    G = FiniteAbelianGroup((n, n))
     # ((g0, g1), (h0, h1)) sits at ((g0 n + g1) n + h0) n + h1, so the
     # block of g0 is g0 * h1 over h1, once for each (g1, h0)
     return Cochain._raw(G, 2, n,
@@ -524,7 +524,7 @@ def _epsilon_checked(n: int, power: int = 1):
 
 def identity_character(n: int) -> Cochain:
     """The identity homomorphism Z/n -> Z/n as a 1-cochain."""
-    return Cochain(_group((n,)), 1, n, range(n))
+    return Cochain(FiniteAbelianGroup((n,)), 1, n, range(n))
 
 
 def lhs_edge_map(c: Cochain) -> Cochain:
@@ -543,7 +543,7 @@ def lhs_edge_map(c: Cochain) -> Cochain:
         raise ValueError("expected a degree-2 cochain")
     n = G.factors[0]
     m = c.modulus
-    Zn = _group((n,))
+    Zn = FiniteAbelianGroup((n,))
     # (x, y) sits at x n + y and the pair (g, h) at g's position times n^2
     # plus h's, so ((x,0),(y,0)) at x n^3 + y n, ((beta,0),(0,b)) at
     # beta n^3 + b and ((0,b),(beta,0)) at b n^2 + beta n
@@ -592,7 +592,7 @@ def extension_factor_set(n: int, q: int) -> Cochain:
     if (F.order - 1) % n != 0:
         raise ValueError(f"n={n} must divide q-1={F.order - 1}")
     check_work("factor set", n, 4)
-    G = _group((n, n))
+    G = FiniteAbelianGroup((n, n))
     zeta = F.zeta(n)
 
     def mul(A, B):
@@ -616,13 +616,13 @@ def extension_factor_set(n: int, q: int) -> Cochain:
     log = {k: i for i, k in enumerate(D[1])}
     inv0 = [F._kinv(entries[0]) for _, entries in section]
 
-    # the pairs (g, h) in tuple-product order; row 0 of S_g S_h is row
-    # cols_g[0] of S_h scaled by entries_g[0]
-    elements, kmul, values = G.elements(), F._kmul, []
+    # the pairs (g, h) in tuple-product order, g = (beta, b) at beta n + b;
+    # row 0 of S_g S_h is row cols_g[0] of S_h scaled by entries_g[0]
+    pairs, kmul, values = [divmod(g, n) for g in range(n * n)], F._kmul, []
     try:
-        for (beta, b), (cols_g, entries_g) in zip(elements, section):
+        for (beta, b), (cols_g, entries_g) in zip(pairs, section):
             col, scale = cols_g[0], entries_g[0]
-            for (beta2, b2), (_, entries_h) in zip(elements, section):
+            for (beta2, b2), (_, entries_h) in zip(pairs, section):
                 entry = kmul(scale, entries_h[col])
                 gh = (beta + beta2) % n * n + (b + b2) % n
                 values.append(log[kmul(entry, inv0[gh])])

@@ -517,13 +517,11 @@ def power_residue_character(u: FieldElement, n: int) -> ResidueClass:
     ResidueClass.
 
     The value m satisfies u^((|F|-1)/n) = zeta^m; it is 0 exactly when u is
-    an n-th power.
+    an n-th power.  F.zeta(n) refuses an n that does not divide |F| - 1.
     """
     F = u.field
     if u.is_zero():
         raise ValueError("character of zero")
-    if n < 1 or (F.order - 1) % n != 0:
-        raise ValueError(f"n={n} does not divide |F|-1={F.order - 1}")
     zeta = F.zeta(n)
     t = F._kpow(u.key(), (F.order - 1) // n)
     return ResidueClass(n, zeta_log(t, zeta, n), zeta)

@@ -16,7 +16,7 @@ ratfunc._unit_norm takes its norm from, with no kappa(P) arithmetic: at a
 degree-1 place and at infinity it is the argument's unit in F_q, from the
 values at the root (or the leading keys), and at a place of degree >= 2 a
 resultant of pi and the argument's remainder.  The cocycle route still
-reduces its unit into kappa(P) (ratfunc._unit_key), so route agreement
+reduces its unit into kappa(P) (ratfunc.reduce_at), so route agreement
 compares two readings of the unit.  The tame unit is 1 where both
 arguments are units, so the whole-sum maps (ramification_divisor,
 reciprocity_sum) factor each argument once into its divisor and evaluate
@@ -33,8 +33,8 @@ from functools import lru_cache
 
 from .cohomology import _epsilon_checked
 from .finitefield import FiniteField, ResidueClass, power_residue_character
-from .ratfunc import (Place, RatFunc, _divide_out_pi, _divisor, _unit_key,
-                      _unit_norm, valuation)
+from .ratfunc import (Place, RatFunc, _divide_out_pi, _divisor, _unit_norm,
+                      reduce_at, valuation)
 
 
 class SymbolClass:
@@ -158,14 +158,10 @@ def tame_residue(alpha: SymbolClass, P: Place) -> ResidueClass:
 def residue_cocycle_route(j: int, u: RatFunc, P: Place, n: int) -> ResidueClass:
     """Residue of (pi_P^j, u)_n computed through the root-cover cocycle: the
     edge value of the epsilon cocycle of pi^j (see _epsilon_edge) paired
-    with the unit's residue character.  Always equals -j * chi(u mod P)."""
-    v, k = (1, None) if u.is_zero() else _unit_key(u, P)
-    if v != 0:
-        raise ValueError("second symbol argument must be a unit at P")
-    kappa = P.residue_field()
-    if (kappa.order - 1) % n != 0:
-        raise ValueError(f"n={n} must divide |kappa(P)|-1={kappa.order - 1}")
-    chi = power_residue_character(kappa.from_key(k), n)
+    with the unit's residue character.  Always equals -j * chi(u mod P).
+    reduce_at refuses a non-unit u, and kappa(P).zeta(n) an n not dividing
+    |kappa(P)| - 1."""
+    chi = power_residue_character(reduce_at(u, P), n)
     return ResidueClass(n, _epsilon_edge(n, j % n) * chi.value, chi.zeta)
 
 

@@ -45,12 +45,27 @@ MUTANTS = (
            "[g0 * h1 % n for h1 in range(n)]",
            "[g0 * h1 for h1 in range(n)]",
            "cup_product_boxtimes hands _raw products of n or more"),
-    Mutant("raw-group-unlisted", "src/brauer/cohomology.py",
-           "        if degree:\n            group.elements()\n"
-           "        self = object.__new__(cls)",
-           "        self = object.__new__(cls)",
-           "a degree-0 cochain's coboundary on a fresh group cannot be "
-           "read where _faces was cached for an equal group"),
+    Mutant("sum-table-unrotated", "src/brauer/cohomology.py",
+           "blocks[s][x:x + m]", "blocks[s][:m]",
+           "the sum table drops x from (x + y) mod m, so g + h reads as "
+           "g' + h' on each factor's last digit"),
+    Mutant("call-digits-reversed", "src/brauer/cohomology.py",
+           "for x, m in zip(g, factors):",
+           "for x, m in zip(g[::-1], factors[::-1]):",
+           "a cochain reads an element's coordinates last factor first"),
+    Mutant("tame-sign-degree-free", "src/brauer/residues.py",
+           "(va * vb * P.degree) % 2", "(va * vb) % 2",
+           "the tame unit's sign (-1)^(va*vb) is normed as if deg P were 1"),
+    Mutant("route-power-ignored", "src/brauer/residues.py",
+           "_epsilon_edge(n, j % n)", "_epsilon_edge(n, 1)",
+           "the cocycle route reads the epsilon cocycle of pi, not of pi^j"),
+    Mutant("pivot-valuation-unscaled", "src/brauer/snf.py",
+           "if rows[i][j] // d % p)", "if rows[i][j] % p)",
+           "_eliminate pivots in pass a > 0 on entries not of valuation a"),
+    Mutant("elimination-adds", "src/brauer/snf.py",
+           "w = (ri.get(c, 0) - k * v) % q", "w = (ri.get(c, 0) + k * v) % q",
+           "_eliminate adds the pivot row's multiple instead of clearing "
+           "its column"),
     Mutant("divmod-unreduced", "src/brauer/poly.py",
            "return quo, _trim([c % p for c in rem[:nb]])",
            "return quo, _trim(rem[:nb])",

@@ -64,29 +64,43 @@ def test_group_structure():
     assert G.add((1, 2), (1, 2)) == (0, 1)
 
 
-def test_group_index_is_tuple_product_order():
-    G = FiniteAbelianGroup((2, 3))
-    assert [G.index[g] for g in G.elements()] == list(range(6))
-    assert G.elements()[G.index[(1, 2)]] == (1, 2)
+def test_positions_are_tuple_product_order():
+    # a cochain numbers g by the mixed radix of its coordinates, the first
+    # most significant: its place in elements()
+    G = FiniteAbelianGroup((2, 3, 4))
+    c = Cochain(G, 1, G.size, range(G.size))
+    assert [c(g) for g in G.elements()] == list(range(24))
+    assert c((1, 2, 3)) == c([1, 2, 3]) == 23
+    d = Cochain(G, 2, G.size ** 2, range(G.size ** 2))
+    assert d((0, 0, 1), (1, 0, 0)) == 24 + 12
 
 
-def test_constructions_share_one_group_per_factor_tuple(monkeypatch):
-    built = []
-    init = FiniteAbelianGroup.__init__
-    monkeypatch.setattr(FiniteAbelianGroup, "__init__", lambda self, factors:
-                        built.append(tuple(factors)) or init(self, factors))
-    cohomology._group.cache_clear()
-    for n in (3, 5):
+def test_constructions_list_no_elements(monkeypatch, rng, capsys):
+    # every cochain the package builds, and every cohomology command,
+    # numbers elements by position, with no list of them
+    def refuse(self):
+        raise AssertionError(f"{self} listed")
+
+    monkeypatch.setattr(FiniteAbelianGroup, "elements", refuse)
+    cohomology._faces.cache_clear()
+    coboundary_matrix.cache_clear()
+    for n in (3, 4, 5):
         box = cup_product_boxtimes(n)
         assert lhs_edge_map(box) == identity_character(n)
-        assert box.group is extension_factor_set(n, 31).group
-        assert cup_product_boxtimes(n).group is box.group
-        for argv in (["cohomology", "gamma", "--n", str(n), "--q", "31"],
-                     ["cohomology", "edge", "--n", str(n)]):
-            assert cli.main(argv) == 0
-    assert sorted(built) == [(3,), (3, 3), (5,), (5, 5)]
-    # the public constructor stays plain
-    assert FiniteAbelianGroup((5, 5)) is not box.group
+        assert cocycles_cohomologous(extension_factor_set(n, 61), -1 * box)
+        assert box((1, 0), (0, 2)) == 2 % n
+        G = FiniteAbelianGroup((2, n))
+        for k in (1, 2, 3):
+            c = Cochain.random(G, k, n, rng)
+            b = coboundary(Cochain.random(G, k - 1, n, rng))
+            assert is_cocycle(b) and cocycles_cohomologous(b + c, c)
+        for argv in (["edge", "--n", str(n)], ["epsilon", "--n", str(n)],
+                     ["gamma", "--n", str(n), "--q", "61"],
+                     ["rank", "--n", str(n), "--factors", f"2,{n}",
+                      "--degree", "2"]):
+            for fmt in ("text", "json"):
+                assert cli.main(["cohomology", *argv, "--format", fmt]) == 0
+                assert "FAIL" not in capsys.readouterr().out
 
 
 def test_cochain_values_contract():
@@ -109,7 +123,8 @@ def test_cochain_values_contract():
                             (0, lambda g: 1)):
         with pytest.raises(ValueError, match="modulus must be >= 1"):
             Cochain(G, 1, modulus, values)
-    for args in (((2, 0),), ((0, 3),), ((0,),), ((0, 0), (0, 0)), ()):
+    for args in (((2, 0),), ((0, 3),), ((-1, 0),), ((0, -1),), ((0,),),
+                 ((0, 0, 0),), ((0, 0), (0, 0)), ()):
         with pytest.raises(KeyError):
             c(*args)
 
@@ -569,7 +584,7 @@ def test_cohomologous_and_fiber_check_agree_with_solve_mod(rng):
             d = coboundary(Cochain.random(G, 1, m, rng))
             changed = list(d.values)
             x, y = rng.randrange(n), rng.randrange(n)
-            changed[G.index[(x, 0)] * G.size + G.index[(y, 0)]] += 1
+            changed[x * n * G.size + y * n] += 1  # at ((x, 0), (y, 0))
             for c in (d + Cochain(G, 2, m, box), Cochain(G, 2, m, changed),
                       Cochain(G, 2, m, lambda g, h: g[0] * h[0]),
                       Cochain.random(G, 2, m, rng)):
@@ -841,8 +856,7 @@ GAMMA_FIELDS = (FiniteField(5), FiniteField(7), FiniteField(13),
 def _assert_built(c, k, m, unreduced):
     """c has |G|^k values, each in [0, m), reads each back at its
     arguments, and equals the public constructor's cochain on the
-    unreduced values.  The reads come before that constructor, which lists
-    the group."""
+    unreduced values."""
     elements = list(itertools.product(*map(range, c.group.factors)))
     assert len(c.values) == len(elements) ** k
     assert all(0 <= v < m for v in c.values)
@@ -856,9 +870,7 @@ def _assert_built(c, k, m, unreduced):
        st.integers(-9, 9), st.data())
 def test_ring_ops_and_coboundary_match_the_public_constructor(
         factors, k, m, scale, data):
-    # a fresh group each time: one of degree 0 stays unlisted, and _raw
-    # must list it for its coboundary though _faces may be cached for an
-    # equal one
+    # a fresh group each time, though _faces may be cached for an equal one
     G = FiniteAbelianGroup(factors)
     ints = st.lists(st.integers(-3 * m, 3 * m), min_size=G.size ** k,
                     max_size=G.size ** k)
@@ -897,9 +909,9 @@ def test_closed_forms_match_the_public_constructor(n, seed):
                     itertools.product(range(n), repeat=2), repeat=2)])
 
 
-def test_coboundary_lists_a_fresh_group():
-    # _faces is cached per equal group: the second group is neither listed
-    # by its degree-0 cochain nor by _faces, so _raw lists it
+def test_coboundary_reads_a_fresh_group():
+    # _faces is cached per equal group: the second group's coboundary reads
+    # the cached faces, by position alone
     for _ in range(2):
         G = FiniteAbelianGroup((2, 3))
         d = coboundary(Cochain(G, 0, 5, [3]))
