@@ -97,12 +97,14 @@ def cmd_ramification(args):
 def cmd_reciprocity(args):
     F = _field_for(args.q, args.n)
     alpha = parse_symbol_sum(args.symbol, F, args.n)
-    total = (reciprocity_sum(alpha) if alpha.terms
-             else ResidueClass(args.n, 0, F.zeta(args.n)))
-    lines = []
-    if args.format == "text" and alpha.terms:  # only text lists the places
-        lines = [f"  {P}: {r.value}"
-                 for P, r in ramification_divisor(alpha).items()]
+    lines, value = [], 0
+    if args.format == "json" and alpha.terms:
+        value = reciprocity_sum(alpha).value
+    elif alpha.terms:  # text lists the places and sums their values
+        for P, r in ramification_divisor(alpha).items():
+            lines.append(f"  {P}: {r.value}")
+            value += r.value
+    total = ResidueClass(args.n, value, F.zeta(args.n))
     lines.append(f"sum={total.value}")
     return ({"q": args.q, "n": args.n, "symbol": args.symbol},
             {"sum": _residue_json(total)}, total.is_zero(), lines)
@@ -233,7 +235,8 @@ def cmd_selftest(args):
                 # a ramified fiber is two conjugate lines: the singular
                 # point alone, and 2k^2 + 1 points once they split over
                 # the quadratic extension of kappa(P), of order k^2; a
-                # count past the size guard is skipped
+                # count past the size guard (k > 10^6, for e = 1 only) is
+                # skipped
                 k = q ** P.degree
                 try:
                     if (count_fiber_points(C, P) != 1

@@ -12,19 +12,17 @@ degree-e extension F_Q of kappa(P) acts as a further oracle, read off the
 fiber's geometry: a smooth fiber is a smooth conic, with Q + 1 points by
 Chevalley-Warning; a degenerate fiber c*x^2 = z^2 is two conjugate lines
 through (0:1:0), with 2Q + 1 points if c is a square in F_Q and 1 if not.
-The count decides that by the parity of the discrete log of c in the
-default-modulus field F_Q = FiniteField(p, d*e), into which kappa(P)
-embeds at a root of pi, so it reads no character and no resultant.
+As F_Q contains the quadratic extension of kappa(P) exactly when e is
+even, c is a square in F_Q exactly when e is even or c is one in
+kappa(P); the count reads the latter from the parity of the discrete log
+of c in kappa(P), so it reads no character and no resultant.
 """
 
 from __future__ import annotations
 
-from functools import reduce
-from operator import getitem
-
 from .cohomology import check_work
 from .finitefield import FiniteField, ResidueClass, power_residue_character
-from .poly import Poly, _resultant, _trim
+from .poly import _resultant, _trim
 from .ratfunc import Place, RatFunc, _unit_key, valuation
 from .residues import SymbolClass, _candidate_places, ramification_divisor
 
@@ -120,44 +118,31 @@ def check_artin(C: ConicBundle):
 # ---------------------------------------------------------------------------
 # point counting oracle
 
-def _extension_with_embedding(kappa: FiniteField, e: int):
-    """(L, embed) with L = FiniteField(p, d*e), the default-modulus field of
-    order |kappa|^e, and embed: kappa -> L a field map on keys.
-
-    The embedding sends the generator x of kappa to the smallest root r of
-    kappa's modulus in L, the first of Poly.roots, and is F_p-linear: the
-    image of the key of u = sum c_i x^i, read digit by digit, is the key
-    sum of the c_i * r^i, from rows of keys of c * r^i (c < p, i < d) built
-    once per (kappa, e).
-    """
-    p, L = kappa.p, FiniteField(kappa.p, kappa.d * e)
-    rows = kappa._roots.get(e)
-    if rows is None:
-        r = Poly(L, kappa.modulus).roots()[0].key()
-        rows = kappa._roots[e] = [[L._kmul(c, L._kpow(r, i)) for c in range(p)]
-                                  for i in range(kappa.d)]
-    return L, lambda u: reduce(L._kadd, map(getitem, rows, kappa._digits(u)))
-
-
 def count_fiber_points(C: ConicBundle, P: Place, e: int = 1) -> int:
     """Projective points of the reduced fiber at P over the degree-e
-    extension F_Q of kappa(P), read off the fiber's geometry.
+    extension F_Q of kappa(P), read off the fiber's geometry; ValueError
+    for e < 1.
 
     A smooth fiber is a smooth conic: by Chevalley-Warning it has a point
     (Serre, A Course in Arithmetic, ch. I.2), so it has Q + 1, and no field
     or table is built.  A degenerate fiber c*x^2 = z^2 has the singular
     point (0:1:0), and the two lines z = +-sqrt(c)*x through it add 2Q
-    more when c is a square in F_Q.  Whether it is comes from the parity
-    of the discrete log of c in L = FiniteField(p, d*e), into which
-    kappa(P) embeds by a root of its modulus, and not from a character:
-    the count stays independent of the torsor it checks.  The estimate, Q
-    points, goes to check_work before L or any table is built.
+    more when c is a square in F_Q.  F_Q contains the quadratic extension
+    of kappa(P) exactly when e is even (Lidl & Niederreiter, Finite
+    Fields, ch. 2), so then the lines split and nothing is built.  For odd
+    e, c is a square in F_Q exactly when it is one in kappa(P), which the
+    parity of its discrete log in kappa(P) decides, and not a character:
+    the count stays independent of the torsor it checks.  The log table's
+    |kappa(P)| entries go to check_work before it is built.
     """
+    if e < 1:
+        raise ValueError(f"extension degree must be >= 1, got {e}")
     kappa = P.residue_field()
     abar, bbar = _reduced_fiber(C, P)
     Q = kappa.order ** e
     if abar and bbar:
         return Q + 1
-    check_work("degenerate-fiber enumeration", Q)
-    L, embed = _extension_with_embedding(kappa, e)
-    return 1 if L._log_tables()[embed(abar or bbar)] % 2 else 2 * Q + 1
+    if e % 2 == 0:
+        return 2 * Q + 1
+    check_work("discrete-log table", kappa.order)
+    return 1 if kappa._log_tables()[abar or bbar] % 2 else 2 * Q + 1

@@ -12,10 +12,10 @@ _kinv; over F_{p^d} they step through the key ops.  Fields are cached by
 exact below PRIMALITY_BOUND), and a modulus is checked, and the default
 one found, with Poly.is_irreducible, so F_p[x] has one implementation.  A
 field builds a discrete-log table on keys on first request; only the conic
-point count asks, on default-modulus fields.  Each field caches its n-th roots
-of unity; the canonical primitive n-th root is the smallest element of
-exact order n in the enumeration order (constants first), which makes every
-character value reproducible.
+point count asks, on a residue field kappa(P) at an odd extension degree.
+Each field caches its n-th roots of unity; the canonical primitive n-th
+root is the smallest element of exact order n in the enumeration order
+(constants first), which makes every character value reproducible.
 """
 
 from __future__ import annotations
@@ -153,10 +153,6 @@ class FiniteField:
         self.order = p ** d
         self._zeta_cache = {}
         self._tables = None  # the log table, built by _log_tables on first use
-        # e -> rows of the keys of c * r^i (c < p, i < d) in
-        # FiniteField(p, d*e), r the root of the modulus at which conic
-        # embeds this field's elements there
-        self._roots = {}
         # x^d = sum of r * x^j over the (j, r) here, the reduction in _kmul
         self._tail = tuple((j, -c % p) for j, c in enumerate(modulus[:d]) if c)
         if d == 1:  # key ops on ints mod p, bound here to skip lookups

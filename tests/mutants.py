@@ -101,9 +101,12 @@ MUTANTS = (
            "            if b[-1] != 1:\n", "            if False:\n",
            "RatFunc leaves its denominator's leading key as given"),
     Mutant("fiber-count-parity", "src/brauer/conic.py",
-           "[embed(abar or bbar)] % 2 else",
-           "[embed(abar or bbar)] % 2 == 0 else",
+           "[abar or bbar] % 2 else", "[abar or bbar] % 2 == 0 else",
            "the point count reads an even log, a square, as non-split"),
+    Mutant("fiber-even-extension", "src/brauer/conic.py",
+           "    if e % 2 == 0:\n        return 2 * Q + 1\n", "",
+           "a degenerate fiber at even e is counted by the kappa(P) parity, "
+           "so a non-square's lines stay non-split over F_Q"),
     Mutant("fiber-both-odd-sign", "src/brauer/conic.py",
            "return 0, kappa._kneg(kappa._kmul(ua, ub))",
            "return 0, kappa._kmul(ua, ub)",

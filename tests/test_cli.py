@@ -8,8 +8,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from brauer import (Cochain, FiniteAbelianGroup, ResidueClass, TableSizeError,
-                    cli, residue_cocycle_route)
+from brauer import (Cochain, FiniteAbelianGroup, Place, RamificationDivisor,
+                    ResidueClass, TableSizeError, cli, residue_cocycle_route)
 from brauer.cli import main
 from brauer.cohomology import TABLE_GUARD, coboundary_matrix
 from brauer.conic import ConicModelError
@@ -57,6 +57,21 @@ def test_reciprocity(capsys):
     assert code == 0
     assert out.splitlines() == ["  t: 1", "  t+1: 1", "  t^2+2: 1", "  inf: 1",
                                 "sum=0"]
+
+
+def test_reciprocity_factors_each_argument_once(capsys, monkeypatch):
+    # text builds the divisor once and sums its values; JSON reads the sum
+    # alone: two _divisor reads, one per argument, in either format
+    from brauer import residues
+    reads, real = [], residues._divisor
+    monkeypatch.setattr(residues, "_divisor",
+                        lambda f: reads.append(f) or real(f))
+    for fmt, shown in (("text", "sum=0"), ("json", '"value": 0')):
+        reads.clear()
+        code, out, _ = run(capsys, "reciprocity", "--q", "5", "--n", "2",
+                           "--symbol", "(t^3+t+1, t+2)_2", "--format", fmt)
+        assert code == 0 and shown in out
+        assert len(reads) == 2, fmt
 
 
 def test_reciprocity_json(capsys):
@@ -190,14 +205,13 @@ def test_selftest(capsys):
 
 def test_selftest_checks_ramified_point_counts(capsys, monkeypatch):
     # a count that is right over kappa(P) but wrong over its quadratic
-    # extension fails exactly the places small enough for the e = 2 check:
-    # the real count's size guard decides which those are
-    calls, counted, real = [], [], cli.count_fiber_points
+    # extension fails every ramified place: the e = 2 count builds nothing,
+    # so it answers past the size guard too, k^2 > 10^6
+    calls, real = [], cli.count_fiber_points
 
     def count(C, P, e=1):
         calls.append((C.field.p ** P.degree, e))
-        points = real(C, P, e)  # raises TableSizeError past the guard
-        counted.append(calls[-1])
+        points = real(C, P, e)
         return points if e == 1 else 0
 
     monkeypatch.setattr(cli, "count_fiber_points", count)
@@ -206,8 +220,8 @@ def test_selftest_checks_ramified_point_counts(capsys, monkeypatch):
     failures = json.loads(out)["results"]["failures"]
     assert code == 1
     assert failures and all(f.startswith("conic points") for f in failures)
-    assert len(failures) == sum(e == 2 for _, e in counted)
-    assert all(k * k <= TABLE_GUARD for k, e in counted if e == 2)
+    assert [k for k, e in calls if e == 1] == [k for k, e in calls if e == 2]
+    assert len(failures) == sum(e == 2 for _, e in calls)
     assert any(k * k > TABLE_GUARD for k, e in calls if e == 2)
 
 
@@ -489,26 +503,36 @@ def test_payload_keys_and_command_names(capsys, monkeypatch):
 def test_failed_identity_exits_one_in_both_formats(capsys, monkeypatch):
     real_edge, real_sum = cli.lhs_edge_map, cli.reciprocity_sum
     real_artin, real_epsilon = cli.check_artin, cli._epsilon_checked
+
+    def divisor_off_by_one(alpha):  # one more residue 1, at infinity
+        inf = Place.infinity(alpha.field)
+        return RamificationDivisor(
+            {inf: ResidueClass(alpha.n, 1, alpha.field.zeta(alpha.n))})
+
+    # text sums reciprocity from the divisor it lists, JSON reads
+    # reciprocity_sum, so the reciprocity case breaks both
     cases = [
-        ("lhs_edge_map", lambda c: 2 * real_edge(c),
+        ({"lhs_edge_map": lambda c: 2 * real_edge(c)},
          ["cohomology", "edge", "--n", "3"],
          "1_boxtimes_1 -> [0, 2, 1] : FAIL"),
-        ("_epsilon_checked", lambda n: (real_epsilon(n)[0], False),
+        ({"_epsilon_checked": lambda n: (real_epsilon(n)[0], False)},
          ["cohomology", "epsilon", "--n", "4"], "coboundary identity FAIL"),
-        ("cocycles_cohomologous", lambda a, b: False,
+        ({"cocycles_cohomologous": lambda a, b: False},
          ["cohomology", "gamma", "--n", "2", "--q", "5"],
          "factor set ~ -(1x1) : FAIL"),
-        ("reciprocity_sum",
-         lambda a: real_sum(a) + ResidueClass(a.n, 1, real_sum(a).zeta),
+        ({"reciprocity_sum": lambda a: real_sum(a) + ResidueClass(
+            a.n, 1, real_sum(a).zeta),
+          "ramification_divisor": divisor_off_by_one},
          ["reciprocity", "--q", "5", "--n", "2", "--symbol", "(t, t+1)_2"],
          "sum=1"),
-        ("check_artin",
-         lambda C: [(P, g, r, False) for P, g, r, _ in real_artin(C)],
+        ({"check_artin": lambda C: [(P, g, r, False)
+                                    for P, g, r, _ in real_artin(C)]},
          ["conic", "--q", "5", "--a", "t", "--b", "2"],
          "  place=t geometric=1 residue=1 agree=false"),
     ]
-    for name, broken, argv, line in cases:
-        monkeypatch.setattr(cli, name, broken)
+    for patches, argv, line in cases:
+        for name, broken in patches.items():
+            monkeypatch.setattr(cli, name, broken)
         code, out, err = run(capsys, *argv)
         assert (code, err) == (1, ""), argv
         assert line in out.splitlines(), argv

@@ -22,7 +22,8 @@ from brauer.conic import degenerate_places
 from brauer.finitefield import _FIELD_CACHE, power_residue_character
 from brauer.ratfunc import _unit_norm, reduce_at, valuation
 
-from conic_reference import minimize_at
+from conic_reference import (extension_with_embedding, key_reference_count,
+                             minimize_at)
 from conftest import (local_test_places, random_place, random_poly,
                       random_ratfunc, random_unit_at)
 
@@ -157,8 +158,7 @@ def test_fiber_point_counts_match_brute_force(rng):
                 for e in (1, 2):
                     if (p ** P.degree) ** e > 49:
                         continue
-                    L, embed = conic._extension_with_embedding(
-                        P.residue_field(), e)
+                    L, embed = extension_with_embedding(P.residue_field(), e)
                     abar, bbar = conic._reduced_fiber(C, P)
                     expected = _brute_force_points(
                         L._digits(embed(abar)), L._digits(embed(bbar)), L)
@@ -171,7 +171,7 @@ def test_fiber_point_counts_match_brute_force(rng):
 def test_point_count_reads_no_square_class(monkeypatch):
     # the count is the oracle for the torsor and the residue, so it must
     # not read a quadratic character: with both made to raise, and the
-    # tables and embeddings built afresh, it still matches brute force
+    # log tables built afresh, it still matches brute force
     def refuse(*args, **kwargs):
         raise AssertionError("the point count read a square class")
 
@@ -184,9 +184,7 @@ def test_point_count_reads_no_square_class(monkeypatch):
                           if (t ** 2 + c).is_irreducible()))
     places = [Place(F7, t), Place(F7, t + 6), Place.infinity(F7), quad]
     for P in places:
-        monkeypatch.setattr(P.residue_field(), "_roots", {})
-    for d in (1, 2):
-        monkeypatch.setattr(FiniteField(7, d), "_tables", None)
+        monkeypatch.setattr(P.residue_field(), "_tables", None)
     # 3 is a non-square mod 7: split and non-split degenerate fibers
     bundles = [ConicBundle(RatFunc.gen(F7), RatFunc.constant(F7, c))
                for c in (2, 3)]
@@ -200,8 +198,7 @@ def test_point_count_reads_no_square_class(monkeypatch):
             for e in (1, 2):
                 if (7 ** P.degree) ** e > 49:
                     continue
-                L, embed = conic._extension_with_embedding(
-                    P.residue_field(), e)
+                L, embed = extension_with_embedding(P.residue_field(), e)
                 abar, bbar = conic._reduced_fiber(C, P)
                 expected = _brute_force_points(
                     L._digits(embed(abar)), L._digits(embed(bbar)), L)
@@ -212,31 +209,31 @@ def test_point_count_reads_no_square_class(monkeypatch):
             (False, 7 + 1), (False, 49 + 1)} <= seen
 
 
+def _smallest_irreducible(F, d):
+    """The monic irreducible of degree d over F with the smallest key."""
+    p = F.p
+    return next(f for k in range(p ** d) if (f := Poly(
+        F, [k // p ** i % p for i in range(d)] + [1])).is_irreducible())
+
+
 @pytest.mark.parametrize("p,d,e", [(5, 4, 1), (13, 3, 1), (13, 4, 1),
                                    (13, 1, 2)])
 def test_degenerate_counts_match_key_reference_past_brute_force(p, d, e):
     # Q = 625, 2197, 28561 and 169, past the brute force's Q <= 49: the
-    # count must equal (Q * sum_w cnt[w] * cnt[c*w] - 1)/(Q - 1), with cnt
-    # and every product c*w taken by L._kmul over all keys, no log read
+    # count must equal key_reference_count, with every product taken by
+    # L._kmul over all keys of L, no log read
     Fp = FiniteField(p)
-    pi = next(f for k in range(p ** d) if (f := Poly(
-        Fp, [k // p ** i % p for i in range(d)] + [1])).is_irreducible())
+    pi = _smallest_irreducible(Fp, d)
     P = Place(Fp, pi)
-    L, embed = conic._extension_with_embedding(P.residue_field(), e)
+    L, embed = extension_with_embedding(P.residue_field(), e)
     Q = L.order
-    cnt = [0] * Q
-    for z in range(Q):
-        cnt[L._kmul(z, z)] += 1
     t = RatFunc.gen(Fp)
     seen = set()
     for b in (1, -1, 2, t + 1, t + 2, t + 3, t + 4):
         C = ConicBundle(RatFunc(pi), b * RatFunc.one(Fp))
         abar, bbar = conic._reduced_fiber(C, P)
-        c = embed(bbar)
-        assert abar == 0 and c
-        affine = Q * sum(cnt[w] * cnt[L._kmul(c, w)] for w in range(Q))
-        points, rem = divmod(affine - 1, Q - 1)
-        assert not rem
+        assert abar == 0 and bbar
+        points = key_reference_count(L, embed(bbar))
         assert count_fiber_points(C, P, e) == points, (b, p, d, e)
         seen.add(points)
     # split (c a square) and, over kappa(P) itself, non-split (c not one);
@@ -244,14 +241,66 @@ def test_degenerate_counts_match_key_reference_past_brute_force(p, d, e):
     assert seen == ({2 * Q + 1, 1} if e == 1 else {2 * Q + 1})
 
 
+def test_degenerate_counts_match_key_reference():
+    # derandomized: over F_3, F_5, F_7 and F_13, at t, t + 1, the smallest
+    # irreducible quadratic and cubic, and infinity, each bundle with a
+    # degenerate fiber there (one valuation odd, either one, or both) for
+    # units u, v at P of every constant and a few linear ratios; each count
+    # with e in {1, 2, 3} and Q <= 2197 must equal the key reference in
+    # the real extension F_Q
+    seen = set()
+    for p in (3, 5, 7, 13):
+        F = FiniteField(p)
+        t = RatFunc.gen(F)
+        ratios = [(k * t + c) / (t + 2) for k in (1, p - 1) for c in (0, 1)]
+        places = ([Place(F, Poly(F, [c, 1])) for c in (0, 1)]
+                  + [Place(F, _smallest_irreducible(F, d)) for d in (2, 3)]
+                  + [Place.infinity(F)])
+        for P in places:
+            pi, kappa = P.uniformizer(), P.residue_field()
+            units = [u for u in [RatFunc.constant(F, c) for c in range(1, p)]
+                     + ratios if valuation(u, P) == 0]
+            bundles = [ConicBundle(pi * u, v) for u, v in zip(units, units[1:])]
+            bundles += [ConicBundle(u, pi ** 3 * v) for u, v in
+                        zip(units, units[2:])]
+            bundles += [ConicBundle(pi * u, pi ** -1 * v) for u, v in
+                        zip(units, units[3:])]
+            for C in bundles:
+                assert P in degenerate_places(C)
+                abar, bbar = conic._reduced_fiber(C, P)
+                for e in (1, 2, 3):
+                    if kappa.order ** e > 2197:
+                        continue
+                    L, embed = extension_with_embedding(kappa, e)
+                    n = count_fiber_points(C, P, e)
+                    assert n == key_reference_count(L, embed(abar or bbar)), (
+                        C, P, e)
+                    seen.add((P.degree, e, n == 1))
+    # split and non-split fibers at each odd e, including e = 3 at every
+    # degree-1 place and over F_3 at degree 2; only split ones at e = 2
+    assert {(d, e, True) for d in (1, 2, 3) for e in (1, 3)
+            if (d, e) != (3, 3)} <= seen
+    assert {(d, e, False) for d in (1, 2, 3) for e in (1, 2, 3)
+            if (d, e) != (3, 3)} <= seen
+    assert not any(e == 2 and nonsplit for _, e, nonsplit in seen)
+
+
+def test_count_refuses_extension_degree_below_one():
+    # e is checked before the smooth shortcut, on either kind of fiber
+    C = ConicBundle(T5, RatFunc.constant(F5, 2))
+    for P in (Place(F5, Poly.gen(F5) + 1), PLACE_T):
+        for e in (0, -1):
+            with pytest.raises(ValueError, match="extension degree"):
+                count_fiber_points(C, P, e)
+
+
 def test_smooth_fiber_is_q_plus_one_past_the_guard():
     # a smooth conic has Q + 1 points by Chevalley-Warning, whatever Q, so
     # the count needs no size guard: at Q = 997 and 1009, on either side of
     # Q^2 = 10^6, at the cubic place of F_13 (Q = 2197) and over
-    # q = 10^18 + 3, with no field built and no embedding stored
+    # q = 10^18 + 3, with no field or table built
     F13 = FiniteField(13)
-    t = Poly.gen(F13)
-    pi = next(t ** 3 + c for c in range(13) if (t ** 3 + c).is_irreducible())
+    pi = _smallest_irreducible(F13, 3)
     cases = [(RatFunc.gen(F13), RatFunc.constant(F13, 2), Place(F13, pi))]
     for q in (997, 1009, 10 ** 18 + 3):
         F = FiniteField(q)
@@ -261,33 +310,45 @@ def test_smooth_fiber_is_q_plus_one_past_the_guard():
         C = ConicBundle(a, b)
         assert P not in degenerate_places(C)
         kappa = P.residue_field()
-        fields, roots = set(_FIELD_CACHE), dict(kappa._roots)
+        fields, tables = dict(_FIELD_CACHE), kappa._tables
         assert count_fiber_points(C, P) == kappa.order + 1
-        assert set(_FIELD_CACHE) == fields and kappa._roots == roots
+        assert _FIELD_CACHE == fields and kappa._tables is tables
 
 
-def test_degenerate_fiber_guard_raises_before_any_build(stop_past_guard):
+def test_degenerate_fiber_guard_raises_before_any_build(
+        monkeypatch, stop_past_guard):
+    # at odd e the count reads kappa(P)'s log table, |kappa(P)| entries:
+    # at a degree-6 place of F_13 that is 13^6 > 10^6, refused before any
+    # table or field is built; at even e the lines split and the count
+    # answers 2Q + 1, here Q = 13^6 at the cubic place, building nothing
     F13 = FiniteField(13)
-    t = Poly.gen(F13)
-    pi = next(t ** 3 + c for c in range(13) if (t ** 3 + c).is_irreducible())
-    P = Place(F13, pi)
-    C = ConicBundle(RatFunc(pi), RatFunc.constant(F13, 2))
-    assert P in degenerate_places(C)
-    fields = set(_FIELD_CACHE)
-    with pytest.raises(TableSizeError, match=str(13 ** 6)):
-        count_fiber_points(C, P, e=2)
-    assert set(_FIELD_CACHE) == fields
-    assert 2 not in P.residue_field()._roots
-    # Q <= 10^6 points at Q = 999983, the largest prime power with it, and
-    # refused at the next, 1000003; a passing guard stops the count
-    for Q in (999983, 1000003):
-        F = FiniteField(Q)
+    P6 = Place(F13, _smallest_irreducible(F13, 6))
+    P3 = Place(F13, _smallest_irreducible(F13, 3))
+    C = ConicBundle(RatFunc(P6.poly * P3.poly), RatFunc.constant(F13, 2))
+    assert {P6, P3} <= set(degenerate_places(C))
+    monkeypatch.setattr(P3.residue_field(), "_tables", None)
+    fields = dict(_FIELD_CACHE)
+    for e in (1, 3):
+        with pytest.raises(TableSizeError, match=str(13 ** 6)):
+            count_fiber_points(C, P6, e)
+    assert count_fiber_points(C, P6, 2) == 2 * 13 ** 12 + 1
+    assert count_fiber_points(C, P3, 2) == 2 * 13 ** 6 + 1
+    assert _FIELD_CACHE == fields
+    assert P6.residue_field()._tables is None
+    assert P3.residue_field()._tables is None
+    # |kappa(P)| <= 10^6 passes at 999983, the largest prime power with
+    # it, and is refused at the next, 1000003, at e = 1 and 3; a passing
+    # guard stops the count; at e = 2 both answer
+    for q in (999983, 1000003):
+        F = FiniteField(q)
         C = ConicBundle(RatFunc.gen(F), RatFunc.constant(F, 2))
         P = Place(F, Poly.gen(F))
         assert P in degenerate_places(C)
-        with pytest.raises(stop_past_guard if Q < 10 ** 6
-                           else TableSizeError):
-            count_fiber_points(C, P)
+        for e in (1, 3):
+            with pytest.raises(stop_past_guard if q < 10 ** 6
+                               else TableSizeError):
+                count_fiber_points(C, P, e)
+        assert count_fiber_points(C, P, 2) == 2 * q ** 2 + 1
 
 
 def _non_default_field(p, d):
@@ -301,10 +362,11 @@ def _non_default_field(p, d):
 
 @pytest.mark.parametrize("p,d", [(5, 2), (3, 4)])
 def test_embedding_is_a_ring_map(rng, p, d):
+    # the reference's embedding of kappa into the real extension field
     kappa = _non_default_field(p, d)
     assert kappa is not FiniteField(p, d)
     for e in (1, 2):
-        L, embed = conic._extension_with_embedding(kappa, e)
+        L, embed = extension_with_embedding(kappa, e)
         assert L is FiniteField(p, d * e)
         assert embed(1) == 1
         for _ in range(50):
@@ -314,6 +376,9 @@ def test_embedding_is_a_ring_map(rng, p, d):
 
 
 def test_point_count_tables_one_per_field(monkeypatch):
+    # one log table per kappa(P), built by the first count at odd e and
+    # read by the later ones; at even e none is built; no count factors
+    # a polynomial over an extension (Poly.roots) or adds a field
     F13 = FiniteField(13)
     places = []
     for c in range(13 ** 4):
@@ -324,16 +389,24 @@ def test_point_count_tables_one_per_field(monkeypatch):
                 break
     C = ConicBundle(RatFunc(places[0].poly * places[1].poly),
                     RatFunc.constant(F13, 2))
-    root_calls = []
-    roots = Poly.roots
-    monkeypatch.setattr(Poly, "roots",
-                        lambda f: root_calls.append(f) or roots(f))
+
+    def refuse(f):
+        raise AssertionError("the point count called Poly.roots")
+
+    monkeypatch.setattr(Poly, "roots", refuse)
     for P in places:
-        monkeypatch.setattr(P.residue_field(), "_roots", {})
+        monkeypatch.setattr(P.residue_field(), "_tables", None)
+    fields = dict(_FIELD_CACHE)
+    Q2 = 13 ** 8
+    assert [count_fiber_points(C, P, 2) for P in places] == [2 * Q2 + 1] * 2
+    assert all(P.residue_field()._tables is None for P in places)
     counts = [count_fiber_points(C, P) for P in places]
-    assert len(root_calls) == 2
+    tables = [P.residue_field()._tables for P in places]
+    assert tables[0] is not None and tables[1] is not None
+    assert tables[0] is not tables[1]
     assert [count_fiber_points(C, P) for P in places] == counts
-    assert len(root_calls) == 2
+    assert [P.residue_field()._tables for P in places] == tables
+    assert _FIELD_CACHE == fields
     for P, n in zip(places, counts):
         split = component_torsor(C, P).is_zero()
         assert n == (2 * 13 ** 4 + 1 if split else 1)
@@ -349,7 +422,7 @@ def test_embedding_root_is_smallest_root(rng):
                     break
             kappa = Place(Fp, f).residue_field()
             for e in (1, 2):
-                L, embed = conic._extension_with_embedding(kappa, e)
+                L, embed = extension_with_embedding(kappa, e)
                 roots = Poly(L, kappa.modulus).roots()
                 assert embed(kappa.element([0, 1]).key()) == min(
                     r.key() for r in roots)
@@ -469,9 +542,9 @@ def test_torsor_is_independent_of_the_residue_norms(monkeypatch, rng):
 
 
 def test_point_count_builds_no_field_element(monkeypatch):
-    # the count reads the reduced fiber, its embedding and the tables on
-    # int keys: once the tables and the embedding's rows exist, a count
-    # at places of degree 1 and 2 and at infinity builds no FieldElement
+    # the count reads the reduced fiber and kappa(P)'s log table on int
+    # keys: once the tables exist, a count at places of degree 1 and 2 and
+    # at infinity builds no FieldElement
     F7 = FiniteField(7)
     t = Poly.gen(F7)
     quad = Place(F7, t ** 2 + 1)
